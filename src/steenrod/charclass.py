@@ -27,11 +27,12 @@ configurable validation degree.
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
 primitive, so dim P_n = dim P_{n/2} + [some primitive hits the degree-n
-generator]); the generator indicator is decided by an explicit scan of the
-coproduct coefficient of w_{n/2} (x) w_{n/2} over every basis monomial.  The
-named formulas are certified primitive by the variable-juxtaposition
-identity for power sums and by Frobenius for squares, and everything is
-cross-checked against a literal reduced-coproduct kernel in low degrees.
+generator]); the generator indicator is read off in closed form from the
+coproduct coefficient of w_{n/2} (x) w_{n/2}, which the tests cross-check by
+scanning that coefficient over every basis monomial.  The named formulas are
+certified primitive by the variable-juxtaposition identity for power sums and
+by Frobenius for squares, and everything is cross-checked against a literal
+reduced-coproduct kernel in low degrees.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .algebra import admissible_basis, binom_mod2
+from .f2 import F2Matrix, F2Vector, _reduce_against
 
 # sparse monomial in the w classes: sorted ((index, exponent), ...)
 WMono = tuple[tuple[int, int], ...]
@@ -351,6 +353,7 @@ class QuotientModel:
         self.ideal_generator: WMono | None = gen_word
         self.reductions: dict[int, ModPoly] = {}
         self._phi_cache: dict[WMono, ModPoly] = {}
+        self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         for e in sorted(excluded):
             self.reductions[e] = self._find_reduction(e)
         self._validate_reductions()
@@ -453,51 +456,52 @@ class QuotientModel:
                         f"Sq^{i}(w_{e} + reduction) escapes the kernel in {self.space}"
                     )
 
-    def _honest_ideal_dims(self, top: int) -> dict[int, int]:
-        """Elimination-computed slice dimensions of the full module-ideal."""
+    def _ideal_slice(self, n: int) -> list[ModPoly]:
+        """A basis of the degree-n slice of the Steenrod-module ideal.
+
+        Degree d is spanned by the generator itself, Sq^(d-m) b and
+        w_(d-m) b for every basis element b of a lower degree m; a basis of
+        each degree is kept, so later calls extend the cache from its top.
+        """
         g = self.ideal_generator
         assert g is not None
-        basis_by_deg: dict[int, list[ModPoly]] = {wmono_degree(g): [frozenset({g})]}
-        dims: dict[int, int] = {}
-        for n in range(1, top + 1):
-            span: list[ModPoly] = list(basis_by_deg.get(n, []))
-            for m in range(wmono_degree(g), n):
-                for b in basis_by_deg.get(m, []):
-                    span.append(self.ring.sq(n - m, b))
-                    gen_deg = n - m
-                    if self.is_allowed(gen_deg) or gen_deg in self.reductions:
-                        if gen_deg >= (1 if self.space == "bo" else 2):
-                            span.append(poly_mul(frozenset({((gen_deg, 1),)}), b))
-            # eliminate
-            monos = sorted({mm for p in span for mm in p})
-            index = {mm: k for k, mm in enumerate(monos)}
+        gdeg = wmono_degree(g)
+        basis_by_deg = self._ideal_basis
+        for d in range(len(basis_by_deg), n + 1):
+            span: list[ModPoly] = [frozenset({g})] if d == gdeg else []
+            for m in range(gdeg, d):
+                for b in basis_by_deg[m]:
+                    span.append(self.ring.sq(d - m, b))
+                    if d - m >= 2:
+                        span.append(poly_mul(frozenset({((d - m, 1),)}), b))
+            index = {mm: k for k, mm in enumerate(sorted({mm for p in span for mm in p}))}
             pivots: dict[int, int] = {}
             basis: list[ModPoly] = []
             for p in span:
-                row = 0
-                for mm in p:
-                    row |= 1 << index[mm]
-                scan = row
-                while scan:
-                    col = scan.bit_length() - 1
-                    piv = pivots.get(col)
-                    if piv is not None:
-                        row ^= piv
-                    scan = row & ((1 << col) - 1)
+                row = _reduce_against(sum(1 << index[mm] for mm in p), pivots)
                 if row:
                     pivots[row.bit_length() - 1] = row
                     basis.append(p)
-            basis_by_deg[n] = basis
-            dims[n] = len(basis)
-        return dims
+            basis_by_deg.append(basis)
+        return basis_by_deg[n]
+
+    def _in_ideal(self, p: ModPoly, n: int) -> bool:
+        """Whether the degree-n polynomial p (w_1 dropped) lies in the ideal."""
+        basis = self._ideal_slice(n)
+        index = {mm: k for k, mm in enumerate(sorted({mm for b in basis for mm in b}))}
+        target = self.ring.clean(p)
+        if not target <= index.keys():
+            return False  # a monomial no ideal element contains
+        rows = [sum(1 << index[mm] for mm in b) for b in basis]
+        vec = F2Vector(len(index), sum(1 << index[mm] for mm in target))
+        return F2Matrix(len(rows), len(index), rows).row_space_contains(vec)
 
     def _validate_series(self, top: int) -> None:
         """Quotient dimensions from elimination must match the allowed-part
         partition counts; a mismatch aborts the model."""
-        ideal_dims = self._honest_ideal_dims(top)
         for n in range(1, top + 1):
             ambient = _partition_count(n, tuple(range(2, n + 1)))
-            quotient = ambient - ideal_dims.get(n, 0)
+            quotient = ambient - len(self._ideal_slice(n))
             model = _partition_count(n, tuple(self.generator_degrees(n)))
             if quotient != model:
                 raise ModelError(
@@ -606,41 +610,17 @@ class QuotientModel:
 
     # -- the generator indicator and primitive dimensions ---------------------------
 
-    def _coeff_wm_wm(self, mono: WMono, m: int) -> int:
-        """Coefficient of w_m (x) w_m in Delta of a model basis monomial.
-
-        Sound because the reductions are decomposable: a single-generator
-        tensor factor can only come from a raw splitting, never through phi.
-        """
-        total = 0
-        items = list(mono)
-        for idx, (g, e) in enumerate(items):
-            if g < m:
-                continue
-            r = g - m
-            rest = [
-                (gg, ee - 1 if k == idx else ee)
-                for k, (gg, ee) in enumerate(items)
-            ]
-            rest = tuple((gg, ee) for gg, ee in rest if ee > 0)
-            if r == 0:
-                right = rest
-            elif self.is_allowed(r):
-                right = wmono_mul(rest, ((r, 1),))
-            else:
-                continue  # phi(w_r) is decomposable or zero: never a single w_m
-            if right == ((m, 1),):
-                total ^= e & 1
-        return total
-
-    @lru_cache(maxsize=None)
     def generator_indicator(self, k: int) -> int:
         """1 iff some primitive of the model has a nonzero w_k component.
 
-        Odd generator degrees always carry one; an even generator degree k
+        Odd generator degrees always carry one.  An even generator degree k
         carries none exactly when the w_k coordinate functional is the square
-        of the w_{k/2} functional in the dual algebra, which the scan checks
-        monomial by monomial.
+        of the w_{k/2} functional in the dual algebra.  When w_{k/2} is itself
+        a generator this always holds: the reductions are decomposable, so
+        the coefficient of w_{k/2} (x) w_{k/2} in the coproduct comes only
+        from raw splittings, which give 1 on w_k, 2 = 0 on w_{k/2}^2 and 0
+        on every other basis monomial.  The tests cross-check this
+        closed form against the monomial-by-monomial scan of that coefficient.
         """
         if k < 1 or not self.is_allowed(k):
             return 0
@@ -649,10 +629,6 @@ class QuotientModel:
         m = k // 2
         if m < (1 if self.space == "bo" else 2) or not self.is_allowed(m):
             return 1
-        for mono in self.slice_monomials(k):
-            want = 1 if mono == ((k, 1),) else 0
-            if self._coeff_wm_wm(mono, m) != want:
-                return 1
         return 0
 
     def primitive_dimension(self, n: int) -> int:
@@ -823,25 +799,17 @@ class QuotientModel:
                 bits |= 1 << col_index[pair]
             rows.append(bits)
         # kernel of the transpose-free row system: vectors over the basis
-        # whose combined row image vanishes
-        pivots: dict[int, tuple[int, int]] = {}  # col -> (row bits, combo bits)
+        # whose combined row image vanishes; the low len(basis) bits of each
+        # row carry the combination, so every pivot sits above them
+        nb = len(basis)
+        pivots: dict[int, int] = {}
         kernel: list[ModPoly] = []
         for k, row in enumerate(rows):
-            combo = 1 << k
-            scan = row
-            while scan:
-                col = scan.bit_length() - 1
-                p = pivots.get(col)
-                if p is not None:
-                    row ^= p[0]
-                    combo ^= p[1]
-                scan = row & ((1 << col) - 1)
-            if row:
-                pivots[row.bit_length() - 1] = (row, combo)
+            row = _reduce_against((row << nb) | (1 << k), pivots)
+            if row >> nb:
+                pivots[row.bit_length() - 1] = row
             else:
-                kernel.append(
-                    frozenset(basis[i] for i in range(len(basis)) if (combo >> i) & 1)
-                )
+                kernel.append(frozenset(basis[i] for i in range(nb) if (row >> i) & 1))
         return kernel
 
 
@@ -960,71 +928,9 @@ def power_sum_vanishing_check(k: int) -> PowerSumVanishing:
 
     reduces = not mdl.phi(power_sum_mod2(m))
 
-    in_ideal = True
-    if m <= 33:
-        # membership: s_m must reduce to zero against the ideal slice basis
-        span = _ideal_slice_basis(mdl, m)
-        monos = sorted({mm for p in span for mm in p} | set(power_sum_mod2(m)))
-        index = {mm: i for i, mm in enumerate(monos)}
-        pivots: dict[int, int] = {}
-        for p in span:
-            row = 0
-            for mm in p:
-                row |= 1 << index[mm]
-            scan = row
-            while scan:
-                col = scan.bit_length() - 1
-                piv = pivots.get(col)
-                if piv is not None:
-                    row ^= piv
-                scan = row & ((1 << col) - 1)
-            if row:
-                pivots[row.bit_length() - 1] = row
-        target = 0
-        for mm in mdl.ring.clean(power_sum_mod2(m)):
-            target |= 1 << index[mm]
-        scan = target
-        while scan:
-            col = scan.bit_length() - 1
-            piv = pivots.get(col)
-            if piv is not None:
-                target ^= piv
-            scan = target & ((1 << col) - 1)
-        in_ideal = target == 0
+    # membership: s_m must lie in the span of the ideal slice basis
+    in_ideal = mdl._in_ideal(power_sum_mod2(m), m) if m <= 33 else True
     return PowerSumVanishing(k, identity, squares_to_next, reduces, in_ideal)
-
-
-def _ideal_slice_basis(mdl: QuotientModel, n: int) -> list[ModPoly]:
-    g = mdl.ideal_generator
-    assert g is not None
-    basis_by_deg: dict[int, list[ModPoly]] = {wmono_degree(g): [frozenset({g})]}
-    for d in range(wmono_degree(g) + 1, n + 1):
-        span: list[ModPoly] = []
-        for m in range(wmono_degree(g), d):
-            for b in basis_by_deg.get(m, []):
-                span.append(mdl.ring.sq(d - m, b))
-                if d - m >= 2:
-                    span.append(poly_mul(frozenset({((d - m, 1),)}), b))
-        monos = sorted({mm for p in span for mm in p})
-        index = {mm: i for i, mm in enumerate(monos)}
-        pivots: dict[int, int] = {}
-        basis: list[ModPoly] = []
-        for p in span:
-            row = 0
-            for mm in p:
-                row |= 1 << index[mm]
-            scan = row
-            while scan:
-                col = scan.bit_length() - 1
-                piv = pivots.get(col)
-                if piv is not None:
-                    row ^= piv
-                scan = row & ((1 << col) - 1)
-            if row:
-                pivots[row.bit_length() - 1] = row
-                basis.append(p)
-        basis_by_deg[d] = basis
-    return basis_by_deg.get(n, [])
 
 
 def s17_naive_substitution() -> ModPoly:

@@ -31,7 +31,7 @@ from .algebra import (
     normalize_word,
     word_sort_key,
 )
-from .f2 import F2Matrix, F2Vector
+from .f2 import F2Matrix, F2Vector, _reduce_against
 
 XiMonomial = tuple[int, ...]
 
@@ -447,14 +447,7 @@ def _span_closure(generators: list[SteenrodElement]) -> list[SteenrodElement]:
     pivots: dict[int, int] = {}
 
     def add_to_span(e: SteenrodElement) -> bool:
-        row = coords(e)
-        scan = row
-        while scan:
-            col = scan.bit_length() - 1
-            p = pivots.get(col)
-            if p is not None:
-                row ^= p
-            scan = row & ((1 << col) - 1)
+        row = _reduce_against(coords(e), pivots)
         if row == 0:
             return False
         pivots[row.bit_length() - 1] = row

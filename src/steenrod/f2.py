@@ -198,32 +198,16 @@ class F2Matrix:
         """
         if b.length != self.nrows:
             raise ShapeError("rhs length must equal row count")
-        n = self.ncols
-        mask = (1 << n) - 1
-        # augmented rows: bit n holds b; pivots keyed by coefficient column
-        pivots: dict[int, int] = {}
-        for i, row in enumerate(self.rows):
-            aug = row | (((b.bits >> i) & 1) << n)
-            scan = aug & mask
-            while scan:
-                col = scan.bit_length() - 1
-                p = pivots.get(col)
-                if p is not None:
-                    aug ^= p
-                scan = aug & mask & ((1 << col) - 1)
-            if aug & mask:
-                col = (aug & mask).bit_length() - 1
-                for c, r in list(pivots.items()):
-                    if (r >> col) & 1:
-                        pivots[c] = r ^ aug
-                pivots[col] = aug
-            elif aug:
-                return None  # 0 = 1
+        # augmented rows: bit 0 holds b, coefficient column j sits at bit j + 1
+        aug = [(row << 1) | ((b.bits >> i) & 1) for i, row in enumerate(self.rows)]
+        pivots = F2Matrix(self.nrows, self.ncols + 1, aug)._reduced()
+        if 0 in pivots:
+            return None  # 0 = 1
         x = 0
         for col, row in pivots.items():
-            if (row >> n) & 1:
-                x |= 1 << col
-        return F2Vector(n, x)
+            if row & 1:
+                x |= 1 << (col - 1)
+        return F2Vector(self.ncols, x)
 
     def kernel_basis(self) -> list[F2Vector]:
         """Basis of the right kernel, deterministic ordering."""

@@ -41,7 +41,7 @@ from typing import Sequence
 from .action import SqAlgebraPresentation
 from .algebra import SteenrodElement
 from .dual import SubHopfAlgebra, basis_of, milnor_primitive
-from .f2 import F2Matrix, F2Vector, F2Poly
+from .f2 import F2Matrix, F2Vector, F2Poly, _reduce_against
 
 EDGE_MARGIN = 3  # Q_1 has degree 3; conclusions this close to the top are provisional
 
@@ -319,24 +319,13 @@ def _module_from_subquotient(
         ideal_elems = ideal_by_degree.get(d, [])
         index, vecs = _word_coords(elems + ideal_elems)
         pivots: dict[int, int] = {}
-
-        def reduce(row):
-            scan = row
-            while scan:
-                col = scan.bit_length() - 1
-                p = pivots.get(col)
-                if p is not None:
-                    row ^= p
-                scan = row & ((1 << col) - 1)
-            return row
-
         for v in vecs[len(elems):]:
-            r = reduce(v)
+            r = _reduce_against(v, pivots)
             if r:
                 pivots[r.bit_length() - 1] = r
         chosen = []
         for e, v in zip(elems, vecs):
-            r = reduce(v)
+            r = _reduce_against(v, pivots)
             if r:
                 pivots[r.bit_length() - 1] = r
                 chosen.append(e)
@@ -606,23 +595,12 @@ class ModuleMap:
             if not ker:
                 continue
             pivots: dict[int, int] = {}
-
-            def reduce(row):
-                scan = row
-                while scan:
-                    col = scan.bit_length() - 1
-                    p = pivots.get(col)
-                    if p is not None:
-                        row ^= p
-                    scan = row & ((1 << col) - 1)
-                return row
-
             # span of the target differential's image
             if d - shift >= self.target.dmin:
                 mt = mats_t.get(d - shift)
                 if mt is not None:
                     for r in mt.transpose().rows:
-                        rr = reduce(r)
+                        rr = _reduce_against(r, pivots)
                         if rr:
                             pivots[rr.bit_length() - 1] = rr
             # the induced map is injective iff the images of the source
@@ -630,7 +608,7 @@ class ModuleMap:
             hdim_source = self.source.margolis_homology(which)[d][0]
             survivors = 0
             for v in ker:
-                rr = reduce(self.mat(d).mat_vec(v).bits)
+                rr = _reduce_against(self.mat(d).mat_vec(v).bits, pivots)
                 if rr:
                     pivots[rr.bit_length() - 1] = rr
                     survivors += 1
@@ -871,14 +849,7 @@ def _build_isomorphism(module: FiniteModule, solution) -> ModuleMap | None:
                 cols = mats[di].transpose().rows  # images of basis vectors
                 pivots = new_spans.setdefault(d, {})
                 for v in cols:
-                    row = v
-                    scan = row
-                    while scan:
-                        col = scan.bit_length() - 1
-                        p = pivots.get(col)
-                        if p is not None:
-                            row ^= p
-                        scan = row & ((1 << col) - 1)
+                    row = _reduce_against(v, pivots)
                     if row == 0:
                         ok = False
                         break

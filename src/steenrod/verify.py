@@ -467,5 +467,7 @@ def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteRep
         if cap is None:
             env = os.environ.get("STEENROD_CAP_" + name.upper().replace("-", "_"))
             cap = int(env) if env else default_cap
+        if cap < 0:
+            raise ValueError(f"cap for suite {name!r} must be >= 0, got {cap}")
         reports.append(SuiteReport(name, tuple(fn(cap))))
     return reports

@@ -4,6 +4,7 @@ import pytest
 
 from steenrod.action import SqAlgebraPresentation
 from steenrod.charclass import (
+    SPACES,
     ModelError,
     QuotientModel,
     WRing,
@@ -16,6 +17,7 @@ from steenrod.charclass import (
     spinc_homology_indecomposables,
     two_row_power_sum,
     wmono_from,
+    wmono_mul,
     _juxtaposition_power_sum,
     _juxtaposition_two_row,
 )
@@ -184,6 +186,89 @@ class TestModels:
     def test_series_validation_passes_on_the_real_models(self):
         for space in ("bspin", "bspinc"):
             assert model(space, 20)._series_validated_to >= 20
+
+
+def coeff_wm_wm(mdl, mono, m):
+    """Oracle: coefficient of w_m (x) w_m in Delta of a model basis monomial.
+
+    Sound because the reductions are decomposable: a single-generator tensor
+    factor can only come from a raw splitting, never through phi.
+    """
+    total = 0
+    items = list(mono)
+    for idx, (g, e) in enumerate(items):
+        if g < m:
+            continue
+        r = g - m
+        rest = [(gg, ee - 1 if k == idx else ee) for k, (gg, ee) in enumerate(items)]
+        rest = tuple((gg, ee) for gg, ee in rest if ee > 0)
+        if r == 0:
+            right = rest
+        elif mdl.is_allowed(r):
+            right = wmono_mul(rest, ((r, 1),))
+        else:
+            continue  # phi(w_r) is decomposable or zero: never a single w_m
+        if right == ((m, 1),):
+            total ^= e & 1
+    return total
+
+
+def scanned_generator_indicator(mdl, k):
+    """Oracle: the generator indicator by a scan over every slice monomial."""
+    if k < 1 or not mdl.is_allowed(k):
+        return 0
+    if k % 2:
+        return 1
+    m = k // 2
+    if m < (1 if mdl.space == "bo" else 2) or not mdl.is_allowed(m):
+        return 1
+    for mono in mdl.slice_monomials(k):
+        want = 1 if mono == ((k, 1),) else 0
+        if coeff_wm_wm(mdl, mono, m) != want:
+            return 1
+    return 0
+
+
+def partitions(n, least=2):
+    """Every multiset of parts >= least summing to n, as sorted tuples."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(least, n + 1):
+        for rest in partitions(n - p, p):
+            yield (p,) + rest
+
+
+class TestGeneratorIndicator:
+    def test_closed_form_matches_the_coproduct_scan_through_24(self):
+        for space in SPACES:
+            mdl = model(space, 24)
+            for k in range(1, 25):
+                assert mdl.generator_indicator(k) == scanned_generator_indicator(mdl, k), (
+                    space,
+                    k,
+                )
+
+
+class TestIdealMembership:
+    def test_membership_fails_outside_the_ideal(self):
+        spin = model("bspin", 20)
+        assert not spin._in_ideal(w(4), 4)  # w4 occurs in no ideal element
+        assert spin._in_ideal(power_sum_mod2(5), 5)
+        spinc = model("bspinc", 20)
+        # w9 occurs in the degree-9 ideal slice but is not in its span
+        assert spinc.reductions[9] == w(2, 7)
+        assert not spinc._in_ideal(w(9), 9)
+        assert spinc._in_ideal(w(9) ^ w(2, 7), 9)
+
+    def test_membership_is_the_kernel_of_phi_through_9(self):
+        # the series check makes the ideal exactly the kernel of phi
+        for space in ("bspin", "bspinc"):
+            mdl = model(space, 20)
+            for n in range(2, 10):
+                monos = [w(*parts) for parts in partitions(n)]
+                for p in monos + [a ^ b for a, b in itertools.combinations(monos, 2)]:
+                    assert mdl._in_ideal(p, n) == (not mdl.phi(p)), (space, p)
 
 
 class TestPrimitives:

@@ -1,11 +1,17 @@
+import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from steenrod.cli import REPORT_SCHEMA, main
+
+# stdout digests of the verify reports, recorded with the benchmark
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run(argv):
@@ -133,3 +139,38 @@ class TestVerifyCommand:
             ["verify", "--suite", "dual-quotients", "--max", "8", "--format", "text"]
         )
         assert code == 0 and "degree 8" in out
+
+    def test_negative_cap_flag_exits_2(self):
+        code, out, err = run(["verify", "--suite", "hopf", "--max", "-3"])
+        assert code == 2 and out == "" and "must be >= 0" in err
+
+    def test_negative_cap_environment_exits_2(self, monkeypatch):
+        monkeypatch.setenv("STEENROD_CAP_HOPF", "-3")
+        code, out, err = run(["verify", "--suite", "hopf"])
+        assert code == 2 and out == "" and "must be >= 0" in err
+
+
+class TestReportStability:
+    """Default verify reports stay byte-identical to the recorded digests."""
+
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            "hopf",
+            "pairing",
+            "dual-quotients",
+            "bpsp-model",
+            "cp2-transfer",
+            "e1-modules",
+            "indecomposables",
+        ],
+    )
+    def test_json_report_digest(self, suite, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("STEENROD_CAP_"):
+                monkeypatch.delenv(key)
+        command = f"verify --suite {suite} --format json"
+        want = json.loads(REFERENCE.read_text())["commands"][command]
+        _, out, _ = run(command.split())
+        assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+        assert sum(len(s["checks"]) for s in json.loads(out)["suites"]) == want["rows"]

@@ -69,6 +69,18 @@ class TestLinearAlgebra:
         else:
             assert m.mat_vec(got).bits == b.bits
 
+    @given(st.integers(0, 5), st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_space_contains_matches_brute_force_span(self, nrows, ncols, data):
+        rows = [data.draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
+        # oracle: every sum of a subset of the rows
+        span = {0}
+        for r in rows:
+            span |= {s ^ r for s in span}
+        m = F2Matrix(nrows, ncols, rows)
+        for bits in range(1 << ncols):
+            assert m.row_space_contains(F2Vector(ncols, bits)) == (bits in span)
+
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_rank_idempotent_and_kernel_dimension(self, nrows, ncols, data):
