@@ -22,7 +22,8 @@ produces w_e + rho_e or proves there is nothing to reduce.  The model is then
 validated: the ideal is contained in the kernel of the reduction map (checked
 by Steenrod-stability of the defining relations up to the cap) and the
 dimension series agrees with an elimination-computed quotient through a
-configurable validation degree.
+configurable validation degree (at most the cap).  Every total square the
+model takes is computed only through the cap.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -188,9 +189,12 @@ def power_sum_in_w(n: int, mod2: bool = True):
 def two_row_power_sum(n: int) -> ModPoly:
     """s_{n,n} = (s_n^2 - s_{2n})/2 computed exactly, then reduced mod 2.
 
-    Every coefficient of the difference must be even; an odd one would be an
-    internal failure of the Newton layer.
+    Even n are the square of s_{n/2,n/2} by Frobenius, so only odd n reach
+    the integer layer.  Every coefficient of the difference must be even; an
+    odd one would be an internal failure of the Newton layer.
     """
+    if n % 2 == 0:
+        return poly_square(two_row_power_sum(n // 2))
     sq = _int_mul(dict(power_sum_int(n)), dict(power_sum_int(n)))
     _int_add(sq, dict(power_sum_int(2 * n)), -1)
     out: set[WMono] = set()
@@ -241,10 +245,16 @@ class WRing:
     kill_w1 drops every monomial containing w_1 (the oriented quotient); the
     w_1-ideal is Steenrod-stable (Sq^1 w_1 = w_1^2, higher squares vanish),
     so this is the induced action on the quotient.
+
+    top, when given, is the highest degree the ring is ever asked about:
+    total squares are computed only through it, and Sq^i of a monomial of
+    degree d with d + i > top raises ValueError rather than read a component
+    that was never computed.
     """
 
-    def __init__(self, kill_w1: bool):
+    def __init__(self, kill_w1: bool, top: int | None = None):
         self.kill_w1 = kill_w1
+        self.top = top
         self._cache: dict = {}
 
     def clean(self, p: ModPoly) -> ModPoly:
@@ -267,19 +277,28 @@ class WRing:
         return self._cache[key]
 
     def _mono_components(self, mono: WMono) -> list[ModPoly]:
+        """Total-square components of mono, through the top degree if set.
+
+        Component k of a partial product feeds only components >= k of the
+        full product, so cutting every partial product at the top is exact.
+        """
         key = ("mono", mono)
         if key not in self._cache:
+            size = None if self.top is None else self.top - wmono_degree(mono) + 1
             comps: list[ModPoly] = [frozenset({ONE})]
             for j, e in mono:
                 a = 0
                 while e:
                     if e & 1:
                         block = self._block(j, a)
-                        out = [frozenset()] * (len(comps) + len(block) - 1)
+                        n = len(comps) + len(block) - 1
+                        if size is not None:
+                            n = min(n, size)
+                        out = [frozenset()] * n
                         for x, cx in enumerate(comps):
                             if not cx:
                                 continue
-                            for y, cy in enumerate(block):
+                            for y, cy in enumerate(block[: n - x]):
                                 if cy:
                                     out[x + y] = poly_add(out[x + y], poly_mul(cx, cy))
                         comps = out
@@ -291,10 +310,18 @@ class WRing:
     def sq(self, i: int, p: ModPoly) -> ModPoly:
         if i < 0:
             raise ValueError("Sq index must be >= 0")
+        p = self.clean(p)
+        if self.top is not None:
+            for m in p:
+                if wmono_degree(m) + i > self.top:
+                    raise ValueError(
+                        f"Sq^{i} of a degree-{wmono_degree(m)} class passes the top "
+                        f"degree {self.top}"
+                    )
         if i == 0:
-            return self.clean(p)
+            return p
         acc: ModPoly = frozenset()
-        for m in self.clean(p):
+        for m in p:
             comps = self._mono_components(m)
             if i < len(comps):
                 acc = poly_add(acc, comps[i])
@@ -337,7 +364,7 @@ class QuotientModel:
             raise ModelError(f"unknown space {space!r}")
         self.space = space
         self.cap = cap
-        self.ring = WRing(kill_w1=(space != "bo"))
+        self.ring = WRing(kill_w1=(space != "bo"), top=cap)
         if space == "bo":
             gen_word = None
             excluded: list[int] = []
@@ -359,7 +386,8 @@ class QuotientModel:
         self._validate_reductions()
         self._series_validated_to = 0
         if self.ideal_generator is not None and series_check:
-            self._validate_series(series_check)
+            # past the cap the excluded generators are unknown to the model
+            self._validate_series(min(series_check, cap))
 
     # -- construction helpers -------------------------------------------------
 
@@ -894,8 +922,9 @@ class PowerSumVanishing:
         )
 
 
-def power_sum_vanishing_check(k: int) -> PowerSumVanishing:
-    """The chain that kills s_(2^k+1) in the bspin model.
+def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> PowerSumVanishing:
+    """The chain that kills s_(2^k+1) in the bspin model mdl (by default the
+    cap-34 model, which holds every degree the checks read for k <= 5).
 
     (a) the total square of s_(2^k+1), computed on rank-one roots, equals
         s_(2^k+1) + s_(2^k+2) + s_(2^(k+1)+1) + s_(2^(k+1)+2);
@@ -917,7 +946,7 @@ def power_sum_vanishing_check(k: int) -> PowerSumVanishing:
         want.symmetric_difference_update({deg})
     identity = got == want
 
-    mdl = model("bspin")
+    mdl = model("bspin", 34) if mdl is None else mdl
     nxt = 2 ** (k + 1) + 1
     if k == 0:
         # Sq^1(s_2) = C(2,1) s_3 = 0; the step holds in the model because

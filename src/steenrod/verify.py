@@ -372,16 +372,18 @@ def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check
             "w7*w10 + w6*w11 + w4*w13",
         )
     )
+    spin = charclass.model("bspin", max(max_degree, 34))
     for k in range(4):
-        res = charclass.power_sum_vanishing_check(k)
+        res = charclass.power_sum_vanishing_check(k, spin)
         checks.append(_check(f"power-sum vanishing chain k={k}", res.ok))
     return checks
 
 
 def suite_power_sums(max_degree: int = 3) -> list[CheckResult]:
     checks = []
-    # max_degree bounds the exponent k of the family s_(2^k + 1); the model
-    # cap (64) admits k <= 4
+    # max_degree bounds the exponent k of the family s_(2^k + 1), clamped to
+    # k <= 4: s_17 is the largest member the suite reports, well inside the
+    # cap-34 bspin model the check reads
     for k in range(min(max_degree, 4) + 1):
         res = charclass.power_sum_vanishing_check(k)
         checks.append(_check(f"total-square identity k={k}", res.total_square_identity))

@@ -8,9 +8,12 @@ from steenrod.charclass import (
     ModelError,
     QuotientModel,
     WRing,
+    _int_add,
+    _int_mul,
     model,
     poly_square,
     power_sum_in_w,
+    power_sum_int,
     power_sum_mod2,
     power_sum_vanishing_check,
     s17_naive_substitution,
@@ -128,6 +131,16 @@ class TestTwoRow:
     def test_two_row_of_even_is_square(self):
         assert two_row_power_sum(6) == poly_square(two_row_power_sum(3))
 
+    def test_two_row_of_even_matches_the_newton_layer_through_12(self):
+        # oracle: (s_n^2 - s_2n)/2 over the integers, without Frobenius
+        for n in range(2, 13, 2):
+            s_n = dict(power_sum_int(n))
+            diff = _int_mul(s_n, s_n)
+            _int_add(diff, dict(power_sum_int(2 * n)), -1)
+            assert all(c % 2 == 0 for c in diff.values()), n
+            want = frozenset(m for m, c in diff.items() if (c // 2) % 2)
+            assert two_row_power_sum(n) == want, n
+
 
 class TestWuFormula:
     def test_against_cartan_on_roots(self):
@@ -160,6 +173,32 @@ class TestWuFormula:
         assert clean.sq(1, w(2)) == w(3)
 
 
+class TestTopDegree:
+    def test_truncated_squares_match_the_unbounded_ring_through_14(self):
+        top = 14
+        for kill_w1 in (False, True):
+            full, cut = WRing(kill_w1), WRing(kill_w1, top=top)
+            for d in range(1, top + 1):
+                for parts in partitions(d, least=1):
+                    p = w(*parts)
+                    for i in range(top - d + 1):
+                        assert cut.sq(i, p) == full.sq(i, p), (kill_w1, parts, i)
+
+    def test_square_past_the_top_raises(self):
+        ring = WRing(kill_w1=True, top=10)
+        assert ring.sq(4, w(6)) == WRing(kill_w1=True).sq(4, w(6))
+        for i, p in ((5, w(6)), (1, w(10)), (0, w(11)), (2, w(4) ^ w(3, 6))):
+            with pytest.raises(ValueError):
+                ring.sq(i, p)
+        with pytest.raises(ValueError):
+            model("bspin", 20).ring.sq(1, w(20))
+
+    def test_cap_34_reductions_match_cap_40(self):
+        for space in ("bspin", "bspinc"):
+            low, high = model(space, 34), model(space, 40)
+            assert low.reductions == {e: r for e, r in high.reductions.items() if e <= 34}
+
+
 class TestModels:
     def test_bspin_reduction_of_w17(self):
         m = model("bspin", 20)
@@ -182,6 +221,10 @@ class TestModels:
         m._phi_cache.clear()
         with pytest.raises(ModelError):
             m._validate_reductions()
+
+    def test_models_below_the_series_degree_validate_through_the_cap(self):
+        for space, cap in (("bspin", 10), ("bspin", 17), ("bspinc", 12), ("bspinc", 19)):
+            assert QuotientModel(space, cap)._series_validated_to == cap
 
     def test_series_validation_passes_on_the_real_models(self):
         for space in ("bspin", "bspinc"):
@@ -319,6 +362,11 @@ class TestPowerSumVanishing:
         for k in range(4):
             res = power_sum_vanishing_check(k)
             assert res.ok, (k, res)
+
+    def test_a_model_below_the_degree_raises(self):
+        assert power_sum_vanishing_check(3, model("bspin", 20)).ok
+        with pytest.raises(ValueError):
+            power_sum_vanishing_check(5, model("bspin", 20))
 
     def test_s17_naive_substitution(self):
         assert s17_naive_substitution() == w(7, 10) ^ w(6, 11) ^ w(4, 13)

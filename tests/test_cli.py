@@ -163,6 +163,9 @@ class TestReportStability:
             "cp2-transfer",
             "e1-modules",
             "indecomposables",
+            pytest.param("primitives --max 40", id="primitives-max-40"),
+            "primitive-transfer",
+            "power-sums",
         ],
     )
     def test_json_report_digest(self, suite, monkeypatch):
