@@ -294,14 +294,14 @@ class WRing:
                         n = len(comps) + len(block) - 1
                         if size is not None:
                             n = min(n, size)
-                        out = [frozenset()] * n
+                        out: list[set[WMono]] = [set() for _ in range(n)]
                         for x, cx in enumerate(comps):
                             if not cx:
                                 continue
                             for y, cy in enumerate(block[: n - x]):
                                 if cy:
-                                    out[x + y] = poly_add(out[x + y], poly_mul(cx, cy))
-                        comps = out
+                                    out[x + y] ^= poly_mul(cx, cy)
+                        comps = [frozenset(c) for c in out]
                     e >>= 1
                     a += 1
             self._cache[key] = comps
@@ -320,12 +320,12 @@ class WRing:
                     )
         if i == 0:
             return p
-        acc: ModPoly = frozenset()
+        acc: set[WMono] = set()
         for m in p:
             comps = self._mono_components(m)
             if i < len(comps):
-                acc = poly_add(acc, comps[i])
-        return acc
+                acc ^= comps[i]
+        return frozenset(acc)
 
     def sq_word(self, word: tuple[int, ...], p: ModPoly) -> ModPoly:
         for i in reversed(word):

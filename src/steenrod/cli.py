@@ -73,10 +73,25 @@ class CliError(Exception):
     pass
 
 
+ALGEBRAS = {"a1": "A1", "a(1)": "A1", "e1": "E1", "e(1)": "E1"}
+
+
 def _preset(name: str):
     if name not in PRESETS:
         raise CliError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return PRESETS[name]()
+
+
+def _preset_module(args) -> modules.FiniteModule:
+    """The preset's module over --algebra on the window [0, --max]."""
+    algebra = ALGEBRAS.get(args.algebra.lower())
+    if algebra is None:
+        raise CliError(
+            f"unknown algebra {args.algebra!r}; choose from a1, A1, A(1), e1, E1, E(1)"
+        )
+    if args.max < 0:
+        raise CliError(f"--max must be >= 0, got {args.max}")
+    return modules.from_presentation(_preset(args.preset), algebra, (0, args.max))
 
 
 def cmd_adem(args) -> str:
@@ -124,10 +139,7 @@ def cmd_sq(args) -> str:
 
 
 def cmd_module_type(args) -> str:
-    pres = _preset(args.preset)
-    algebra = args.algebra.upper().replace("(", "").replace(")", "")
-    algebra = {"A1": "A1", "E1": "E1"}[algebra]
-    m = modules.from_presentation(pres, algebra, (0, args.max))
+    m = _preset_module(args)
     if args.format == "dot":
         return m.to_dot()
     result = modules.stable_type_solve(m)
@@ -146,9 +158,7 @@ def cmd_module_type(args) -> str:
 
 
 def cmd_margolis(args) -> str:
-    pres = _preset(args.preset)
-    algebra = "E1" if args.algebra.lower() in ("e1", "e(1)") else "A1"
-    m = modules.from_presentation(pres, algebra, (0, args.max))
+    m = _preset_module(args)
     table = m.margolis_homology(args.op)
     rows = []
     for d in range(m.dmin, m.dmax + 1):

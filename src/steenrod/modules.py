@@ -677,6 +677,11 @@ def stable_type_solve(
     Equates the dimension series and both Margolis series over the reliable
     window by bounded exhaustive search; a unique counting solution is then
     certified with an explicit isomorphism.
+
+    The search places pieces in canonical order, by degree and then by
+    catalog order within a degree, so each multiset of suspended pieces is
+    visited once.  Profiles are non-negative, so feasibility does not depend
+    on the order within a degree.
     """
     algebra = module.algebra
     names = tuple(pieces) if pieces is not None else catalog(algebra)
@@ -700,7 +705,7 @@ def stable_type_solve(
 
     solutions: set[tuple[tuple[str, int], ...]] = set()
 
-    def search(state, placed):
+    def search(state, placed, last):
         if len(solutions) >= max_solutions:
             return
         poin, q0m, q1m = state
@@ -715,7 +720,12 @@ def stable_type_solve(
         if poin[first] == 0:
             return  # margolis left over with no dimensions: infeasible branch
         d = lo + first
-        for name in names:
+        # canonical order: by degree, then by catalog index within a degree,
+        # so each multiset of pieces is reached along one sequence only
+        last_degree, last_index = last
+        start = last_index if last_degree == d else 0
+        for k in range(start, len(names)):
+            name = names[k]
             susp = d - bottoms[name]
             p_poin, p_q0, p_q1 = profile(name, susp)
             new_poin = tuple(a - b for a, b in zip(poin, p_poin))
@@ -723,9 +733,9 @@ def stable_type_solve(
             new_q1 = tuple(a - b for a, b in zip(q1m, p_q1))
             if min(new_poin) < 0 or min(new_q0) < 0 or min(new_q1) < 0:
                 continue
-            search((new_poin, new_q0, new_q1), placed + [(name, susp)])
+            search((new_poin, new_q0, new_q1), placed + [(name, susp)], (d, k))
 
-    search(target, [])
+    search(target, [], (None, 0))
 
     if not solutions:
         return StableType("infeasible", (), note="not expressible in catalog")

@@ -79,6 +79,36 @@ class TestModuleCommands:
         assert any(r["status"] == "provisional" for r in rows)
         assert all(r["status"] == "ok" for r in rows if r["degree"] <= 9)
 
+    @pytest.mark.parametrize("command", ["margolis", "module-type"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algebra", "foo"], "choose from a1, A1, A(1), e1, E1, E(1)"),
+            (["--max", "-4"], "must be >= 0"),
+        ],
+        ids=["algebra", "max"],
+    )
+    def test_bad_algebra_or_window_exits_2(self, command, flags, message):
+        code, out, err = run([command, *flags])
+        assert code == 2 and out == "" and message in err
+
+    def test_algebra_spellings_agree(self):
+        for spellings in (("a1", "A1", "A(1)"), ("e1", "E1", "E(1)")):
+            outs = {run(["margolis", "--algebra", a, "--max", "8"])[1] for a in spellings}
+            assert len(outs) == 1
+
+    def test_module_type_full_window_matches_library(self):
+        from steenrod.bundles import bpsp3_presentation
+        from steenrod.modules import from_presentation, stable_type_solve
+
+        argv = "module-type --preset bpsp3 --algebra a1 --max 40 --format json"
+        code, out, _ = run(argv.split())
+        doc = json.loads(out)
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 40))
+        want = stable_type_solve(m).solutions[0]
+        assert code == 0 and doc["status"] == "ambiguous"
+        assert [tuple(p) for p in doc["pieces"]] == list(want)
+
     def test_split_check_cases(self):
         doc = json.loads(run(["split-check", "--case", "identity"])[1])
         assert doc["split_guaranteed"] is True
@@ -162,6 +192,7 @@ class TestReportStability:
             "bpsp-model",
             "cp2-transfer",
             "e1-modules",
+            "a1-modules",
             "indecomposables",
             pytest.param("primitives --max 40", id="primitives-max-40"),
             "primitive-transfer",

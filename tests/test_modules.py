@@ -1,3 +1,5 @@
+import random
+
 from steenrod.action import SqAlgebraPresentation, check_presentation
 from steenrod.f2 import WeightedPolyRing
 from steenrod.modules import (
@@ -306,3 +308,117 @@ class TestEightFoldFeasibility:
         assert not res.feasible and "q1 left at [4" in res.note
         counting = stable_type_solve(m, build_iso=False, max_solutions=2)
         assert ("J", 2) in counting.solutions[0]
+
+
+def permutation_search_oracle(module, pieces=None, max_solutions=4):
+    """The stable-type counting search before canonical placement order.
+
+    Tries every catalog piece at every step, so it reaches a multiset through
+    every ordering of the pieces placed at one degree; kept as the oracle for
+    the canonical-order search in stable_type_solve.
+    """
+    from steenrod.modules import _piece_profile
+
+    algebra = module.algebra
+    names = tuple(pieces) if pieces is not None else catalog(algebra)
+    lo, hi = module.dmin, module.reliable_max()
+    target = (
+        tuple(module.dim(d) for d in range(lo, hi + 1)),
+        tuple(module.margolis_homology("q0")[d][0] for d in range(lo, hi + 1)),
+        tuple(module.margolis_homology("q1")[d][0] for d in range(lo, hi + 1)),
+    )
+    bottoms = {name: standard_piece(algebra, name).dmin for name in names}
+
+    def profile(name, susp):
+        return _piece_profile(algebra, name, susp, lo, hi)
+
+    solutions = set()
+
+    def search(state, placed):
+        if len(solutions) >= max_solutions:
+            return
+        poin, q0m, q1m = state
+        first = None
+        for i in range(len(poin)):
+            if poin[i] or q0m[i] or q1m[i]:
+                first = i
+                break
+        if first is None:
+            solutions.add(tuple(sorted(placed)))
+            return
+        if poin[first] == 0:
+            return
+        d = lo + first
+        for name in names:
+            susp = d - bottoms[name]
+            p_poin, p_q0, p_q1 = profile(name, susp)
+            new_poin = tuple(a - b for a, b in zip(poin, p_poin))
+            new_q0 = tuple(a - b for a, b in zip(q0m, p_q0))
+            new_q1 = tuple(a - b for a, b in zip(q1m, p_q1))
+            if min(new_poin) < 0 or min(new_q0) < 0 or min(new_q1) < 0:
+                continue
+            search((new_poin, new_q0, new_q1), placed + [(name, susp)])
+
+    search(target, [])
+    return tuple(sorted(solutions))
+
+
+def random_sums(algebra, count, seed):
+    """Seeded direct sums of 2-5 suspended catalog pieces, with their parts."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        parts = [
+            (rng.choice(catalog(algebra)), rng.randint(0, 4))
+            for _ in range(rng.randint(2, 5))
+        ]
+        m = None
+        for name, susp in parts:
+            piece = standard_piece(algebra, name).suspend(susp)
+            m = piece if m is None else m.direct_sum(piece)
+        out.append((parts, m))
+    return out
+
+
+class TestCanonicalSearchOracle:
+    """stable_type_solve agrees with the permutation search at every cut-off."""
+
+    @staticmethod
+    def assert_matches_oracle(module, pieces=None):
+        for k in range(1, 5):
+            got = stable_type_solve(module, pieces, build_iso=False, max_solutions=k)
+            assert got.solutions == permutation_search_oracle(module, pieces, k), k
+
+    def test_restrictions_of_the_a1_catalog(self):
+        for name in catalog("A1"):
+            self.assert_matches_oracle(restrict_to_e1(standard_piece("A1", name)))
+
+    def test_bsu3_e1_module(self):
+        from steenrod.bundles import bsu3_presentation
+
+        self.assert_matches_oracle(from_presentation(bsu3_presentation(), "E1", (0, 16)))
+
+    def test_bpsp3_a1_module(self):
+        from steenrod.bundles import bpsp3_presentation
+
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 20))
+        assert len(permutation_search_oracle(m)) > 1
+        self.assert_matches_oracle(m)
+
+    def test_random_sums_over_both_algebras(self):
+        ambiguous = shared_bottom = 0
+        for algebra in ("A1", "E1"):
+            for parts, m in random_sums(algebra, 16, seed=algebra):
+                self.assert_matches_oracle(m)
+                self.assert_matches_oracle(m, tuple(reversed(catalog(algebra))))
+                bottoms = [standard_piece(algebra, n).dmin + s for n, s in parts]
+                shared_bottom += len(set(bottoms)) < len(bottoms)
+                ambiguous += len(permutation_search_oracle(m)) > 1
+        # the seeds cover ambiguous sums and several pieces at one degree
+        assert ambiguous >= 2 and shared_bottom >= 10
+
+    def test_infeasible_sum(self):
+        _, m = random_sums("A1", 1, seed="A1")[0]
+        assert permutation_search_oracle(m, ("Z2",)) == ()
+        self.assert_matches_oracle(m, ("Z2",))
+        assert stable_type_solve(m, pieces=("Z2",)).status == "infeasible"
