@@ -29,13 +29,13 @@ through the two transfer legs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, SqAlgebraPresentation
 from .charclass import ModPoly, model as charclass_model
-from .f2 import F2Matrix, F2Poly, F2Vector, WeightedPolyRing
+from .f2 import F2Matrix, F2Poly, F2Span, WeightedPolyRing
 
 
 class BundleError(Exception):
@@ -45,6 +45,21 @@ class BundleError(Exception):
 # ---------------------------------------------------------------------------
 # deriving a presentation from a model
 # ---------------------------------------------------------------------------
+
+
+def _slice_solver(ring: WeightedPolyRing, degree: int, columns, labels):
+    """Solver in the span of polynomials of one degree: p -> the labels of
+    columns summing to p, or None when p lies outside the span."""
+    index = {m: i for i, m in enumerate(ring.monomials_of_degree(degree))}
+    span = F2Span([sum(1 << index[m] for m in p.monomials) for p in columns])
+
+    def solve(p: F2Poly):
+        if not index.keys() >= p.monomials:
+            return None
+        sol = span.coords(sum(1 << index[m] for m in p.monomials))
+        return None if sol is None else [x for j, x in enumerate(labels) if (sol >> j) & 1]
+
+    return solve
 
 
 def derive_presentation(
@@ -63,58 +78,40 @@ def derive_presentation(
     ring = WeightedPolyRing(tuple((name, poly.degree()) for name, poly in generators))
     images = {name: poly for name, poly in generators}
 
-    def ambient_slice(degree: int):
-        monos = sorted(ambient.ring.monomials_of_degree(degree))
-        return {m: i for i, m in enumerate(monos)}
-
-    power_cache: dict[tuple[str, int], F2Poly] = {}
-
+    @lru_cache(maxsize=None)
     def gen_power(name: str, e: int) -> F2Poly:
-        key = (name, e)
-        if key not in power_cache:
-            power_cache[key] = images[name] ** e
-        return power_cache[key]
+        return images[name] ** e
+
+    def image(mono: tuple[int, ...]) -> F2Poly:
+        img = ambient.ring.one()
+        for (name, _), e in zip(ring.generators, mono):
+            if e:
+                img = img * gen_power(name, e)
+        return img
+
+    solvers = {}
 
     def express(poly: F2Poly, degree: int) -> F2Poly:
         """Write an ambient polynomial in the generators, modulo the ideal."""
-        index = ambient_slice(degree)
-
-        def coords(p: F2Poly) -> int:
-            bits = 0
-            for m in p.monomials:
-                bits |= 1 << index[m]
-            return bits
-
-        columns: list[int] = []
-        tags: list[tuple[int, ...] | None] = []
-        target_monos = list(ring.monomials_of_degree(degree))
-        for mono in target_monos:
-            img = ambient.ring.one()
-            for (name, _), e in zip(ring.generators, mono):
-                if e:
-                    img = img * gen_power(name, e)
-            columns.append(coords(img))
-            tags.append(mono)
-        for g in ideal:
-            gdeg = g.degree()
-            for m in ambient.ring.monomials_of_degree(degree - gdeg):
-                img = g * F2Poly(ambient.ring, frozenset({m}))
-                columns.append(coords(img))
-                tags.append(None)
-        rows = [0] * len(index)
-        for j, col in enumerate(columns):
-            for i in range(len(index)):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        matrix = F2Matrix(len(index), len(columns), rows)
-        sol = matrix.solve(F2Vector(len(index), coords(poly)))
+        if degree not in solvers:
+            targets = list(ring.monomials_of_degree(degree))
+            multiples = [
+                g * F2Poly(ambient.ring, frozenset({m}))
+                for g in ideal
+                for m in ambient.ring.monomials_of_degree(degree - g.degree())
+            ]
+            solvers[degree] = _slice_solver(
+                ambient.ring,
+                degree,
+                [image(t) for t in targets] + multiples,
+                targets + [None] * len(multiples),
+            )
+        sol = solvers[degree](poly)
         if sol is None:
             raise BundleError(
                 f"polynomial of degree {degree} does not lie in the subquotient"
             )
-        return ring.from_monomials(
-            tags[j] for j in range(len(target_monos)) if sol[j]
-        )
+        return ring.from_monomials(t for t in sol if t is not None)
 
     declared: dict[str, dict[int, F2Poly]] = {}
     for name, poly in generators:
@@ -265,9 +262,18 @@ class FiberBundleData:
     lh_basis: tuple[F2Poly, ...]
     w_tau: F2Poly
     cap: int = 72
+    _cache: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def lh_reduce(self, f: F2Poly) -> tuple[F2Poly, ...]:
-        """The unique coefficients r_i with f = sum pi^*(r_i) b_i."""
+        """The unique coefficients r_i with f = sum pi^*(r_i) b_i.
+
+        The span of the products pi^*(mono) b_i is built once per degree and
+        cached.  The cache is exact: those products depend only on the degree
+        and on fields of this frozen bundle, and they form a basis of the
+        slice, so every expansion read from the span is the unique one.
+        """
         if f.ring != self.total.ring:
             raise BundleError("element lives in the wrong ring")
         if f.is_zero():
@@ -277,40 +283,21 @@ class FiberBundleData:
         n = f.degree()
         if n > self.cap:
             raise BundleError(f"degree {n} exceeds the cap {self.cap}")
-        total_monos = sorted(self.total.ring.monomials_of_degree(n))
-        index = {m: i for i, m in enumerate(total_monos)}
-
-        def coords(p: F2Poly) -> int:
-            bits = 0
-            for m in p.monomials:
-                bits |= 1 << index[m]
-            return bits
-
-        columns = []
-        tags = []
-        for i, b in enumerate(self.lh_basis):
-            bdeg = b.degree()
-            for mono in self.base.ring.monomials_of_degree(n - bdeg):
-                img = self.pullback.apply(
-                    F2Poly(self.base.ring, frozenset({mono}))
-                ) * b
-                columns.append(coords(img))
-                tags.append((i, mono))
-        rows = [0] * len(index)
-        for j, col in enumerate(columns):
-            for i in range(len(index)):
-                if (col >> i) & 1:
-                    rows[i] |= 1 << j
-        sol = F2Matrix(len(index), len(columns), rows).solve(
-            F2Vector(len(index), coords(f))
-        )
+        if n not in self._cache:
+            columns, labels = [], []
+            for i, b in enumerate(self.lh_basis):
+                for mono in self.base.ring.monomials_of_degree(n - b.degree()):
+                    base_class = F2Poly(self.base.ring, frozenset({mono}))
+                    columns.append(self.pullback.apply(base_class) * b)
+                    labels.append((i, mono))
+            self._cache[n] = _slice_solver(self.total.ring, n, columns, labels)
+        sol = self._cache[n](f)
         if sol is None:
             raise BundleError("Leray-Hirsch expansion failed (internal)")
-        out = []
-        for i in range(len(self.lh_basis)):
-            monos = [tags[j][1] for j in range(len(tags)) if sol[j] and tags[j][0] == i]
-            out.append(self.base.ring.from_monomials(monos))
-        return tuple(out)
+        out: list[list[tuple[int, ...]]] = [[] for _ in self.lh_basis]
+        for i, mono in sol:
+            out[i].append(mono)
+        return tuple(self.base.ring.from_monomials(monos) for monos in out)
 
     def fiber_integrate(self, f: F2Poly) -> F2Poly:
         """Integration along the fiber: the top Leray-Hirsch coefficient,
@@ -645,14 +632,11 @@ def bookkeeping_report(n_max: int = 40) -> list[Check]:
             monos = list(b.base.ring.monomials_of_degree(n))
             if not monos:
                 continue
-            total_monos = sorted(b.total.ring.monomials_of_degree(n))
-            index = {m: i for i, m in enumerate(total_monos)}
-            rows = [0] * len(index)
-            for j, m in enumerate(monos):
-                img = b.pullback.apply(F2Poly(b.base.ring, frozenset({m})))
-                for mm in img.monomials:
-                    rows[index[mm]] |= 1 << j
-            if F2Matrix(len(index), len(monos), rows).rank() != len(monos):
+            index = {m: i for i, m in enumerate(b.total.ring.monomials_of_degree(n))}
+            # one row per image, so the row rank is the rank of the pullback
+            images = [b.pullback.apply(F2Poly(b.base.ring, frozenset({m}))) for m in monos]
+            rows = [sum(1 << index[mm] for mm in img.monomials) for img in images]
+            if F2Matrix(len(monos), len(index), rows).rank() != len(monos):
                 ok, witness = False, f"degree {n}"
                 break
         checks.append(Check(f"{name}: pullback injectivity", ok, witness))

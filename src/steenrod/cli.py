@@ -19,6 +19,7 @@ import sys
 from . import bundles, charclass, dual, modules, verify
 from .algebra import basis, parse_element
 from .dual import parse_dual, parse_milnor_operator
+from .f2 import F2Error
 
 # committed schema for the JSON report emitted by `verify`
 REPORT_SCHEMA = {
@@ -94,6 +95,14 @@ def _preset_module(args) -> modules.FiniteModule:
     return modules.from_presentation(_preset(args.preset), algebra, (0, args.max))
 
 
+def _parse_poly(ring, text: str):
+    """A polynomial in the ring; an unparsable expression is a usage error."""
+    try:
+        return ring.parse(text)
+    except F2Error as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_adem(args) -> str:
     return str(parse_element(args.expr))
 
@@ -134,7 +143,7 @@ def cmd_basis(args) -> str:
 
 def cmd_sq(args) -> str:
     pres = _preset(args.preset)
-    poly = pres.ring.parse(args.expr)
+    poly = _parse_poly(pres.ring, args.expr)
     return str(pres.sq(args.k, poly))
 
 
@@ -197,6 +206,8 @@ def cmd_split_check(args) -> str:
 
 
 def cmd_primitives(args) -> str:
+    if args.max < 0:
+        raise CliError(f"--max must be >= 0, got {args.max}")
     mdl = charclass.model(args.space, max(args.max, 34))
     rows = []
     for n in range(2, args.max + 1):
@@ -228,7 +239,7 @@ def cmd_primitives(args) -> str:
 
 def cmd_transfer(args) -> str:
     b = bundles.bundle(args.bundle)
-    poly = b.total.ring.parse(args.expr)
+    poly = _parse_poly(b.total.ring, args.expr)
     result = b.fiber_integrate(poly)
     if args.json:
         return json.dumps(

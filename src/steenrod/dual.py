@@ -349,10 +349,6 @@ def pair_tensor(t: DualTensor, a: SteenrodElement, b: SteenrodElement) -> int:
 MilnorSeq = tuple[int, ...]
 
 
-def milnor_degree(seq: MilnorSeq) -> int:
-    return xi_degree(_strip(seq))
-
-
 @lru_cache(maxsize=None)
 def pairing_matrix(degree: int) -> tuple[tuple[XiMonomial, ...], tuple[Word, ...], F2Matrix]:
     """Rows: xi-monomials, columns: admissible words, both sigma-ordered."""

@@ -256,6 +256,28 @@ def _reduce_against(row: int, pivots: dict[int, int]) -> int:
     return row
 
 
+class F2Span:
+    """The span of fixed bitmask vectors, eliminated once and queried often.
+
+    Each vector is reduced with its combination carried in the low
+    ``len(vectors)`` bits, so reducing a query also accumulates the vectors
+    that sum to it.
+    """
+
+    def __init__(self, vectors: Sequence[int]):
+        self._k = k = len(vectors)
+        self._pivots: dict[int, int] = {}
+        for j, v in enumerate(vectors):
+            row = _reduce_against((v << k) | (1 << j), self._pivots)
+            if row >> k:
+                self._pivots[row.bit_length() - 1] = row
+
+    def coords(self, v: int) -> int | None:
+        """Bitmask of input vectors summing to v, or None if v is outside."""
+        row = _reduce_against(v << self._k, self._pivots)
+        return None if row >> self._k else row
+
+
 def solve_f2(matrix: F2Matrix, b: F2Vector) -> F2Vector | None:
     """Solve Ax = b over F2; None signals "no solution" (shape errors raise)."""
     return matrix.solve(b)

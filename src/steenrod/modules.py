@@ -41,7 +41,7 @@ from typing import Sequence
 from .action import SqAlgebraPresentation
 from .algebra import SteenrodElement
 from .dual import SubHopfAlgebra, basis_of, milnor_primitive
-from .f2 import F2Matrix, F2Vector, F2Poly, _reduce_against
+from .f2 import F2Matrix, F2Poly, F2Span, _reduce_against
 
 EDGE_MARGIN = 3  # Q_1 has degree 3; conclusions this close to the top are provisional
 
@@ -333,40 +333,33 @@ def _module_from_subquotient(
 
     dims = [len(reps.get(d, [])) for d in range(dmin, dmax + 1)]
 
+    spans: dict[int, tuple[dict, F2Span]] = {}
+
     def express(x: SteenrodElement, d: int) -> int:
         """Coordinates of x in reps[d] modulo the ideal; raises if outside."""
         basis_elems = reps.get(d, [])
-        ideal_elems = ideal_by_degree.get(d, [])
-        pool = list(basis_elems) + list(ideal_elems)
-        index, vecs = _word_coords(pool + [x])
-        n = len(pool)
-        rows = [0] * len(index)
-        for j, v in enumerate(vecs[:n]):
-            for bit in range(len(index)):
-                if (v >> bit) & 1:
-                    rows[bit] |= 1 << j
-        mat = F2Matrix(len(index), n, rows)
-        target = F2Vector(len(index), vecs[n])
-        sol = mat.solve(target)
+        if d not in spans:
+            index, vecs = _word_coords(basis_elems + ideal_by_degree.get(d, []))
+            spans[d] = (index, F2Span(vecs))
+        index, span = spans[d]
+        sol = None
+        if index.keys() >= x.words:
+            sol = span.coords(sum(1 << index[w] for w in x.words))
         if sol is None:
             raise ModuleError("carrier is not closed under the action")
-        return sol.bits & ((1 << len(basis_elems)) - 1)
+        return sol & ((1 << len(basis_elems)) - 1)
 
     mats_by_op = {}
     for op, act in acts:
         shift = act.degree()
-        mats = []
-        for d in range(dmin, dmax + 1):
-            src = reps.get(d, [])
-            tgt = reps.get(d + shift, [])
-            rows = [0] * len(tgt)
-            for j, e in enumerate(src):
-                coords = express(act * e, d + shift)
-                for i in range(len(tgt)):
-                    if (coords >> i) & 1:
-                        rows[i] |= 1 << j
-            mats.append(F2Matrix(len(tgt), len(src), rows))
-        mats_by_op[op] = mats
+        mats_by_op[op] = [
+            F2Matrix(
+                len(reps[d]),
+                len(reps.get(d + shift, [])),
+                [express(act * e, d + shift) for e in reps[d]],
+            ).transpose()
+            for d in range(dmin, dmax + 1)
+        ]
 
     mod = _trim(FiniteModule.build(algebra, dmin, dims, mats_by_op, name=name))
     mod.validate()
@@ -496,16 +489,14 @@ def from_presentation(
         mats = []
         for d in range(dmin, dmax + 1):
             src = monos[d]
-            tgt_dim = len(monos.get(d + shift, ())) if d + shift <= dmax else 0
-            rows = [0] * tgt_dim
             if d + shift <= dmax:
-                for j, m in enumerate(src):
-                    img = fn(F2Poly(pres.ring, frozenset({m})))
-                    bits = poly_coords(img, d + shift)
-                    for i in range(tgt_dim):
-                        if (bits >> i) & 1:
-                            rows[i] |= 1 << j
-            mats.append(F2Matrix(tgt_dim, len(src), rows))
+                images = [
+                    poly_coords(fn(F2Poly(pres.ring, frozenset({m}))), d + shift)
+                    for m in src
+                ]
+                mats.append(F2Matrix(len(src), len(monos[d + shift]), images).transpose())
+            else:
+                mats.append(F2Matrix.zero(0, len(src)))
         mats_by_op[op] = mats
 
     mod = FiniteModule.build(algebra, dmin, dims, mats_by_op, truncated=True)
@@ -573,15 +564,6 @@ class ModuleMap:
         return all(
             self.mat(d).rank() == self.source.dim(d)
             for d in range(self.source.dmin, self.source.dmax + 1)
-        )
-
-    def is_bijective(self) -> bool:
-        return self.is_injective() and all(
-            self.source.dim(d) == self.target.dim(d)
-            for d in range(
-                min(self.source.dmin, self.target.dmin),
-                max(self.source.dmax, self.target.dmax) + 1,
-            )
         )
 
     def margolis_induced_injective(self, which: str) -> tuple[bool, int | None]:

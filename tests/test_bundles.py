@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from steenrod.action import check_presentation
@@ -111,6 +113,23 @@ class TestLerayHirsch:
         w4tau = S.parse("u2^2 + u4")
         assert b.fiber_integrate(w4tau * w4tau) == R.one()
         assert b.fiber_integrate(S.one()).is_zero()
+
+    def test_dropped_basis_element_fails_the_expansion(self):
+        b = cp2_bundle()
+        x2_squared = b.total.ring.parse("x2^2")
+        b.lh_reduce(x2_squared)  # fills the cache of the complete bundle
+        broken = dataclasses.replace(b, lh_basis=b.lh_basis[:2])
+        with pytest.raises(BundleError):
+            broken.lh_reduce(x2_squared)
+
+    def test_slice_solver_treats_other_degrees_as_outside_the_span(self):
+        from steenrod.bundles import _slice_solver
+
+        S = cp2_bundle().total.ring
+        x2, x4 = S.gen("x2"), S.gen("x4")
+        solve = _slice_solver(S, 4, [x2 * x2, x2 * x2 + x4], ["a", "b"])
+        assert solve(x4) == ["a", "b"]
+        assert solve(x2) is None and solve(x4 + x2) is None
 
 
 class TestReports:

@@ -61,6 +61,21 @@ class TestExpressions:
         code, out, _ = run(["transfer", "--bundle", "cp2", "--expr", "x4^2"])
         assert code == 0 and out.strip() == "y4"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transfer", "--bundle", "cp2", "--expr", "x4^"],
+            ["transfer", "--bundle", "hp2", "--expr", "u4 + zz"],
+            ["sq", "--preset", "bsu3", "2", "y4^"],
+            ["sq", "--preset", "bsu3", "2", "zz"],
+        ],
+        ids=["transfer-syntax", "transfer-generator", "sq-syntax", "sq-generator"],
+    )
+    def test_unparsable_expression_exits_2(self, argv):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestModuleCommands:
     def test_module_type(self):
@@ -135,6 +150,10 @@ class TestPrimitivesCommand:
         doc = json.loads(out)
         assert all(r["verified"] for r in doc)
 
+    def test_negative_max_exits_2(self):
+        code, out, err = run(["primitives", "--space", "bso", "--max", "-2"])
+        assert code == 2 and out == "" and "--max must be >= 0" in err
+
 
 class TestVerifyCommand:
     def test_json_report_validates_against_committed_schema(self):
@@ -191,6 +210,7 @@ class TestReportStability:
             "dual-quotients",
             "bpsp-model",
             "cp2-transfer",
+            "hp2-transfer",
             "e1-modules",
             "a1-modules",
             "indecomposables",

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from steenrod.f2 import (
     DegreeCapError,
     F2Matrix,
+    F2Span,
     F2Vector,
     PoincareSeries,
     RingMismatchError,
@@ -107,6 +110,78 @@ RING = WeightedPolyRing.make(("x1", 1), ("x2", 1))
 
 def poly(text):
     return RING.parse(text)
+
+
+def _sum_of(columns, mask):
+    acc = 0
+    for j, c in enumerate(columns):
+        if (mask >> j) & 1:
+            acc ^= c
+    return acc
+
+
+def _solve_oracle(columns, n, b):
+    """F2Matrix.solve on the matrix whose columns are the given vectors."""
+    matrix = F2Matrix(len(columns), n, columns).transpose()
+    sol = matrix.solve(F2Vector(n, b))
+    return None if sol is None else sol.bits
+
+
+class TestF2Span:
+    def test_independent_columns_match_solve(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            n = rng.randint(1, 20)
+            columns = []
+            for _ in range(rng.randint(0, n)):
+                c = rng.getrandbits(n)
+                while F2Matrix(len(columns) + 1, n, columns + [c]).rank() <= len(columns):
+                    c = rng.getrandbits(n)
+                columns.append(c)
+            span = F2Span(columns)
+            for _ in range(8):
+                mask = rng.getrandbits(len(columns))
+                b = _sum_of(columns, mask)
+                assert span.coords(b) == _solve_oracle(columns, n, b) == mask
+                b = rng.getrandbits(n)
+                assert span.coords(b) == _solve_oracle(columns, n, b)
+
+    def test_dependent_columns_solve_the_system(self):
+        rng = random.Random(62)
+        for _ in range(150):
+            n = rng.randint(1, 16)
+            columns = [rng.getrandbits(n) for _ in range(rng.randint(1, 2 * n))]
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    columns.append(0)
+                elif kind == 1:
+                    columns.append(rng.choice(columns))
+                else:
+                    columns.append(rng.choice(columns) ^ rng.choice(columns))
+            rng.shuffle(columns)
+            span = F2Span(columns)
+            for _ in range(8):
+                b = _sum_of(columns, rng.getrandbits(len(columns)))
+                x = span.coords(b)
+                assert x is not None and _sum_of(columns, x) == b
+                assert _solve_oracle(columns, n, b) is not None
+                b = rng.getrandbits(n)
+                x = span.coords(b)
+                assert (x is None) == (_solve_oracle(columns, n, b) is None)
+                assert x is None or _sum_of(columns, x) == b
+
+    def test_inconsistent_right_hand_sides_give_none(self):
+        rng = random.Random(63)
+        for _ in range(150):
+            n = rng.randint(2, 16)
+            # every column misses the top coordinate, so no b having it is reached
+            columns = [rng.getrandbits(n - 1) for _ in range(rng.randint(0, 2 * n))]
+            span = F2Span(columns)
+            for _ in range(8):
+                b = rng.getrandbits(n - 1) | (1 << (n - 1))
+                assert _solve_oracle(columns, n, b) is None
+                assert span.coords(b) is None
 
 
 class TestPolynomials:

@@ -1,9 +1,14 @@
 import random
 
+import pytest
+
 from steenrod.action import SqAlgebraPresentation, check_presentation
+from steenrod.algebra import SteenrodElement
+from steenrod.dual import SubHopfAlgebra, basis_of
 from steenrod.f2 import WeightedPolyRing
 from steenrod.modules import (
     FiniteModule,
+    ModuleError,
     catalog,
     check_split_criterion,
     eight_fold_feasibility,
@@ -15,6 +20,7 @@ from steenrod.modules import (
     zero_map,
     zero_module,
     _hom_space,
+    _module_from_subquotient,
 )
 
 
@@ -128,6 +134,21 @@ class TestTemplates:
         dot = t.to_dot()
         assert dot.count("label=\"sq1\"") >= 2
         assert dot.startswith("digraph")
+
+    @pytest.mark.parametrize("lost", ["word", "span"])
+    def test_carrier_not_closed_under_the_action_raises(self, lost):
+        amb = list(basis_of(SubHopfAlgebra("A", 1)))
+        if lost == "word":
+            # Sq^2 = Sq^2 * 1 has no carrier element to land on
+            carrier = [e for e in amb if e.degree() != 2]
+        else:
+            # Sq^3 = Sq^1 Sq^2 lies in the degree-3 words, not in their span
+            carrier = [e for e in amb if e.degree() != 3]
+            carrier.append(SteenrodElement.from_words(
+                w for e in amb if e.degree() == 3 for w in e.words
+            ))
+        with pytest.raises(ModuleError):
+            _module_from_subquotient("A1", carrier)
 
 
 class TestRestriction:
