@@ -222,6 +222,11 @@ class AlgebraMap:
     source: SqAlgebraPresentation
     target: SqAlgebraPresentation
     images: tuple[F2Poly, ...]
+    # images[i] ** e by (i, e), shared by every apply; exact because the
+    # images are fixed fields of this frozen map
+    _powers: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self):
         if len(self.images) != self.source.ring.ngens:
@@ -235,7 +240,7 @@ class AlgebraMap:
     def apply(self, f: F2Poly) -> F2Poly:
         if f.ring != self.source.ring:
             raise PresentationError("polynomial lives in the wrong ring")
-        return f.substitute(self.target.ring, self.images)
+        return f.substitute(self.target.ring, self.images, self._powers)
 
     def check_equivariant(self) -> CheckReport:
         """Check Sq^k-equivariance on generators for all k up to the degree.

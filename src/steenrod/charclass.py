@@ -34,6 +34,15 @@ scanning that coefficient over every basis monomial.  The named formulas are
 certified primitive by the variable-juxtaposition identity for power sums and
 by Frobenius for squares, and everything is cross-checked against a literal
 reduced-coproduct kernel in low degrees.
+
+The hot kernels, the Newton layer (over the integers and mod 2) and the
+Wu-Cartan convolution of the total square, work on packed monomials: the exponent of w_i sits in
+bits 8(i-1)..8i-1 of one Python int, so a monomial product is an integer
+addition and a Frobenius square is a left shift by one.  A field never
+carries while every packed monomial has degree below 256 (_PACK_LIMIT): the
+exponent of w_i in a degree-d monomial is at most d // i <= 255.  Every
+packed path enforces that bound (a WRing top or a power-sum index of 256 or
+more raises ValueError) and unpacks to the sparse WMono form at its boundary.
 """
 
 from __future__ import annotations
@@ -50,6 +59,20 @@ WMono = tuple[tuple[int, int], ...]
 ModPoly = frozenset[WMono]
 
 ONE: WMono = ()
+
+
+# packed monomials: one 8-bit exponent field per generator, see the module
+# docstring; every packed monomial has degree below _PACK_LIMIT
+_PACK_LIMIT = 256
+
+
+def _pack(m: WMono) -> int:
+    return sum(e << (8 * (i - 1)) for i, e in m)
+
+
+def _unpack(k: int) -> WMono:
+    fields = k.to_bytes((k.bit_length() + 7) // 8, "little")
+    return tuple((i, e) for i, e in enumerate(fields, start=1) if e)
 
 
 def wmono_degree(m: WMono) -> int:
@@ -117,6 +140,7 @@ def poly_str(p: ModPoly) -> str:
 # Newton identities
 # ---------------------------------------------------------------------------
 
+# sparse integer polynomials, the tests' reference for the packed layer below
 IntPoly = dict[WMono, int]
 
 
@@ -143,39 +167,54 @@ def _int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def power_sum_int(n: int) -> tuple[tuple[WMono, int], ...]:
-    """s_n over the integers in the classes w_i, by the Newton recursion
-    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n."""
+def _power_sum_packed(n: int) -> dict[int, int]:
+    """s_n over the integers on packed monomials, by the Newton recursion
+    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n.
+
+    The cached dict is shared: callers must not mutate it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc: IntPoly = {}
+    if n >= _PACK_LIMIT:
+        raise ValueError(f"s_{n} passes the packed degree limit {_PACK_LIMIT - 1}")
+    acc = {1 << (8 * (n - 1)): n if n % 2 else -n}
     for i in range(1, n):
-        wi: IntPoly = {((i, 1),): 1}
-        _int_add(acc, _int_mul(wi, dict(power_sum_int(n - i))), (-1) ** (i - 1))
-    _int_add(acc, {((n, 1),): n}, (-1) ** (n - 1))
-    return tuple(sorted(acc.items()))
+        wi = 1 << (8 * (i - 1))
+        sign = 1 if i % 2 else -1
+        for k, c in _power_sum_packed(n - i).items():
+            k += wi
+            v = acc.get(k, 0) + sign * c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
+
+
+@lru_cache(maxsize=None)
+def power_sum_int(n: int) -> tuple[tuple[WMono, int], ...]:
+    """s_n over the integers in the classes w_i, sorted by monomial."""
+    return tuple(sorted((_unpack(k), c) for k, c in _power_sum_packed(n).items()))
+
+
+@lru_cache(maxsize=None)
+def _power_sum_mod2_packed(n: int) -> frozenset[int]:
+    """s_n mod 2 on packed monomials; even n collapse to squares via Frobenius."""
+    if n >= _PACK_LIMIT:
+        raise ValueError(f"s_{n} passes the packed degree limit {_PACK_LIMIT - 1}")
+    if n % 2 == 0 and n > 1:
+        return frozenset(k << 1 for k in _power_sum_mod2_packed(n // 2))
+    acc: set[int] = {1 << (8 * (n - 1))} if n % 2 else set()  # n w_n
+    for i in range(1, n):
+        wi = 1 << (8 * (i - 1))
+        acc ^= {k + wi for k in _power_sum_mod2_packed(n - i)}
+    return frozenset(acc)
 
 
 @lru_cache(maxsize=None)
 def power_sum_mod2(n: int) -> ModPoly:
-    """s_n mod 2; even n collapse to squares via Frobenius."""
-    if n % 2 == 0 and n > 1:
-        return poly_square(power_sum_mod2(n // 2))
-    acc: set[WMono] = set()
-    for i in range(1, n):
-        for m in power_sum_mod2(n - i):
-            mm = wmono_mul(((i, 1),), m)
-            if mm in acc:
-                acc.discard(mm)
-            else:
-                acc.add(mm)
-    if n % 2:
-        m = ((n, 1),)
-        if m in acc:
-            acc.discard(m)
-        else:
-            acc.add(m)
-    return frozenset(acc)
+    """s_n mod 2 in the classes w_i; even n are squares by Frobenius."""
+    return frozenset(_unpack(k) for k in _power_sum_mod2_packed(n))
 
 
 def power_sum_in_w(n: int, mod2: bool = True):
@@ -195,14 +234,23 @@ def two_row_power_sum(n: int) -> ModPoly:
     """
     if n % 2 == 0:
         return poly_square(two_row_power_sum(n // 2))
-    sq = _int_mul(dict(power_sum_int(n)), dict(power_sum_int(n)))
-    _int_add(sq, dict(power_sum_int(2 * n)), -1)
+    # s_2n first: its degree bound also covers every product in s_n^2
+    diff = {k: -c for k, c in _power_sum_packed(2 * n).items()}
+    s_n = _power_sum_packed(n).items()
+    for k1, c1 in s_n:
+        for k2, c2 in s_n:
+            k = k1 + k2
+            v = diff.get(k, 0) + c1 * c2
+            if v:
+                diff[k] = v
+            else:
+                del diff[k]
     out: set[WMono] = set()
-    for m, c in sq.items():
+    for k, c in diff.items():
         if c % 2:
-            raise ArithmeticError(f"odd coefficient in s_{n},{n} at {m}")
+            raise ArithmeticError(f"odd coefficient in s_{n},{n} at {_unpack(k)}")
         if (c // 2) % 2:
-            out.add(m)
+            out.add(_unpack(k))
     return frozenset(out)
 
 
@@ -246,13 +294,19 @@ class WRing:
     w_1-ideal is Steenrod-stable (Sq^1 w_1 = w_1^2, higher squares vanish),
     so this is the induced action on the quotient.
 
-    top, when given, is the highest degree the ring is ever asked about:
-    total squares are computed only through it, and Sq^i of a monomial of
-    degree d with d + i > top raises ValueError rather than read a component
-    that was never computed.
+    top is the highest degree the ring is ever asked about, at most
+    _PACK_LIMIT - 1 (the default): total squares are computed only through
+    it, on packed monomials, and Sq^i of a monomial of degree d with
+    d + i > top raises ValueError rather than read a component that was
+    never computed.
     """
 
     def __init__(self, kill_w1: bool, top: int | None = None):
+        top = _PACK_LIMIT - 1 if top is None else top
+        if top >= _PACK_LIMIT:
+            raise ValueError(
+                f"top degree {top} passes the packed degree limit {_PACK_LIMIT - 1}"
+            )
         self.kill_w1 = kill_w1
         self.top = top
         self._cache: dict = {}
@@ -262,45 +316,49 @@ class WRing:
             return p
         return frozenset(m for m in p if all(i != 1 for i, _ in m))
 
-    def _block(self, j: int, a: int) -> list[ModPoly]:
-        """Total-square components of w_j^(2^a)."""
+    def _block(self, j: int, a: int) -> list[frozenset[int]]:
+        """Packed total-square components of w_j^(2^a), through the top."""
         key = (j, a)
         if key not in self._cache:
+            size = self.top - (j << a) + 1
             if a == 0:
-                comps = [self.clean(_wu_generator(i, j, self.kill_w1)) for i in range(j + 1)]
+                comps = [
+                    frozenset(_pack(m) for m in self.clean(_wu_generator(i, j, self.kill_w1)))
+                    for i in range(min(j + 1, size))
+                ]
             else:
                 prev = self._block(j, a - 1)
-                comps = [frozenset()] * (2 * len(prev) - 1)
-                for k, c in enumerate(prev):
-                    comps[2 * k] = poly_square(c)
+                comps = [frozenset()] * min(2 * len(prev) - 1, size)
+                for k, c in enumerate(prev[: (len(comps) + 1) // 2]):
+                    comps[2 * k] = frozenset(u << 1 for u in c)
             self._cache[key] = comps
         return self._cache[key]
 
-    def _mono_components(self, mono: WMono) -> list[ModPoly]:
-        """Total-square components of mono, through the top degree if set.
+    def _mono_components(self, mono: WMono) -> list[frozenset[int]]:
+        """Packed total-square components of mono, through the top degree.
 
         Component k of a partial product feeds only components >= k of the
         full product, so cutting every partial product at the top is exact.
         """
         key = ("mono", mono)
         if key not in self._cache:
-            size = None if self.top is None else self.top - wmono_degree(mono) + 1
-            comps: list[ModPoly] = [frozenset({ONE})]
+            size = self.top - wmono_degree(mono) + 1
+            comps: list[frozenset[int]] = [frozenset({0})]
             for j, e in mono:
                 a = 0
                 while e:
                     if e & 1:
                         block = self._block(j, a)
-                        n = len(comps) + len(block) - 1
-                        if size is not None:
-                            n = min(n, size)
-                        out: list[set[WMono]] = [set() for _ in range(n)]
+                        n = min(len(comps) + len(block) - 1, size)
+                        out: list[set[int]] = [set() for _ in range(n)]
                         for x, cx in enumerate(comps):
                             if not cx:
                                 continue
                             for y, cy in enumerate(block[: n - x]):
                                 if cy:
-                                    out[x + y] ^= poly_mul(cx, cy)
+                                    o = out[x + y]
+                                    for u in cx:
+                                        o ^= {u + v for v in cy}
                         comps = [frozenset(c) for c in out]
                     e >>= 1
                     a += 1
@@ -311,21 +369,20 @@ class WRing:
         if i < 0:
             raise ValueError("Sq index must be >= 0")
         p = self.clean(p)
-        if self.top is not None:
-            for m in p:
-                if wmono_degree(m) + i > self.top:
-                    raise ValueError(
-                        f"Sq^{i} of a degree-{wmono_degree(m)} class passes the top "
-                        f"degree {self.top}"
-                    )
+        for m in p:
+            if wmono_degree(m) + i > self.top:
+                raise ValueError(
+                    f"Sq^{i} of a degree-{wmono_degree(m)} class passes the top "
+                    f"degree {self.top}"
+                )
         if i == 0:
             return p
-        acc: set[WMono] = set()
+        acc: set[int] = set()
         for m in p:
             comps = self._mono_components(m)
             if i < len(comps):
                 acc ^= comps[i]
-        return frozenset(acc)
+        return frozenset(_unpack(k) for k in acc)
 
     def sq_word(self, word: tuple[int, ...], p: ModPoly) -> ModPoly:
         for i in reversed(word):
@@ -924,7 +981,8 @@ class PowerSumVanishing:
 
 def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> PowerSumVanishing:
     """The chain that kills s_(2^k+1) in the bspin model mdl (by default the
-    cap-34 model, which holds every degree the checks read for k <= 5).
+    cap-34 model, which holds every degree the checks read for k <= 5); an
+    s_(2^k+1) past the model's cap raises ValueError before it is built.
 
     (a) the total square of s_(2^k+1), computed on rank-one roots, equals
         s_(2^k+1) + s_(2^k+2) + s_(2^(k+1)+1) + s_(2^(k+1)+2);
@@ -933,6 +991,9 @@ def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> Power
     (d) s_(2^k+1) lies in the elimination-computed ideal slice.
     """
     m = 2**k + 1
+    mdl = model("bspin", 34) if mdl is None else mdl
+    if m > mdl.cap:
+        raise ValueError(f"s_{m} passes the cap {mdl.cap} of the bspin model")
 
     # total square on rank-one roots: Sq(x^m) = (x + x^2)^m
     total: dict[int, int] = {}
@@ -946,7 +1007,6 @@ def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> Power
         want.symmetric_difference_update({deg})
     identity = got == want
 
-    mdl = model("bspin", 34) if mdl is None else mdl
     nxt = 2 ** (k + 1) + 1
     if k == 0:
         # Sq^1(s_2) = C(2,1) s_3 = 0; the step holds in the model because
@@ -958,7 +1018,7 @@ def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> Power
     reduces = not mdl.phi(power_sum_mod2(m))
 
     # membership: s_m must lie in the span of the ideal slice basis
-    in_ideal = mdl._in_ideal(power_sum_mod2(m), m) if m <= 33 else True
+    in_ideal = mdl._in_ideal(power_sum_mod2(m), m)
     return PowerSumVanishing(k, identity, squares_to_next, reduces, in_ideal)
 
 

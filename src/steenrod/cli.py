@@ -142,6 +142,8 @@ def cmd_basis(args) -> str:
 
 
 def cmd_sq(args) -> str:
+    if args.k < 0:
+        raise CliError(f"Sq index must be >= 0, got {args.k}")
     pres = _preset(args.preset)
     poly = _parse_poly(pres.ring, args.expr)
     return str(pres.sq(args.k, poly))
@@ -208,6 +210,8 @@ def cmd_split_check(args) -> str:
 def cmd_primitives(args) -> str:
     if args.max < 0:
         raise CliError(f"--max must be >= 0, got {args.max}")
+    if args.kernel_limit < 0:
+        raise CliError(f"--kernel-limit must be >= 0, got {args.kernel_limit}")
     mdl = charclass.model(args.space, max(args.max, 34))
     rows = []
     for n in range(2, args.max + 1):

@@ -482,12 +482,21 @@ class F2Poly:
             parts.setdefault(self.ring.monomial_degree(m), set()).add(m)
         return {d: F2Poly(self.ring, frozenset(s)) for d, s in sorted(parts.items())}
 
-    def substitute(self, target_ring: WeightedPolyRing, images: Sequence["F2Poly"]) -> "F2Poly":
-        """Ring-hom evaluation sending generator i to images[i]."""
+    def substitute(
+        self,
+        target_ring: WeightedPolyRing,
+        images: Sequence["F2Poly"],
+        cache: dict[tuple[int, int], "F2Poly"] | None = None,
+    ) -> "F2Poly":
+        """Ring-hom evaluation sending generator i to images[i].
+
+        The powers images[i] ** e are kept in cache, keyed (i, e); a caller
+        that substitutes the same images again may pass the same dict.
+        """
         if len(images) != self.ring.ngens:
             raise ShapeError("need one image per generator")
         acc = target_ring.zero()
-        cache: dict[tuple[int, int], F2Poly] = {}
+        cache = {} if cache is None else cache
 
         def power(i: int, e: int) -> F2Poly:
             key = (i, e)

@@ -122,6 +122,23 @@ class TestLerayHirsch:
         with pytest.raises(BundleError):
             broken.lh_reduce(x2_squared)
 
+    @pytest.mark.parametrize("make", [cp2_bundle, hp2_bundle], ids=["cp2", "hp2"])
+    def test_cached_pullback_agrees_with_a_fresh_substitution(self, make):
+        b = make()
+        pullback = b.pullback
+        for d in range(b.cap + 1):
+            for mono in b.base.ring.monomials_of_degree(d):
+                f = F2Poly(b.base.ring, frozenset({mono}))
+                assert pullback.apply(f) == f.substitute(b.total.ring, pullback.images), mono
+        assert pullback._powers  # image powers outlive a single apply
+
+    def test_a_copy_with_other_images_has_its_own_power_cache(self):
+        b = cp2_bundle()
+        S, y4 = b.total.ring, b.base.ring.gen("y4")
+        assert b.pullback.apply(y4 * y4) == S.parse("x2^4 + x4^2")
+        other = dataclasses.replace(b.pullback, images=(S.gen("x4"), b.pullback.images[1]))
+        assert other.apply(y4 * y4) == S.parse("x4^2")
+
     def test_slice_solver_treats_other_degrees_as_outside_the_span(self):
         from steenrod.bundles import _slice_solver
 

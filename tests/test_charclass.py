@@ -1,15 +1,22 @@
+import functools
 import itertools
+import time
 
 import pytest
 
 from steenrod.action import SqAlgebraPresentation
+from steenrod.algebra import binom_mod2
 from steenrod.charclass import (
+    _PACK_LIMIT,
     SPACES,
     ModelError,
     QuotientModel,
     WRing,
     _int_add,
     _int_mul,
+    _pack,
+    _unpack,
+    _wu_generator,
     model,
     poly_square,
     power_sum_in_w,
@@ -140,6 +147,67 @@ class TestTwoRow:
             assert all(c % 2 == 0 for c in diff.values()), n
             want = frozenset(m for m, c in diff.items() if (c // 2) % 2)
             assert two_row_power_sum(n) == want, n
+
+
+@functools.lru_cache(maxsize=None)
+def newton_oracle(n):
+    """s_n over the integers by the Newton recursion on sparse monomials
+    (the shared dict is read only)."""
+    acc = {}
+    for i in range(1, n):
+        _int_add(acc, _int_mul({((i, 1),): 1}, newton_oracle(n - i)), (-1) ** (i - 1))
+    _int_add(acc, {((n, 1),): n}, (-1) ** (n - 1))
+    return acc
+
+
+class TestPackedMonomials:
+    def test_pack_add_and_shift_match_the_sparse_forms_through_12(self):
+        monos = [wmono_from(p) for d in range(13) for p in partitions(d, least=1)]
+        assert len(monos) == len(set(monos)) == 272
+        for a in monos:
+            assert _unpack(_pack(a)) == a
+            assert _unpack(_pack(a) << 1) == next(iter(poly_square(frozenset({a}))))
+            for b in monos:
+                assert _unpack(_pack(a) + _pack(b)) == wmono_mul(a, b), (a, b)
+
+    def test_fields_are_exact_up_to_the_limit(self):
+        top = _PACK_LIMIT - 1
+        assert _unpack(_pack(((1, 200),)) + _pack(((1, 55),))) == ((1, top),)
+        assert _unpack(_pack(((1, 127), (2, 64))) << 1) == ((1, 254), (2, 128))
+        assert _unpack(_pack(((top, 1),))) == ((top, 1),)
+        ring = WRing(kill_w1=False)
+        assert ring.top == top
+        for m in (127, 128, 200, 254):
+            for i in range(top - m + 1):
+                want = w(*[1] * (m + i)) if binom_mod2(m, i) else frozenset()
+                assert ring.sq(i, w(*[1] * m)) == want, (m, i)
+        for j in (200, 250, top):
+            for i in range(top - j + 1):
+                assert ring.sq(i, w(j)) == _wu_generator(i, j, False), (j, i)
+
+    def test_power_sum_int_matches_the_sparse_recursion_through_16(self):
+        for n in range(1, 17):
+            assert power_sum_int(n) == tuple(sorted(newton_oracle(n).items())), n
+
+    def test_two_row_of_odd_matches_the_newton_layer_through_9(self):
+        # oracle: (s_n^2 - s_2n)/2 over the integers on sparse monomials
+        for n in range(1, 10, 2):
+            diff = _int_mul(newton_oracle(n), newton_oracle(n))
+            _int_add(diff, newton_oracle(2 * n), -1)
+            assert all(c % 2 == 0 for c in diff.values()), n
+            want = frozenset(m for m, c in diff.items() if (c // 2) % 2)
+            assert two_row_power_sum(n) == want, n
+
+    def test_degrees_past_the_limit_raise(self):
+        with pytest.raises(ValueError):
+            WRing(kill_w1=True, top=_PACK_LIMIT)
+        with pytest.raises(ValueError):
+            QuotientModel("bso", _PACK_LIMIT)
+        for fn in (power_sum_int, power_sum_mod2):
+            with pytest.raises(ValueError):
+                fn(_PACK_LIMIT)
+        with pytest.raises(ValueError):
+            two_row_power_sum(129)  # s_258 would carry
 
 
 class TestWuFormula:
@@ -367,6 +435,12 @@ class TestPowerSumVanishing:
         assert power_sum_vanishing_check(3, model("bspin", 20)).ok
         with pytest.raises(ValueError):
             power_sum_vanishing_check(5, model("bspin", 20))
+
+    def test_a_degree_past_the_default_model_raises_quickly(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError):
+            power_sum_vanishing_check(6)  # s_65, past the cap-34 model
+        assert time.monotonic() - start < 5.0
 
     def test_s17_naive_substitution(self):
         assert s17_naive_substitution() == w(7, 10) ^ w(6, 11) ^ w(4, 13)

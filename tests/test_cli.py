@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from steenrod.cli import REPORT_SCHEMA, main
+from steenrod.cli import REPORT_SCHEMA, build_parser, main
 
 # stdout digests of the verify reports, recorded with the benchmark
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -153,6 +154,88 @@ class TestPrimitivesCommand:
     def test_negative_max_exits_2(self):
         code, out, err = run(["primitives", "--space", "bso", "--max", "-2"])
         assert code == 2 and out == "" and "--max must be >= 0" in err
+
+
+    # SHA-256 of `steenrod primitives --space S --max 64 --format json`,
+    # recorded before the packed-monomial kernels replaced the sparse ones
+    CAP_64_DIGESTS = {
+        "bspin": "fe233669faffc263d23de7da96091a5547dd631244c01099a219c8f28051c338",
+        "bspinc": "11623e6b79d80325ed12b9b27366ecb06309b56576a2f9d0d02f823af028945f",
+    }
+
+    @pytest.mark.parametrize("space", sorted(CAP_64_DIGESTS))
+    def test_cap_64_json_digest(self, space):
+        # in process, so the cap-64 models are the cached ones the tables share
+        code, out, _ = run(["primitives", "--space", space, "--max", "64", "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CAP_64_DIGESTS[space]
+
+
+# one malformed value for every argument of every subcommand, by (command, dest)
+MALFORMED = {
+    ("adem", "expr"): ["adem", "Sq["],
+    ("mul", "left"): ["mul", "Sq[", "Sq[1]"],
+    ("mul", "right"): ["mul", "Sq[1]", "Sq["],
+    ("coprod", "expr"): ["coprod", "Sq["],
+    ("antipode", "expr"): ["antipode", "Sq["],
+    ("pair", "dual"): ["pair", "xi[", "Sq[1]"],
+    ("pair", "steenrod"): ["pair", "xi[1]", "Sq["],
+    ("milnor", "expr"): ["milnor", "Q-1"],
+    ("basis", "degree"): ["basis", "-1"],
+    ("basis", "format"): ["basis", "2", "--format", "xml"],
+    ("sq", "k"): ["sq", "-1", "y4", "--preset", "bsu3"],
+    ("sq", "expr"): ["sq", "2", "y4^", "--preset", "bsu3"],
+    ("sq", "preset"): ["sq", "2", "y4", "--preset", "bsu4"],
+    ("module-type", "preset"): ["module-type", "--preset", "bsu4"],
+    ("module-type", "algebra"): ["module-type", "--algebra", "a2"],
+    ("module-type", "max"): ["module-type", "--max", "forty"],
+    ("module-type", "format"): ["module-type", "--format", "xml"],
+    ("margolis", "preset"): ["margolis", "--preset", "bsu4"],
+    ("margolis", "algebra"): ["margolis", "--algebra", "a2"],
+    ("margolis", "op"): ["margolis", "--op", "q2"],
+    ("margolis", "max"): ["margolis", "--max", "-4"],
+    ("margolis", "format"): ["margolis", "--format", "xml"],
+    ("split-check", "case"): ["split-check", "--case", "joke"],
+    ("primitives", "space"): ["primitives", "--space", "bsu"],
+    ("primitives", "max"): ["primitives", "--max", "256"],
+    ("primitives", "kernel_limit"): ["primitives", "--kernel-limit", "-1"],
+    ("primitives", "format"): ["primitives", "--format", "xml"],
+    ("transfer", "bundle"): ["transfer", "--bundle", "rp2", "--expr", "x4"],
+    ("transfer", "expr"): ["transfer", "--expr", "x4^"],
+    ("transfer", "json"): ["transfer", "--expr", "x4", "--json=yes"],
+    ("verify", "suite"): ["verify", "--suite", "hopff"],
+    ("verify", "max"): ["verify", "--suite", "hopf", "--max", "-3"],
+    ("verify", "format"): ["verify", "--suite", "hopf", "--format", "xml"],
+}
+
+
+def parser_arguments():
+    """Every (command, dest) pair declared by the CLI parser."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        (command, action.dest)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+
+
+class TestMalformedInput:
+    def test_the_table_covers_every_argument(self):
+        assert set(MALFORMED) == parser_arguments()
+
+    @pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=[" ".join(k) for k in MALFORMED])
+    def test_malformed_value_exits_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value itself
+                code = exc.code
+        assert code == 2 and out.getvalue() == ""
+        assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:
