@@ -11,7 +11,12 @@ Powers are handled through the Frobenius shortcut: the total square of x^2
 is the square of the total square of x, so g^(2^a) blocks cost a squarings
 rather than 2^a convolutions.
 
-Presentations are immutable; the per-generator component cache is idempotent
+TotalSquare, the one engine for this (charclass.WRing feeds it Wu's formula),
+works on packed monomials, one int with an exponent field per generator: a
+product is an addition and a Frobenius square a left shift.  Presentations
+pack 32-bit fields and unpack only the polynomials they return.
+
+Presentations are immutable; the engine's component caches are idempotent
 and safe under concurrent readers.
 """
 
@@ -19,13 +24,81 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable
 
 from .f2 import F2Error, F2Poly, WeightedPolyRing
+
+Components = list[frozenset[int]]  # entry k: the packed monomials of Sq^k
 
 
 class PresentationError(F2Error):
     """A declared action violates degree or instability constraints."""
+
+
+class TotalSquare:
+    """Total squares of packed monomials, by Frobenius blocks and Cartan.
+
+    gen(j) gives the packed components [g_j, Sq^1 g_j, ..., Sq^deg g_j] of
+    generator j and degree(j) its degree; the bit layout is the caller's.
+    Component k of a partial product feeds only components >= k of the full
+    product, so cutting every block and partial product of a degree-d
+    monomial at min(d + 1, top - d + 1) components is exact through the top
+    (without a top, at d + 1, where instability ends every list anyway).
+    """
+
+    def __init__(self, gen: Callable[[int], Components], degree: Callable[[int], int], top=None):
+        self.gen = gen
+        self.degree = degree
+        self.top = float("inf") if top is None else top
+        self._blocks: dict[tuple[int, int], Components] = {}
+        self._monos: dict[tuple[tuple[int, int], ...], Components] = {}
+
+    def _block(self, j: int, a: int) -> Components:
+        """Components of the total square of g_j^(2^a)."""
+        key = (j, a)
+        if key not in self._blocks:
+            deg = self.degree(j) << a
+            size = min(deg + 1, self.top - deg + 1)
+            if a == 0:
+                comps = self.gen(j)[:size]
+            else:
+                prev = self._block(j, a - 1)
+                comps = [frozenset()] * min(2 * len(prev) - 1, size)
+                for k, c in enumerate(prev[: (len(comps) + 1) // 2]):
+                    comps[2 * k] = frozenset(u << 1 for u in c)
+            self._blocks[key] = comps
+        return self._blocks[key]
+
+    def components(self, mono: tuple[tuple[int, int], ...], deg: int) -> Components:
+        """Total-square components of the degree-deg monomial ((j, e), ...)."""
+        comps = self._monos.get(mono)
+        if comps is None:
+            size = min(deg + 1, self.top - deg + 1)
+            comps = [frozenset({0})]
+            for j, e in mono:
+                for a in range(e.bit_length()):
+                    if e >> a & 1:
+                        block = self._block(j, a)
+                        n = min(len(comps) + len(block) - 1, size)
+                        out: list[set[int]] = [set() for _ in range(n)]
+                        for x, cx in enumerate(comps):
+                            if not cx:
+                                continue
+                            for y, cy in enumerate(block[: n - x]):
+                                if cy:
+                                    o = out[x + y]
+                                    for u in cx:
+                                        o ^= {u + v for v in cy}
+                        comps = [frozenset(c) for c in out]
+            self._monos[mono] = comps
+        return comps
+
+
+# Presentations pack exponent i into bits 32i .. 32i + 31.  The total square of
+# a degree-d monomial has degree at most 2d, so no field carries while d is
+# below _DEGREE_LIMIT; its d + 1 components could never be listed past that.
+_FIELD = 32
+_DEGREE_LIMIT = 1 << (_FIELD - 1)
 
 
 @dataclass(frozen=True)
@@ -34,7 +107,7 @@ class SqAlgebraPresentation:
 
     ring: WeightedPolyRing
     action: tuple[tuple[F2Poly, ...], ...]  # action[i][k-1] = Sq^k(g_i)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _square: TotalSquare = field(init=False, compare=False, repr=False, hash=False)
 
     def __post_init__(self):
         if len(self.action) != self.ring.ngens:
@@ -56,6 +129,7 @@ class SqAlgebraPresentation:
             square = self.ring.gen(name) * self.ring.gen(name)
             if images[deg - 1] != square:
                 raise PresentationError(f"Sq^{deg}({name}) must equal {name}^2")
+        object.__setattr__(self, "_square", TotalSquare(self._gen, self.ring.degrees.__getitem__))
 
     @classmethod
     def build(
@@ -72,11 +146,7 @@ class SqAlgebraPresentation:
             for k in range(1, deg + 1):
                 v = given.get(k)
                 if v is None:
-                    img = (
-                        ring.gen(name) * ring.gen(name)
-                        if k == deg
-                        else ring.zero()
-                    )
+                    img = ring.gen(name) * ring.gen(name) if k == deg else ring.zero()
                 elif isinstance(v, str):
                     img = ring.parse(v)
                 else:
@@ -85,58 +155,34 @@ class SqAlgebraPresentation:
             rows.append(tuple(images))
         return cls(ring, tuple(rows))
 
-    # -- internals ----------------------------------------------------------
+    # -- packed monomials -----------------------------------------------------
 
-    def _gen_components(self, i: int) -> list[F2Poly]:
-        """[g, Sq^1 g, ..., Sq^deg g] for generator i."""
-        key = ("gen", i)
-        if key not in self._cache:
-            name, _ = self.ring.generators[i]
-            self._cache[key] = [self.ring.gen(name), *self.action[i]]
-        return self._cache[key]
+    def _gen(self, i: int) -> Components:
+        """Packed [g_i, Sq^1 g_i, ..., Sq^deg g_i] from the declared row."""
+        shifts = range(0, _FIELD * self.ring.ngens, _FIELD)
+        row = [self.ring.gen(self.ring.generators[i][0]), *self.action[i]]
+        return [
+            frozenset(sum(e << s for e, s in zip(m, shifts)) for m in c.monomials) for c in row
+        ]
 
-    def _block_components(self, i: int, a: int) -> list[F2Poly]:
-        """Components of the total square of g_i^(2^a)."""
-        key = ("block", i, a)
-        if key not in self._cache:
-            if a == 0:
-                comps = self._gen_components(i)
-            else:
-                prev = self._block_components(i, a - 1)
-                comps = [self.ring.zero()] * (2 * len(prev) - 1)
-                for j, c in enumerate(prev):
-                    comps[2 * j] = c.square()
-            self._cache[key] = comps
-        return self._cache[key]
+    def _monomials(self, f: F2Poly) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+        """Each monomial of f as ((i, e), ...) with its degree, all checked
+        against the packed degree limit before any is squared."""
+        if f.ring != self.ring:
+            raise PresentationError("polynomial lives in the wrong ring")
+        out = [(m, self.ring.monomial_degree(m)) for m in f.monomials]
+        for _, deg in out:
+            if deg >= _DEGREE_LIMIT:
+                raise ValueError(f"degree {deg} passes the packed limit {_DEGREE_LIMIT - 1}")
+        return [(tuple((i, e) for i, e in enumerate(m) if e), deg) for m, deg in out]
 
-    def _convolve(self, c1: Sequence[F2Poly], c2: Sequence[F2Poly], cap: int) -> list[F2Poly]:
-        top = min(cap, len(c1) + len(c2) - 2)
-        out = [self.ring.zero()] * (top + 1)
-        for i, a in enumerate(c1):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(c2):
-                if i + j > top:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return out
+    def _unpack(self, packed: set[int]) -> F2Poly:
+        mask = (1 << _FIELD) - 1
+        shifts = range(0, _FIELD * self.ring.ngens, _FIELD)
+        monos = frozenset(tuple((u >> s) & mask for s in shifts) for u in packed)
+        return F2Poly(self.ring, monos)
 
-    def _monomial_components(self, mono: tuple[int, ...], cap: int) -> list[F2Poly]:
-        key = ("mono", mono, cap)
-        if key not in self._cache:
-            comps = [self.ring.one()]
-            for i, e in enumerate(mono):
-                a = 0
-                while e:
-                    if e & 1:
-                        comps = self._convolve(comps, self._block_components(i, a), cap)
-                    e >>= 1
-                    a += 1
-            self._cache[key] = comps
-        return self._cache[key]
-
-    # -- public action ------------------------------------------------------
+    # -- public action --------------------------------------------------------
 
     def sq(self, k: int, f: F2Poly) -> F2Poly:
         """Sq^k applied to a polynomial of this ring."""
@@ -146,24 +192,19 @@ class SqAlgebraPresentation:
             raise PresentationError("polynomial lives in the wrong ring")
         if k == 0:
             return f
-        acc = self.ring.zero()
-        for m in f.monomials:
-            deg = self.ring.monomial_degree(m)
-            if k > deg:
-                continue
-            comps = self._monomial_components(m, deg)
-            if k < len(comps):
-                acc = acc + comps[k]
-        return acc
+        acc: set[int] = set()
+        for mono, deg in self._monomials(f):
+            if k <= deg:
+                acc ^= self._square.components(mono, deg)[k]
+        return self._unpack(acc)
 
     def total_sq(self, f: F2Poly) -> F2Poly:
         """The finite sum (1 + Sq^1 + Sq^2 + ...) applied to f."""
-        acc = self.ring.zero()
-        for m in f.monomials:
-            deg = self.ring.monomial_degree(m)
-            for c in self._monomial_components(m, deg):
-                acc = acc + c
-        return acc
+        acc: set[int] = set()
+        for mono, deg in self._monomials(f):
+            for c in self._square.components(mono, deg):
+                acc ^= c
+        return self._unpack(acc)
 
     def q0(self, f: F2Poly) -> F2Poly:
         return self.sq(1, f)
@@ -174,14 +215,17 @@ class SqAlgebraPresentation:
 
 
 @dataclass(frozen=True)
-class CheckReport:
+class Check:
+    """A named check: whether it held, and a witness when it did not."""
+
+    check_id: str
     ok: bool
-    witness: str | None = None
+    witness: str = ""
 
 
 def check_presentation(
     p: SqAlgebraPresentation, degree_max: int, adem_max: int | None = None
-) -> CheckReport:
+) -> Check:
     """Verify the declared action on all monomials up to degree_max.
 
     Checks instability (vanishing above the degree, top operation equals the
@@ -191,14 +235,15 @@ def check_presentation(
     """
     from .algebra import binom_mod2
 
+    check_id = f"action consistent through degree {degree_max}"
     for d in range(degree_max + 1):
         for mono in p.ring.monomials_of_degree(d):
             f = F2Poly(p.ring, frozenset({mono}))
             if p.sq(d, f) != f * f:
-                return CheckReport(False, f"Sq^{d}({f}) != square")
+                return Check(check_id, False, f"Sq^{d}({f}) != square")
             for k in (d + 1, d + 2):
                 if not p.sq(k, f).is_zero():
-                    return CheckReport(False, f"Sq^{k}({f}) != 0 above the degree")
+                    return Check(check_id, False, f"Sq^{k}({f}) != 0 above the degree")
             n_cap = min(d, adem_max) if adem_max is not None else d
             for n in range(1, n_cap + 1):
                 sq_n_f = p.sq(n, f)
@@ -209,10 +254,10 @@ def check_presentation(
                         if binom_mod2(n - i - 1, m - 2 * i):
                             rhs = rhs + p.sq(m + n - i, p.sq(i, f))
                     if lhs != rhs:
-                        return CheckReport(
-                            False, f"Adem relation Sq^{m} Sq^{n} fails on {f}"
+                        return Check(
+                            check_id, False, f"Adem relation Sq^{m} Sq^{n} fails on {f}"
                         )
-    return CheckReport(True)
+    return Check(check_id, True)
 
 
 @dataclass(frozen=True)
@@ -242,20 +287,21 @@ class AlgebraMap:
             raise PresentationError("polynomial lives in the wrong ring")
         return f.substitute(self.target.ring, self.images, self._powers)
 
-    def check_equivariant(self) -> CheckReport:
+    def check_equivariant(self) -> Check:
         """Check Sq^k-equivariance on generators for all k up to the degree.
 
         The Cartan formula makes both sides multiplicative, so generator
         equivariance extends to the whole ring.
         """
+        check_id = "Sq-equivariant on generators"
         for i, (name, deg) in enumerate(self.source.ring.generators):
             g = self.source.ring.gen(name)
             for k in range(1, deg + 1):
                 lhs = self.apply(self.source.sq(k, g))
                 rhs = self.target.sq(k, self.apply(g))
                 if lhs != rhs:
-                    return CheckReport(False, f"Sq^{k}({name}) fails to commute")
-        return CheckReport(True)
+                    return Check(check_id, False, f"Sq^{k}({name}) fails to commute")
+        return Check(check_id, True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .action import AlgebraMap, SqAlgebraPresentation
+from .action import AlgebraMap, Check, SqAlgebraPresentation
 from .charclass import ModPoly, model as charclass_model
 from .f2 import F2Matrix, F2Poly, F2Span, WeightedPolyRing
 
@@ -377,13 +377,6 @@ def bundle(name: str) -> FiberBundleData:
 # ---------------------------------------------------------------------------
 # verification reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Check:
-    check_id: str
-    ok: bool
-    witness: str = ""
 
 
 def _eq(check_id: str, got, want) -> Check:

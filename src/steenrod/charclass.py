@@ -36,13 +36,15 @@ by Frobenius for squares, and everything is cross-checked against a literal
 reduced-coproduct kernel in low degrees.
 
 The hot kernels, the Newton layer (over the integers and mod 2) and the
-Wu-Cartan convolution of the total square, work on packed monomials: the exponent of w_i sits in
-bits 8(i-1)..8i-1 of one Python int, so a monomial product is an integer
-addition and a Frobenius square is a left shift by one.  A field never
-carries while every packed monomial has degree below 256 (_PACK_LIMIT): the
-exponent of w_i in a degree-d monomial is at most d // i <= 255.  Every
-packed path enforces that bound (a WRing top or a power-sum index of 256 or
-more raises ValueError) and unpacks to the sparse WMono form at its boundary.
+total square (action.TotalSquare, the Frobenius-block/Cartan engine that
+serves the declared presentations too, fed the packed Wu table), work on
+packed monomials: the exponent of w_i sits in bits 8(i-1)..8i-1 of one
+Python int, so a product is an addition and a Frobenius square a left
+shift.  A field never carries while every packed monomial has degree below
+256 (_PACK_LIMIT): the exponent of w_i in a degree-d monomial is at most
+d // i <= 255.  Every packed path enforces that bound (a WRing top or a
+power-sum index of 256 or more raises ValueError) and unpacks to the sparse
+WMono form at its boundary.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .action import TotalSquare
 from .algebra import admissible_basis, binom_mod2
 from .f2 import F2Matrix, F2Vector, _reduce_against
 
@@ -294,11 +297,10 @@ class WRing:
     w_1-ideal is Steenrod-stable (Sq^1 w_1 = w_1^2, higher squares vanish),
     so this is the induced action on the quotient.
 
-    top is the highest degree the ring is ever asked about, at most
-    _PACK_LIMIT - 1 (the default): total squares are computed only through
-    it, on packed monomials, and Sq^i of a monomial of degree d with
-    d + i > top raises ValueError rather than read a component that was
-    never computed.
+    Total squares come from action.TotalSquare fed the packed Wu table, and
+    only through top, the highest degree the ring is ever asked about (at
+    most _PACK_LIMIT - 1, the default): Sq^i of a degree-d monomial with
+    d + i > top raises ValueError rather than read an uncomputed component.
     """
 
     def __init__(self, kill_w1: bool, top: int | None = None):
@@ -309,77 +311,35 @@ class WRing:
             )
         self.kill_w1 = kill_w1
         self.top = top
-        self._cache: dict = {}
+        self._square = TotalSquare(self._wu, lambda j: j, top)
 
     def clean(self, p: ModPoly) -> ModPoly:
         if not self.kill_w1:
             return p
-        return frozenset(m for m in p if all(i != 1 for i, _ in m))
+        # a WMono is sorted, so w_1 can only be its first factor
+        return frozenset(m for m in p if not (m and m[0][0] == 1))
 
-    def _block(self, j: int, a: int) -> list[frozenset[int]]:
-        """Packed total-square components of w_j^(2^a), through the top."""
-        key = (j, a)
-        if key not in self._cache:
-            size = self.top - (j << a) + 1
-            if a == 0:
-                comps = [
-                    frozenset(_pack(m) for m in self.clean(_wu_generator(i, j, self.kill_w1)))
-                    for i in range(min(j + 1, size))
-                ]
-            else:
-                prev = self._block(j, a - 1)
-                comps = [frozenset()] * min(2 * len(prev) - 1, size)
-                for k, c in enumerate(prev[: (len(comps) + 1) // 2]):
-                    comps[2 * k] = frozenset(u << 1 for u in c)
-            self._cache[key] = comps
-        return self._cache[key]
-
-    def _mono_components(self, mono: WMono) -> list[frozenset[int]]:
-        """Packed total-square components of mono, through the top degree.
-
-        Component k of a partial product feeds only components >= k of the
-        full product, so cutting every partial product at the top is exact.
-        """
-        key = ("mono", mono)
-        if key not in self._cache:
-            size = self.top - wmono_degree(mono) + 1
-            comps: list[frozenset[int]] = [frozenset({0})]
-            for j, e in mono:
-                a = 0
-                while e:
-                    if e & 1:
-                        block = self._block(j, a)
-                        n = min(len(comps) + len(block) - 1, size)
-                        out: list[set[int]] = [set() for _ in range(n)]
-                        for x, cx in enumerate(comps):
-                            if not cx:
-                                continue
-                            for y, cy in enumerate(block[: n - x]):
-                                if cy:
-                                    o = out[x + y]
-                                    for u in cx:
-                                        o ^= {u + v for v in cy}
-                        comps = [frozenset(c) for c in out]
-                    e >>= 1
-                    a += 1
-            self._cache[key] = comps
-        return self._cache[key]
+    def _wu(self, j: int) -> list[frozenset[int]]:
+        """Packed [w_j, Sq^1 w_j, ...] by Wu's formula, through the top (sq
+        cleans its input, so w_j = w_1 is never asked for once it is killed)."""
+        return [
+            frozenset(map(_pack, _wu_generator(i, j, self.kill_w1)))
+            for i in range(min(j, self.top - j) + 1)
+        ]
 
     def sq(self, i: int, p: ModPoly) -> ModPoly:
         if i < 0:
             raise ValueError("Sq index must be >= 0")
         p = self.clean(p)
-        for m in p:
-            if wmono_degree(m) + i > self.top:
-                raise ValueError(
-                    f"Sq^{i} of a degree-{wmono_degree(m)} class passes the top "
-                    f"degree {self.top}"
-                )
+        degrees = [(m, wmono_degree(m)) for m in p]
+        for _, deg in degrees:
+            if deg + i > self.top:
+                raise ValueError(f"Sq^{i} of a degree-{deg} class passes the top {self.top}")
         if i == 0:
             return p
         acc: set[int] = set()
-        for m in p:
-            comps = self._mono_components(m)
+        for m, deg in degrees:
+            comps = self._square.components(m, deg)
             if i < len(comps):
                 acc ^= comps[i]
         return frozenset(_unpack(k) for k in acc)
@@ -501,7 +461,9 @@ class QuotientModel:
         if isinstance(p, tuple):
             p = frozenset({p})
         acc: set[WMono] = set()
-        for m in self.ring.clean(p):
+        for m in p:
+            if self.ring.kill_w1 and m and m[0][0] == 1:
+                continue  # w_1 = 0 here, and only a leading factor can be w_1
             cached = self._phi_cache.get(m)
             if cached is None:
                 cached = self._phi_mono(m)

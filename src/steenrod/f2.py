@@ -495,7 +495,7 @@ class F2Poly:
         """
         if len(images) != self.ring.ngens:
             raise ShapeError("need one image per generator")
-        acc = target_ring.zero()
+        acc: set[Monomial] = set()
         cache = {} if cache is None else cache
 
         def power(i: int, e: int) -> F2Poly:
@@ -509,8 +509,8 @@ class F2Poly:
             for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)
-            acc = acc + term
-        return acc
+            acc ^= term.monomials
+        return F2Poly(target_ring, frozenset(acc))
 
     def coefficient(self, mono: Monomial) -> int:
         return 1 if tuple(mono) in self.monomials else 0

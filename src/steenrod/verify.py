@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import algebra, bundles, charclass, dual, modules
+from . import action, algebra, bundles, charclass, dual, modules
 from .algebra import SteenrodElement, admissible_basis
 from .dual import DualElement, SubHopfAlgebra
 from .f2 import WeightedPolyRing, geometric_series_product, series_of_ring
@@ -240,11 +240,9 @@ def suite_dual_quotients(max_degree: int = 16) -> list[CheckResult]:
 
 def suite_bpsp_model(max_degree: int = 24) -> list[CheckResult]:
     rows = bundles.restriction_model_report()
-    from steenrod.action import check_presentation
-
     out = [_check(c.check_id, c.ok, c.witness) for c in rows]
-    report = check_presentation(bundles.bpsp3_presentation(), max_degree, adem_max=4)
-    out.append(_check(f"derived ring consistent through degree {max_degree}", report.ok, report.witness or ""))
+    report = action.check_presentation(bundles.bpsp3_presentation(), max_degree, adem_max=4)
+    out.append(_check(f"derived ring consistent through degree {max_degree}", report.ok, report.witness))
     return out
 
 

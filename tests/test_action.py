@@ -12,7 +12,8 @@ from steenrod.action import (
     presentation_from_json,
     presentation_to_dict,
 )
-from steenrod.f2 import WeightedPolyRing
+from steenrod.cli import PRESETS
+from steenrod.f2 import F2Poly, WeightedPolyRing
 
 
 def rank_one_model(nvars):
@@ -25,6 +26,110 @@ def chern_root_model(nvars):
     """Polynomial ring on degree-2 classes with Sq^1 = 0, Sq^2(v) = v^2."""
     ring = WeightedPolyRing(tuple((f"r{i}", 2) for i in range(1, nvars + 1)))
     return SqAlgebraPresentation.build(ring, {})
+
+
+def convolution_oracle(p):
+    """The F2Poly Frobenius-block/Cartan convolution the packed engine
+    replaced: mono -> [mono, Sq^1 mono, ..., Sq^deg mono]."""
+    ring = p.ring
+    blocks = {}
+
+    def block(i, a):
+        if (i, a) not in blocks:
+            if a == 0:
+                comps = [ring.gen(ring.generators[i][0]), *p.action[i]]
+            else:
+                prev = block(i, a - 1)
+                comps = [ring.zero()] * (2 * len(prev) - 1)
+                for j, c in enumerate(prev):
+                    comps[2 * j] = c.square()
+            blocks[i, a] = comps
+        return blocks[i, a]
+
+    def convolve(c1, c2, cap):
+        top = min(cap, len(c1) + len(c2) - 2)
+        out = [ring.zero()] * (top + 1)
+        for i, a in enumerate(c1):
+            for j, b in enumerate(c2[: top - i + 1]):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    def components(mono):
+        deg = ring.monomial_degree(mono)
+        comps = [ring.one()]
+        for i, e in enumerate(mono):
+            a = 0
+            while e:
+                if e & 1:
+                    comps = convolve(comps, block(i, a), deg)
+                e >>= 1
+                a += 1
+        return comps
+
+    return components
+
+
+ORACLE_MODELS = {
+    **PRESETS,
+    "rank-one-3": lambda: rank_one_model(3),
+    "chern-root-3": lambda: chern_root_model(3),
+}
+
+
+class TestEngineAgainstOracle:
+    """The packed engine against the F2Poly convolution it replaced."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_every_square_of_every_monomial_through_12(self, name):
+        p = ORACLE_MODELS[name]()
+        oracle = convolution_oracle(p)
+        for d in range(13):
+            for mono in p.ring.monomials_of_degree(d):
+                f = F2Poly(p.ring, frozenset({mono}))
+                want = oracle(mono)
+                assert len(want) == d + 1
+                for k in range(d + 1):
+                    assert p.sq(k, f) == want[k], (name, f, k)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_total_square_of_sums(self, name):
+        p = ORACLE_MODELS[name]()
+        oracle = convolution_oracle(p)
+        monos = [m for d in range(1, 9) for m in p.ring.monomials_of_degree(d)]
+        for start in range(0, len(monos), 5):
+            chunk = monos[start : start + 7]
+            want = p.ring.zero()
+            for m in chunk:
+                for c in oracle(m):
+                    want = want + c
+            assert p.total_sq(p.ring.from_monomials(chunk)) == want, (name, chunk)
+
+
+class TestPackedGuard:
+    def test_a_monomial_past_the_field_limit_raises_before_squaring(self, monkeypatch):
+        from steenrod.action import _DEGREE_LIMIT
+
+        p = chern_root_model(2)
+
+        def unreachable(mono, deg):
+            raise AssertionError("components built past the field limit")
+
+        monkeypatch.setattr(p._square, "components", unreachable)
+        big = p.ring.from_monomials([(_DEGREE_LIMIT // 2, 0), (1, 1)])
+        for op in (lambda f: p.sq(1, f), p.total_sq, p.q1):
+            with pytest.raises(ValueError):
+                op(big)
+        assert p.sq(0, big) == big
+
+    def test_fields_hold_every_exponent_below_the_limit(self):
+        from steenrod.action import _DEGREE_LIMIT, _FIELD
+
+        # Sq^d of a degree-d monomial in degree-1 classes doubles it: the
+        # largest exponent any packed monomial can reach
+        top = 2 * (_DEGREE_LIMIT - 1)
+        assert top < 1 << _FIELD
+        p = rank_one_model(2)
+        assert p._unpack({top + (top << _FIELD)}) == p.ring.from_monomials([(top, top)])
 
 
 class TestGeneratorAction:

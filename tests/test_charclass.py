@@ -290,6 +290,19 @@ class TestModels:
         with pytest.raises(ModelError):
             m._validate_reductions()
 
+    def test_phi_drops_w1_terms(self):
+        for space in ("bso", "bspin", "bspinc"):
+            m = model(space, 20)
+            assert m.phi(w(1, 3) ^ w(4)) == m.phi(w(4)), space
+            assert m.phi(w(1)) == m.phi(w(1, 1, 6)) == frozenset(), space
+        assert model("bspinc", 20).phi(w(1, 3) ^ w(4)) == w(4)
+        assert model("bo", 20).phi(w(1, 3) ^ w(4)) == w(1, 3) ^ w(4)
+
+    def test_clean_drops_exactly_the_w1_monomials(self):
+        p = w(1) ^ w(1, 1, 3) ^ w(2, 3) ^ w() ^ w(4, 4)
+        assert WRing(kill_w1=True).clean(p) == w(2, 3) ^ w() ^ w(4, 4)
+        assert WRing(kill_w1=False).clean(p) == p
+
     def test_models_below_the_series_degree_validate_through_the_cap(self):
         for space, cap in (("bspin", 10), ("bspin", 17), ("bspinc", 12), ("bspinc", 19)):
             assert QuotientModel(space, cap)._series_validated_to == cap

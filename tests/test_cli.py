@@ -208,6 +208,12 @@ MALFORMED = {
     ("verify", "format"): ["verify", "--suite", "hopf", "--format", "xml"],
 }
 
+# values that parse but pass a limit of the program, by (command, dest, limit)
+PAST_LIMITS = {
+    # degree 2^31: past the 32-bit exponent fields of the packed total square
+    ("sq", "expr", "packed-fields"): ["sq", "1", "y4^536870912", "--preset", "bsu3"],
+}
+
 
 def parser_arguments():
     """Every (command, dest) pair declared by the CLI parser."""
@@ -226,7 +232,11 @@ class TestMalformedInput:
     def test_the_table_covers_every_argument(self):
         assert set(MALFORMED) == parser_arguments()
 
-    @pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=[" ".join(k) for k in MALFORMED])
+    @pytest.mark.parametrize(
+        "argv",
+        [*MALFORMED.values(), *PAST_LIMITS.values()],
+        ids=[" ".join(k) for k in [*MALFORMED, *PAST_LIMITS]],
+    )
     def test_malformed_value_exits_2(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
