@@ -19,11 +19,13 @@ the ideal.  Reductions are found mechanically: pure-w_e relations can only
 arise from Sq^I applied to the ideal generator (products always carry at
 least two factors), so scanning admissible words of the right degree either
 produces w_e + rho_e or proves there is nothing to reduce.  The model is then
-validated: the ideal is contained in the kernel of the reduction map (checked
-by Steenrod-stability of the defining relations up to the cap) and the
-dimension series agrees with an elimination-computed quotient through a
-configurable validation degree (at most the cap).  Every total square the
-model takes is computed only through the cap.
+validated: the kernel of the reduction map phi is Steenrod-stable up to the
+cap (phi(Sq^i w_e) equals Sq^i rho_e under the action Wu's formula induces on
+the model, checked without squaring any relation in the unreduced ring) and
+the dimension series agrees with an elimination-computed quotient through a
+configurable validation degree (at most the cap), the ideal slices being
+built from the cyclic module A.g and products with the w_j.  Every total
+square the model takes is computed only through the cap.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -55,7 +57,7 @@ from typing import Iterable, Iterator
 
 from .action import TotalSquare
 from .algebra import admissible_basis, binom_mod2
-from .f2 import F2Matrix, F2Vector, _reduce_against
+from .f2 import _reduce_against
 
 # sparse monomial in the w classes: sorted ((index, exponent), ...)
 WMono = tuple[tuple[int, int], ...]
@@ -94,10 +96,6 @@ def wmono_from(parts: Iterable[int]) -> WMono:
     for p in parts:
         d[p] = d.get(p, 0) + 1
     return tuple(sorted(d.items()))
-
-
-def poly_add(a: ModPoly, b: ModPoly) -> ModPoly:
-    return a ^ b
 
 
 def poly_mul(a: ModPoly, b: ModPoly) -> ModPoly:
@@ -398,6 +396,7 @@ class QuotientModel:
         self.reductions: dict[int, ModPoly] = {}
         self._phi_cache: dict[WMono, ModPoly] = {}
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
+        self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         for e in sorted(excluded):
             self.reductions[e] = self._find_reduction(e)
         self._validate_reductions()
@@ -487,61 +486,78 @@ class QuotientModel:
             out = poly_mul(out, poly_pow(rho, exp))
         return out
 
+    def _induced_wu(self, j: int) -> list[frozenset[int]]:
+        """Packed [phi(w_j), phi(Sq^1 w_j), ...] through the cap, past which Wu's
+        formula names classes the model does not know; at an allowed j, the
+        generator table of the action induced on the model."""
+        return [
+            frozenset(map(_pack, self.phi(_wu_generator(i, j, self.ring.kill_w1))))
+            for i in range(min(j, self.cap - j) + 1)
+        ]
+
     def _validate_reductions(self) -> None:
-        """Every reduction must be decomposable (or zero), and the relations
-        w_e + rho_e must generate a Steenrod-stable kernel:
-        phi(Sq^i(w_e + rho_e)) = 0 through the cap."""
+        """Every reduction must be decomposable (or zero), and ker(phi) must
+        be Steenrod-stable through the cap.  phi and the total squares are
+        ring maps, so that holds exactly when phi(Sq^i w_e) = Sq_M^i(rho_e)
+        for every excluded e and i <= cap - e, Sq_M being the total square on
+        the model with the current _induced_wu table; each equation is
+        phi(Sq^i(w_e + rho_e)) = 0, with nothing squared outside the model."""
         for e, rho in self.reductions.items():
             for m in rho:
                 if len(m) == 1 and m[0][1] == 1:
                     raise ModelError(f"reduction of w_{e} has a generator term")
+        induced = TotalSquare(self._induced_wu, lambda j: j, self.cap)
         for e, rho in sorted(self.reductions.items()):
-            relation = poly_add(frozenset({((e, 1),)}), rho)
-            for i in range(1, self.cap - e + 1):
-                if self.phi(self.ring.sq(i, relation)):
+            want = self._induced_wu(e)  # phi(Sq^i w_e); zero for i > e
+            got: list[set[int]] = [set() for _ in want]
+            for m in rho:
+                for k, c in enumerate(induced.components(m, e)):
+                    got[k] ^= c
+            for i in range(1, len(want)):
+                if got[i] != want[i]:
                     raise ModelError(
                         f"Sq^{i}(w_{e} + reduction) escapes the kernel in {self.space}"
                     )
 
+    def _cyclic_slice(self, n: int) -> list[ModPoly]:
+        """A basis of the degree-n slice of the cyclic module A.g: the
+        generator g itself and Sq^(n-m) c for every basis element c of a
+        lower degree m; a basis of each degree is kept, as in _ideal_slice."""
+        g = self.ideal_generator
+        assert g is not None
+        gdeg = wmono_degree(g)
+        basis_by_deg = self._cyclic_basis
+        for d in range(len(basis_by_deg), n + 1):
+            span = [frozenset({g})] if d == gdeg else []
+            span += [self.ring.sq(d - m, c) for m in range(gdeg, d) for c in basis_by_deg[m]]
+            basis_by_deg.append(_row_basis(span))
+        return basis_by_deg[n]
+
     def _ideal_slice(self, n: int) -> list[ModPoly]:
         """A basis of the degree-n slice of the Steenrod-module ideal.
 
-        Degree d is spanned by the generator itself, Sq^(d-m) b and
-        w_(d-m) b for every basis element b of a lower degree m; a basis of
-        each degree is kept, so later calls extend the cache from its top.
+        By Cartan it is the ring ideal generated by the cyclic module A.g, so
+        degree d is spanned by the cyclic slice and w_(d-m) b for every basis
+        element b of a lower degree m (with w_1 = 0 the w_j, j >= 2, generate
+        the ring); a basis of each degree is kept, so later calls extend the
+        cache from its top.
         """
         g = self.ideal_generator
         assert g is not None
         gdeg = wmono_degree(g)
         basis_by_deg = self._ideal_basis
         for d in range(len(basis_by_deg), n + 1):
-            span: list[ModPoly] = [frozenset({g})] if d == gdeg else []
-            for m in range(gdeg, d):
-                for b in basis_by_deg[m]:
-                    span.append(self.ring.sq(d - m, b))
-                    if d - m >= 2:
-                        span.append(poly_mul(frozenset({((d - m, 1),)}), b))
-            index = {mm: k for k, mm in enumerate(sorted({mm for p in span for mm in p}))}
-            pivots: dict[int, int] = {}
-            basis: list[ModPoly] = []
-            for p in span:
-                row = _reduce_against(sum(1 << index[mm] for mm in p), pivots)
-                if row:
-                    pivots[row.bit_length() - 1] = row
-                    basis.append(p)
-            basis_by_deg.append(basis)
+            span = list(self._cyclic_slice(d))
+            for m in range(gdeg, d - 1):
+                wj = ((d - m, 1),)
+                span += [frozenset(wmono_mul(wj, mm) for mm in b) for b in basis_by_deg[m]]
+            basis_by_deg.append(_row_basis(span))
         return basis_by_deg[n]
 
     def _in_ideal(self, p: ModPoly, n: int) -> bool:
         """Whether the degree-n polynomial p (w_1 dropped) lies in the ideal."""
         basis = self._ideal_slice(n)
-        index = {mm: k for k, mm in enumerate(sorted({mm for b in basis for mm in b}))}
-        target = self.ring.clean(p)
-        if not target <= index.keys():
-            return False  # a monomial no ideal element contains
-        rows = [sum(1 << index[mm] for mm in b) for b in basis]
-        vec = F2Vector(len(index), sum(1 << index[mm] for mm in target))
-        return F2Matrix(len(rows), len(index), rows).row_space_contains(vec)
+        return len(_row_basis(basis + [self.ring.clean(p)])) == len(basis)
 
     def _validate_series(self, top: int) -> None:
         """Quotient dimensions from elimination must match the allowed-part
@@ -858,6 +874,19 @@ class QuotientModel:
             else:
                 kernel.append(frozenset(basis[i] for i in range(nb) if (row >> i) & 1))
         return kernel
+
+
+def _row_basis(span: list[ModPoly]) -> list[ModPoly]:
+    """The members of span independent of the members before them."""
+    index: dict[WMono, int] = {}
+    pivots: dict[int, int] = {}
+    basis: list[ModPoly] = []
+    for p in span:
+        row = _reduce_against(sum(1 << index.setdefault(mm, len(index)) for mm in p), pivots)
+        if row:
+            pivots[row.bit_length() - 1] = row
+            basis.append(p)
+    return basis
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from steenrod.charclass import (
     _int_add,
     _int_mul,
     _pack,
+    _row_basis,
     _unpack,
     _wu_generator,
     model,
@@ -304,12 +305,129 @@ class TestModels:
         assert WRing(kill_w1=False).clean(p) == p
 
     def test_models_below_the_series_degree_validate_through_the_cap(self):
-        for space, cap in (("bspin", 10), ("bspin", 17), ("bspinc", 12), ("bspinc", 19)):
-            assert QuotientModel(space, cap)._series_validated_to == cap
+        for space in ("bspin", "bspinc"):
+            for cap in range(4, 41):
+                m = QuotientModel(space, cap)
+                assert m._series_validated_to == min(cap, 20), (space, cap)
+                # the induced table is cut at the cap: past it Wu's formula
+                # names classes the model does not know
+                for j in m.generator_degrees():
+                    if 2 * j > cap:
+                        comps = m._induced_wu(j)
+                        assert len(comps) == min(j, cap - j) + 1, (space, cap, j)
+                        named = {i for c in comps for k in c for i, _ in _unpack(k)}
+                        assert max(named) <= cap, (space, cap, j)
+
+    def test_a_flipped_monomial_of_rho33_fails_the_stability_check(self):
+        m = QuotientModel("bspinc", 64, series_check=0)
+        m.reductions[33] = m.reductions[33] ^ {min(m.reductions[33])}
+        m._phi_cache.clear()
+        with pytest.raises(ModelError, match="escapes the kernel in bspinc"):
+            m._validate_reductions()
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    @pytest.mark.parametrize("degree", [3, 5, 9, 17])
+    def test_a_cyclic_basis_missing_an_element_fails_the_series_check(
+        self, space, degree, monkeypatch
+    ):
+        # the cyclic element in degree 2^k + 1 is the only ideal element
+        # carrying w_(2^k+1), so without it the slice is one dimension short
+        cyclic_slice = QuotientModel._cyclic_slice
+
+        def short(self, n):
+            basis = cyclic_slice(self, n)
+            return basis[1:] if n == degree else basis
+
+        monkeypatch.setattr(QuotientModel, "_cyclic_slice", short)
+        with pytest.raises(ModelError, match=f"in degree {degree}$"):
+            QuotientModel(space, 20)
 
     def test_series_validation_passes_on_the_real_models(self):
         for space in ("bspin", "bspinc"):
             assert model(space, 20)._series_validated_to >= 20
+
+
+@functools.lru_cache(maxsize=None)
+def squaring_ideal_slices(space):
+    """Oracle: the ideal slices through degree 20 as the model once built
+    them, taking Sq of every basis element of every lower degree beside the
+    w_j products (the ideal does not depend on the cap)."""
+    mdl = model(space, 24)
+    g = mdl.ideal_generator
+    gdeg = sum(i * e for i, e in g)
+    basis_by_deg = []
+    for d in range(21):
+        span = [frozenset({g})] if d == gdeg else []
+        for m in range(gdeg, d):
+            for b in basis_by_deg[m]:
+                span.append(mdl.ring.sq(d - m, b))
+                if d - m >= 2:
+                    span.append(frozenset(wmono_mul(((d - m, 1),), mm) for mm in b))
+        index = {mm: k for k, mm in enumerate(sorted({mm for p in span for mm in p}))}
+        rows, basis = [], []
+        for p in span:
+            row = sum(1 << index[mm] for mm in p)
+            for r in rows:
+                row = min(row, row ^ r)
+            if row:
+                rows.append(row)
+                rows.sort(reverse=True)
+                basis.append(p)
+        basis_by_deg.append(basis)
+    return basis_by_deg
+
+
+def squaring_stability_error(mdl):
+    """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, squaring each
+    relation in the unreduced ring; the first failure's text, or None."""
+    for e, rho in sorted(mdl.reductions.items()):
+        relation = frozenset({((e, 1),)}) ^ rho
+        for i in range(1, mdl.cap - e + 1):
+            if mdl.phi(mdl.ring.sq(i, relation)):
+                return f"Sq^{i}(w_{e} + reduction) escapes the kernel in {mdl.space}"
+    return None
+
+
+def stability_error(mdl):
+    mdl._phi_cache.clear()
+    try:
+        mdl._validate_reductions()
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("space", ["bspin", "bspinc"])
+class TestValidationOracles:
+    def test_slices_span_the_squaring_oracle_through_cap_24(self, space):
+        old = squaring_ideal_slices(space)
+        for cap in range(4, 25):
+            mdl = QuotientModel(space, cap)
+            for n in range(min(20, cap) + 1):
+                new = mdl._ideal_slice(n)
+                assert len(new) == len(old[n]), (cap, n)
+                # equal dimensions, and no old element is independent of new
+                assert _row_basis(new + old[n]) == new, (cap, n)
+        for n in range(21):
+            assert all(mdl._in_ideal(b, n) for b in old[n]), n
+
+    def test_stability_verdicts_match_the_squaring_oracle_through_cap_24(self, space):
+        flips = 0
+        for cap in range(4, 25):
+            mdl = QuotientModel(space, cap, series_check=0)
+            assert squaring_stability_error(mdl) is None
+            assert stability_error(mdl) is None
+            for e, rho in sorted(mdl.reductions.items()):
+                if e > 17:
+                    continue
+                for mono in mdl.slice_monomials(e):
+                    mdl.reductions[e] = rho ^ {mono}
+                    mdl._phi_cache.clear()
+                    want = squaring_stability_error(mdl)
+                    assert stability_error(mdl) == want, (cap, e, mono)
+                    flips += want is not None
+                mdl.reductions[e] = rho
+        assert flips
 
 
 def coeff_wm_wm(mdl, mono, m):

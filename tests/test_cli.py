@@ -321,3 +321,14 @@ class TestReportStability:
         _, out, _ = run(command.split())
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
         assert sum(len(s["checks"]) for s in json.loads(out)["suites"]) == want["rows"]
+
+    def test_default_primitives_report_digest(self, monkeypatch):
+        # the one default report the benchmark reference does not record:
+        # verify --suite primitives at its default cap 64
+        for key in list(os.environ):
+            if key.startswith("STEENROD_CAP_"):
+                monkeypatch.delenv(key)
+        _, out, _ = run(["verify", "--suite", "primitives", "--format", "json"])
+        want = "306c3dd5bb37cd39232dec392a98976348734f05fb287b63a1027c3eefa05e35"
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert sum(len(s["checks"]) for s in json.loads(out)["suites"]) == 8
