@@ -38,20 +38,28 @@ class PresentationError(F2Error):
 class TotalSquare:
     """Total squares of packed monomials, by Frobenius blocks and Cartan.
 
-    gen(j) gives the packed components [g_j, Sq^1 g_j, ..., Sq^deg g_j] of
-    generator j and degree(j) its degree; the bit layout is the caller's.
+    A packed monomial holds the exponent of generator j (counting from 0) in
+    bits field * j to field * (j + 1) - 1; gen(j) gives the packed components
+    [g_j, Sq^1 g_j, ..., Sq^deg g_j] of generator j and degree(j) its degree.
     Component k of a partial product feeds only components >= k of the full
     product, so cutting every block and partial product of a degree-d
     monomial at min(d + 1, top - d + 1) components is exact through the top
     (without a top, at d + 1, where instability ends every list anyway).
     """
 
-    def __init__(self, gen: Callable[[int], Components], degree: Callable[[int], int], top=None):
+    def __init__(
+        self,
+        gen: Callable[[int], Components],
+        degree: Callable[[int], int],
+        field: int,
+        top=None,
+    ):
         self.gen = gen
         self.degree = degree
+        self.field = field
         self.top = float("inf") if top is None else top
         self._blocks: dict[tuple[int, int], Components] = {}
-        self._monos: dict[tuple[tuple[int, int], ...], Components] = {}
+        self._monos: dict[int, Components] = {}
 
     def _block(self, j: int, a: int) -> Components:
         """Components of the total square of g_j^(2^a)."""
@@ -69,13 +77,15 @@ class TotalSquare:
             self._blocks[key] = comps
         return self._blocks[key]
 
-    def components(self, mono: tuple[tuple[int, int], ...], deg: int) -> Components:
-        """Total-square components of the degree-deg monomial ((j, e), ...)."""
+    def components(self, mono: int, deg: int) -> Components:
+        """Total-square components of the packed degree-deg monomial."""
         comps = self._monos.get(mono)
         if comps is None:
             size = min(deg + 1, self.top - deg + 1)
             comps = [frozenset({0})]
-            for j, e in mono:
+            mask = (1 << self.field) - 1
+            for j in range((mono.bit_length() + self.field - 1) // self.field):
+                e = mono >> (self.field * j) & mask
                 for a in range(e.bit_length()):
                     if e >> a & 1:
                         block = self._block(j, a)
@@ -129,7 +139,8 @@ class SqAlgebraPresentation:
             square = self.ring.gen(name) * self.ring.gen(name)
             if images[deg - 1] != square:
                 raise PresentationError(f"Sq^{deg}({name}) must equal {name}^2")
-        object.__setattr__(self, "_square", TotalSquare(self._gen, self.ring.degrees.__getitem__))
+        square = TotalSquare(self._gen, self.ring.degrees.__getitem__, _FIELD)
+        object.__setattr__(self, "_square", square)
 
     @classmethod
     def build(
@@ -157,24 +168,24 @@ class SqAlgebraPresentation:
 
     # -- packed monomials -----------------------------------------------------
 
+    def _pack(self, m: tuple[int, ...]) -> int:
+        return sum(e << s for e, s in zip(m, range(0, _FIELD * self.ring.ngens, _FIELD)))
+
     def _gen(self, i: int) -> Components:
         """Packed [g_i, Sq^1 g_i, ..., Sq^deg g_i] from the declared row."""
-        shifts = range(0, _FIELD * self.ring.ngens, _FIELD)
         row = [self.ring.gen(self.ring.generators[i][0]), *self.action[i]]
-        return [
-            frozenset(sum(e << s for e, s in zip(m, shifts)) for m in c.monomials) for c in row
-        ]
+        return [frozenset(map(self._pack, c.monomials)) for c in row]
 
-    def _monomials(self, f: F2Poly) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-        """Each monomial of f as ((i, e), ...) with its degree, all checked
-        against the packed degree limit before any is squared."""
+    def _monomials(self, f: F2Poly) -> list[tuple[int, int]]:
+        """Each monomial of f packed, with its degree, all checked against
+        the packed degree limit before any is squared."""
         if f.ring != self.ring:
             raise PresentationError("polynomial lives in the wrong ring")
         out = [(m, self.ring.monomial_degree(m)) for m in f.monomials]
         for _, deg in out:
             if deg >= _DEGREE_LIMIT:
                 raise ValueError(f"degree {deg} passes the packed limit {_DEGREE_LIMIT - 1}")
-        return [(tuple((i, e) for i, e in enumerate(m) if e), deg) for m, deg in out]
+        return [(self._pack(m), deg) for m, deg in out]
 
     def _unpack(self, packed: set[int]) -> F2Poly:
         mask = (1 << _FIELD) - 1

@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, Check, SqAlgebraPresentation
-from .charclass import ModPoly, model as charclass_model
+from .charclass import ModPoly, _unpack, model as charclass_model
 from .f2 import F2Matrix, F2Poly, F2Span, WeightedPolyRing
 
 
@@ -650,22 +650,25 @@ class LegResult:
     detected: bool
 
 
-def substitute_vertical(b: FiberBundleData, wpoly: ModPoly) -> F2Poly:
-    """Substitute the vertical-class components for the w generators."""
-    parts: dict[int, F2Poly] = {}
-    for i in range(1, b.fiber_dim + 1):
-        parts[i] = b.vertical_class_part(i)
-    acc = b.total.ring.zero()
-    for mono in wpoly:
-        term = b.total.ring.one()
+def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: ModPoly) -> F2Poly:
+    """wpoly with parts[i] substituted for each w_i (zero where absent)."""
+    acc = ring.zero()
+    for mono in map(_unpack, wpoly):
+        term = ring.one()
         for i, e in mono:
-            part = parts.get(i, b.total.ring.zero())
+            part = parts.get(i, ring.zero())
             if part.is_zero():
-                term = b.total.ring.zero()
+                term = ring.zero()
                 break
             term = term * part ** e
         acc = acc + term
     return acc
+
+
+def substitute_vertical(b: FiberBundleData, wpoly: ModPoly) -> F2Poly:
+    """Substitute the vertical-class components for the w generators."""
+    parts = {i: b.vertical_class_part(i) for i in range(1, b.fiber_dim + 1)}
+    return _substitute(b.total.ring, parts, wpoly)
 
 
 def primitive_transfer_check(
@@ -695,18 +698,7 @@ def primitive_transfer_check(
         values = []
         for b in (cp2, hp2):
             if use_inverse_class:
-                sub = cp2_sub if b.name == "cp2" else hp2_sub
-                total = b.total.ring.zero()
-                for mono in poly:
-                    term = b.total.ring.one()
-                    for i, e in mono:
-                        part = sub.get(i, b.total.ring.zero())
-                        if part.is_zero():
-                            term = b.total.ring.zero()
-                            break
-                        term = term * part ** e
-                    total = total + term
-                image = total
+                image = _substitute(b.total.ring, cp2_sub if b.name == "cp2" else hp2_sub, poly)
             else:
                 image = substitute_vertical(b, poly)
             if n < b.fiber_dim:

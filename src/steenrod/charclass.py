@@ -37,42 +37,51 @@ certified primitive by the variable-juxtaposition identity for power sums and
 by Frobenius for squares, and everything is cross-checked against a literal
 reduced-coproduct kernel in low degrees.
 
-The hot kernels, the Newton layer (over the integers and mod 2) and the
-total square (action.TotalSquare, the Frobenius-block/Cartan engine that
-serves the declared presentations too, fed the packed Wu table), work on
-packed monomials: the exponent of w_i sits in bits 8(i-1)..8i-1 of one
-Python int, so a product is an addition and a Frobenius square a left
-shift.  A field never carries while every packed monomial has degree below
-256 (_PACK_LIMIT): the exponent of w_i in a degree-d monomial is at most
-d // i <= 255.  Every packed path enforces that bound (a WRing top or a
-power-sum index of 256 or more raises ValueError) and unpacks to the sparse
-WMono form at its boundary.
+Polynomials are frozensets of packed monomials: the exponent of w_i sits in
+bits 8(i-1)..8i-1 of one Python int, so a product is an addition, a Frobenius
+square a left shift and w_1 the low byte.  A field never carries while every
+packed monomial has degree below 256 (_PACK_LIMIT): the exponent of w_i in a
+degree-d monomial is at most d // i <= 255.  Every packed path enforces that
+bound (a WRing top or a power-sum index of 256 or more raises ValueError).
+The sparse form ((i, e), ...) of WMono is read only at the print boundary,
+by poly_str and the bundle substitutions.  The total square is
+action.TotalSquare, the Frobenius-block/Cartan engine that serves the
+declared presentations too, fed the packed Wu table.
+
+The Newton layer works mod 2 and mod 4, never over the integers.  s_n mod 2
+comes from the Newton recursion mod 2 (even n collapse to squares by
+Frobenius).  The two-row sum s_{n,n} = (a - b)/2, with a = s_n^2 and
+b = s_2n coefficientwise, is wanted mod 2, so only (a - b) mod 4 matters.
+Lemma: a mod 4 depends only on s_n mod 2.  Writing s_n = sum c_m m, the
+coefficient of a monomial in s_n^2 collects diagonal terms c_m^2, which are
+1 mod 4 for odd c_m and 0 for even c_m, and cross terms 2 c_m c_m' (m != m'),
+which are 2 mod 4 exactly when both are odd.  So a = D + 2X mod 4, with D the
+squares {2m} and X the cross sums m + m' counted mod 2, both over the
+support of s_n mod 2.  Running s_2n through the recursion mod 4 gives
+b = b_0 + 2 b_1; a - b is even exactly when b_0 = D, and then
+s_{n,n} = X + b_1 mod 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import mul
 from typing import Iterable, Iterator
 
 from .action import TotalSquare
 from .algebra import admissible_basis, binom_mod2
 from .f2 import _reduce_against
 
-# sparse monomial in the w classes: sorted ((index, exponent), ...)
+# a polynomial in the w classes: its packed monomials, see the module docstring
+ModPoly = frozenset[int]
+# the sparse form of a monomial, sorted ((index, exponent), ...)
 WMono = tuple[tuple[int, int], ...]
-ModPoly = frozenset[WMono]
 
-ONE: WMono = ()
-
-
-# packed monomials: one 8-bit exponent field per generator, see the module
-# docstring; every packed monomial has degree below _PACK_LIMIT
+ONE = 0
 _PACK_LIMIT = 256
-
-
-def _pack(m: WMono) -> int:
-    return sum(e << (8 * (i - 1)) for i, e in m)
+_W1 = 255  # the exponent field of w_1
 
 
 def _unpack(k: int) -> WMono:
@@ -80,38 +89,30 @@ def _unpack(k: int) -> WMono:
     return tuple((i, e) for i, e in enumerate(fields, start=1) if e)
 
 
-def wmono_degree(m: WMono) -> int:
-    return sum(i * e for i, e in m)
+def _gen(i: int) -> int:
+    """The packed generator w_i."""
+    return 1 << (8 * (i - 1))
 
 
-def wmono_mul(a: WMono, b: WMono) -> WMono:
-    d = dict(a)
-    for i, e in b:
-        d[i] = d.get(i, 0) + e
-    return tuple(sorted(d.items()))
+def mono_from(parts: Iterable[int]) -> int:
+    """The packed product of w_p over the parts p."""
+    return sum(map(_gen, parts))
 
 
-def wmono_from(parts: Iterable[int]) -> WMono:
-    d: dict[int, int] = {}
-    for p in parts:
-        d[p] = d.get(p, 0) + 1
-    return tuple(sorted(d.items()))
+def _degree(k: int) -> int:
+    """The degree of a packed monomial: the sum of i e_i over its fields."""
+    return sum(map(mul, k.to_bytes((k.bit_length() + 7) // 8, "little"), range(1, _PACK_LIMIT)))
 
 
 def poly_mul(a: ModPoly, b: ModPoly) -> ModPoly:
-    acc: set[WMono] = set()
+    acc: set[int] = set()
     for x in a:
-        for y in b:
-            m = wmono_mul(x, y)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
+        acc ^= {x + y for y in b}
     return frozenset(acc)
 
 
 def poly_square(a: ModPoly) -> ModPoly:
-    return frozenset(tuple((i, 2 * e) for i, e in m) for m in a)
+    return frozenset(k << 1 for k in a)
 
 
 def poly_pow(a: ModPoly, e: int) -> ModPoly:
@@ -129,7 +130,7 @@ def poly_str(p: ModPoly) -> str:
     if not p:
         return "0"
     terms = []
-    for m in sorted(p, reverse=True):
+    for m in sorted(map(_unpack, p), reverse=True):
         if not m:
             terms.append("1")
         else:
@@ -141,117 +142,68 @@ def poly_str(p: ModPoly) -> str:
 # Newton identities
 # ---------------------------------------------------------------------------
 
-# sparse integer polynomials, the tests' reference for the packed layer below
-IntPoly = dict[WMono, int]
 
-
-def _int_add(acc: IntPoly, other: IntPoly, scale: int = 1) -> None:
-    for m, c in other.items():
-        v = acc.get(m, 0) + scale * c
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
-
-
-def _int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    out: IntPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = wmono_mul(m1, m2)
-            v = out.get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _power_sum_packed(n: int) -> dict[int, int]:
-    """s_n over the integers on packed monomials, by the Newton recursion
-    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n.
-
-    The cached dict is shared: callers must not mutate it.
-    """
+def _check_index(n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n >= _PACK_LIMIT:
         raise ValueError(f"s_{n} passes the packed degree limit {_PACK_LIMIT - 1}")
-    acc = {1 << (8 * (n - 1)): n if n % 2 else -n}
-    for i in range(1, n):
-        wi = 1 << (8 * (i - 1))
-        sign = 1 if i % 2 else -1
-        for k, c in _power_sum_packed(n - i).items():
-            k += wi
-            v = acc.get(k, 0) + sign * c
-            if v:
-                acc[k] = v
-            else:
-                del acc[k]
-    return acc
-
-
-@lru_cache(maxsize=None)
-def power_sum_int(n: int) -> tuple[tuple[WMono, int], ...]:
-    """s_n over the integers in the classes w_i, sorted by monomial."""
-    return tuple(sorted((_unpack(k), c) for k, c in _power_sum_packed(n).items()))
-
-
-@lru_cache(maxsize=None)
-def _power_sum_mod2_packed(n: int) -> frozenset[int]:
-    """s_n mod 2 on packed monomials; even n collapse to squares via Frobenius."""
-    if n >= _PACK_LIMIT:
-        raise ValueError(f"s_{n} passes the packed degree limit {_PACK_LIMIT - 1}")
-    if n % 2 == 0 and n > 1:
-        return frozenset(k << 1 for k in _power_sum_mod2_packed(n // 2))
-    acc: set[int] = {1 << (8 * (n - 1))} if n % 2 else set()  # n w_n
-    for i in range(1, n):
-        wi = 1 << (8 * (i - 1))
-        acc ^= {k + wi for k in _power_sum_mod2_packed(n - i)}
-    return frozenset(acc)
 
 
 @lru_cache(maxsize=None)
 def power_sum_mod2(n: int) -> ModPoly:
-    """s_n mod 2 in the classes w_i; even n are squares by Frobenius."""
-    return frozenset(_unpack(k) for k in _power_sum_mod2_packed(n))
+    """s_n mod 2 in the classes w_i by the Newton recursion
+    s_n = sum_{i<n} w_i s_{n-i} + n w_n; even n are squares by Frobenius."""
+    _check_index(n)
+    if n % 2 == 0 and n > 1:
+        return poly_square(power_sum_mod2(n // 2))
+    acc: set[int] = {_gen(n)} if n % 2 else set()  # n w_n
+    for i in range(1, n):
+        wi = _gen(i)
+        acc ^= {k + wi for k in power_sum_mod2(n - i)}
+    return frozenset(acc)
 
 
-def power_sum_in_w(n: int, mod2: bool = True):
-    """The power sum s_n in elementary symmetric coordinates."""
-    if mod2:
-        return power_sum_mod2(n)
-    return dict(power_sum_int(n))
+@lru_cache(maxsize=None)
+def _power_sum_mod4(n: int) -> tuple[ModPoly, ModPoly]:
+    """s_n mod 4 as its two bit planes (the monomials whose coefficient has
+    bit 0, and bit 1, set), by the Newton recursion
+    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n."""
+    _check_index(n)
+    c = (n if n % 2 else -n) % 4
+    lo = {_gen(n)} if c & 1 else set()
+    hi = {_gen(n)} if c & 2 else set()
+    for i in range(1, n):
+        wi = _gen(i)
+        tlo, thi = _power_sum_mod4(n - i)
+        tlo = {k + wi for k in tlo}
+        thi = {k + wi for k in thi}
+        if i % 2 == 0:
+            thi ^= tlo  # -c = c + 2c, and 2c mod 4 is bit 0 moved up
+        hi ^= thi ^ (lo & tlo)  # the carry out of bit 0
+        lo ^= tlo
+    return frozenset(lo), frozenset(hi)
 
 
 @lru_cache(maxsize=None)
 def two_row_power_sum(n: int) -> ModPoly:
-    """s_{n,n} = (s_n^2 - s_{2n})/2 computed exactly, then reduced mod 2.
+    """s_{n,n} = (s_n^2 - s_{2n})/2 mod 2, from s_n mod 2 and s_2n mod 4.
 
-    Even n are the square of s_{n/2,n/2} by Frobenius, so only odd n reach
-    the integer layer.  Every coefficient of the difference must be even; an
-    odd one would be an internal failure of the Newton layer.
+    Even n are the square of s_{n/2,n/2} by Frobenius.  For odd n the
+    coefficient (a - b)/2 is read off mod 2 as the module docstring derives;
+    an odd a - b anywhere would be an internal failure of the Newton layer.
     """
     if n % 2 == 0:
         return poly_square(two_row_power_sum(n // 2))
     # s_2n first: its degree bound also covers every product in s_n^2
-    diff = {k: -c for k, c in _power_sum_packed(2 * n).items()}
-    s_n = _power_sum_packed(n).items()
-    for k1, c1 in s_n:
-        for k2, c2 in s_n:
-            k = k1 + k2
-            v = diff.get(k, 0) + c1 * c2
-            if v:
-                diff[k] = v
-            else:
-                del diff[k]
-    out: set[WMono] = set()
-    for k, c in diff.items():
-        if c % 2:
-            raise ArithmeticError(f"odd coefficient in s_{n},{n} at {_unpack(k)}")
-        if (c // 2) % 2:
-            out.add(_unpack(k))
+    b_odd, b_two = _power_sum_mod4(2 * n)
+    s_n = power_sum_mod2(n)
+    odd = b_odd ^ poly_square(s_n)  # where a - b is odd
+    if odd:
+        raise ArithmeticError(f"odd coefficient in s_{n},{n} at {_unpack(min(odd))}")
+    out = set(b_two)
+    for k1, k2 in combinations(s_n, 2):
+        out ^= {k1 + k2}
     return frozenset(out)
 
 
@@ -269,10 +221,10 @@ def alpha(n: int) -> int:
 def _wu_generator(i: int, j: int, kill_w1: bool) -> ModPoly:
     """Sq^i(w_j) = sum_t C(j+t-i-1, t) w_{i-t} w_{j+t}, with w_0 = 1."""
     if i == 0:
-        return frozenset({((j, 1),)})
+        return frozenset({_gen(j)})
     if i > j:
         return frozenset()
-    acc: set[WMono] = set()
+    acc: set[int] = set()
     for t in range(i + 1):
         coeff = 1 if t == 0 else binom_mod2(j + t - i - 1, t)
         if not coeff:
@@ -280,12 +232,14 @@ def _wu_generator(i: int, j: int, kill_w1: bool) -> ModPoly:
         parts = [p for p in (i - t, j + t) if p > 0]
         if kill_w1 and 1 in parts:
             continue
-        m = wmono_from(parts)
-        if m in acc:
-            acc.discard(m)
-        else:
-            acc.add(m)
+        acc ^= {mono_from(parts)}
     return frozenset(acc)
+
+
+def _total_square(wu, top: int) -> TotalSquare:
+    """The total square on packed w-monomials, wu(j) giving the packed
+    [w_j, Sq^1 w_j, ...]; the engine counts fields from 0, w_1 being field 0."""
+    return TotalSquare(lambda f: wu(f + 1), lambda f: f + 1, 8, top)
 
 
 class WRing:
@@ -309,38 +263,34 @@ class WRing:
             )
         self.kill_w1 = kill_w1
         self.top = top
-        self._square = TotalSquare(self._wu, lambda j: j, top)
+        self._square = _total_square(self._wu, top)
 
     def clean(self, p: ModPoly) -> ModPoly:
         if not self.kill_w1:
             return p
-        # a WMono is sorted, so w_1 can only be its first factor
-        return frozenset(m for m in p if not (m and m[0][0] == 1))
+        return frozenset(k for k in p if not k & _W1)
 
     def _wu(self, j: int) -> list[frozenset[int]]:
         """Packed [w_j, Sq^1 w_j, ...] by Wu's formula, through the top (sq
         cleans its input, so w_j = w_1 is never asked for once it is killed)."""
-        return [
-            frozenset(map(_pack, _wu_generator(i, j, self.kill_w1)))
-            for i in range(min(j, self.top - j) + 1)
-        ]
+        return [_wu_generator(i, j, self.kill_w1) for i in range(min(j, self.top - j) + 1)]
 
     def sq(self, i: int, p: ModPoly) -> ModPoly:
         if i < 0:
             raise ValueError("Sq index must be >= 0")
         p = self.clean(p)
-        degrees = [(m, wmono_degree(m)) for m in p]
+        degrees = [(k, _degree(k)) for k in p]
         for _, deg in degrees:
             if deg + i > self.top:
                 raise ValueError(f"Sq^{i} of a degree-{deg} class passes the top {self.top}")
         if i == 0:
             return p
         acc: set[int] = set()
-        for m, deg in degrees:
-            comps = self._square.components(m, deg)
+        for k, deg in degrees:
+            comps = self._square.components(k, deg)
             if i < len(comps):
                 acc ^= comps[i]
-        return frozenset(_unpack(k) for k in acc)
+        return frozenset(acc)
 
     def sq_word(self, word: tuple[int, ...], p: ModPoly) -> ModPoly:
         for i in reversed(word):
@@ -380,21 +330,19 @@ class QuotientModel:
         self.space = space
         self.cap = cap
         self.ring = WRing(kill_w1=(space != "bo"), top=cap)
-        if space == "bo":
-            gen_word = None
+        if space in ("bo", "bso"):
+            g = None
             excluded: list[int] = []
-        elif space == "bso":
-            gen_word = None
-            excluded = []
         elif space == "bspin":
-            gen_word = ((2, 1),)  # the class w_2
+            g = _gen(2)  # the class w_2
             excluded = [2] + [2**k + 1 for k in range(1, 12) if 2**k + 1 <= cap]
         else:
-            gen_word = ((3, 1),)  # w_3 = Sq^1 w_2 once w_1 = 0
+            g = _gen(3)  # w_3 = Sq^1 w_2 once w_1 = 0
             excluded = [2**k + 1 for k in range(1, 12) if 2**k + 1 <= cap]
-        self.ideal_generator: WMono | None = gen_word
+        self.ideal_generator: int | None = g
         self.reductions: dict[int, ModPoly] = {}
-        self._phi_cache: dict[WMono, ModPoly] = {}
+        self._phi_cache: dict[int, ModPoly] = {}
+        self._candidate_cache: dict[int, tuple[str, ModPoly] | None] = {}
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         for e in sorted(excluded):
@@ -421,69 +369,54 @@ class QuotientModel:
         """The allowed-generator expression of w_e modulo the ideal.
 
         Pure w_e can only appear in Sq^I applied to the ideal generator
-        (every product has at least two factors), so scan admissible words.
+        (every product has at least two factors), so scan admissible words;
+        the reductions known so far all have degree below e, and every other
+        monomial of degree e is a product of classes below e.
         """
         g = self.ideal_generator
         assert g is not None
-        gdeg = wmono_degree(g)
+        gdeg = _degree(g)
         if e == gdeg:
             return frozenset()
+        we = _gen(e)
         for word in admissible_basis(e - gdeg):
             img = self.ring.sq_word(word, frozenset({g}))
-            coeff = 0
-            rest: set[WMono] = set()
-            for m in img:
-                if m == ((e, 1),):
-                    coeff ^= 1
-                else:
-                    reduced = self._phi_below(m, e)
-                    rest.symmetric_difference_update(reduced)
-            if coeff:
+            if we in img:
+                rest: set[int] = set()
+                for m in img - {we}:
+                    rest ^= self._phi_mono(m)
                 return frozenset(rest)
         # nothing forces a reduction: w_e is genuinely not in the ideal span
         raise ModelError(f"no reduction found for w_{e} in {self.space}")
 
-    def _phi_below(self, mono: WMono, bound: int) -> ModPoly:
-        """Apply the already-known reductions (all of degree < bound)."""
-        out: ModPoly = frozenset({ONE})
-        for i, exp in mono:
-            if self.is_allowed(i):
-                out = poly_mul(out, frozenset({((i, exp),)}))
-            else:
-                if i >= bound:
-                    raise ModelError("reduction order violated")
-                out = poly_mul(out, poly_pow(self.reductions[i], exp))
-        return out
-
-    def phi(self, p: ModPoly | WMono) -> ModPoly:
+    def phi(self, p: ModPoly) -> ModPoly:
         """The reduction map onto the allowed-generator model."""
-        if isinstance(p, tuple):
-            p = frozenset({p})
-        acc: set[WMono] = set()
+        acc: set[int] = set()
+        cache = self._phi_cache
+        kill_w1 = self.ring.kill_w1
         for m in p:
-            if self.ring.kill_w1 and m and m[0][0] == 1:
-                continue  # w_1 = 0 here, and only a leading factor can be w_1
-            cached = self._phi_cache.get(m)
-            if cached is None:
-                cached = self._phi_mono(m)
-                self._phi_cache[m] = cached
-            acc.symmetric_difference_update(cached)
+            if kill_w1 and m & _W1:
+                continue  # w_1 = 0 here
+            img = cache.get(m)
+            if img is None:
+                img = cache[m] = self._phi_mono(m)
+            acc ^= img
         return frozenset(acc)
 
-    def _phi_mono(self, m: WMono) -> ModPoly:
-        allowed_part = []
-        excluded_parts = []
-        for i, exp in m:
-            if self.is_allowed(i):
-                allowed_part.append((i, exp))
-            else:
-                rho = self.reductions[i]
+    def _phi_mono(self, m: int) -> ModPoly:
+        """phi of one monomial under the reductions known so far."""
+        allowed_part = m
+        powers = []
+        for i, rho in self.reductions.items():
+            exp = m >> (8 * (i - 1)) & 255
+            if exp:
                 if not rho:
                     return frozenset()  # a factor reduces to zero
-                excluded_parts.append((rho, exp))
-        out: ModPoly = frozenset({tuple(allowed_part)})
-        for rho, exp in excluded_parts:
-            out = poly_mul(out, poly_pow(rho, exp))
+                allowed_part -= exp << (8 * (i - 1))
+                powers.append(poly_pow(rho, exp))
+        out: ModPoly = frozenset({allowed_part})
+        for power in powers:
+            out = poly_mul(out, power)
         return out
 
     def _induced_wu(self, j: int) -> list[frozenset[int]]:
@@ -491,7 +424,7 @@ class QuotientModel:
         formula names classes the model does not know; at an allowed j, the
         generator table of the action induced on the model."""
         return [
-            frozenset(map(_pack, self.phi(_wu_generator(i, j, self.ring.kill_w1))))
+            self.phi(_wu_generator(i, j, self.ring.kill_w1))
             for i in range(min(j, self.cap - j) + 1)
         ]
 
@@ -504,9 +437,10 @@ class QuotientModel:
         phi(Sq^i(w_e + rho_e)) = 0, with nothing squared outside the model."""
         for e, rho in self.reductions.items():
             for m in rho:
-                if len(m) == 1 and m[0][1] == 1:
+                # a bare generator is a single bit at the bottom of its field
+                if m & (m - 1) == 0 and (m.bit_length() - 1) % 8 == 0:
                     raise ModelError(f"reduction of w_{e} has a generator term")
-        induced = TotalSquare(self._induced_wu, lambda j: j, self.cap)
+        induced = _total_square(self._induced_wu, self.cap)
         for e, rho in sorted(self.reductions.items()):
             want = self._induced_wu(e)  # phi(Sq^i w_e); zero for i > e
             got: list[set[int]] = [set() for _ in want]
@@ -525,7 +459,7 @@ class QuotientModel:
         lower degree m; a basis of each degree is kept, as in _ideal_slice."""
         g = self.ideal_generator
         assert g is not None
-        gdeg = wmono_degree(g)
+        gdeg = _degree(g)
         basis_by_deg = self._cyclic_basis
         for d in range(len(basis_by_deg), n + 1):
             span = [frozenset({g})] if d == gdeg else []
@@ -544,13 +478,13 @@ class QuotientModel:
         """
         g = self.ideal_generator
         assert g is not None
-        gdeg = wmono_degree(g)
+        gdeg = _degree(g)
         basis_by_deg = self._ideal_basis
         for d in range(len(basis_by_deg), n + 1):
             span = list(self._cyclic_slice(d))
             for m in range(gdeg, d - 1):
-                wj = ((d - m, 1),)
-                span += [frozenset(wmono_mul(wj, mm) for mm in b) for b in basis_by_deg[m]]
+                wj = _gen(d - m)
+                span += [frozenset(wj + mm for mm in b) for b in basis_by_deg[m]]
             basis_by_deg.append(_row_basis(span))
         return basis_by_deg[n]
 
@@ -575,23 +509,23 @@ class QuotientModel:
 
     # -- slice enumeration --------------------------------------------------------
 
-    def slice_monomials(self, n: int) -> Iterator[WMono]:
-        """Monomials of degree n in the allowed generators."""
+    def slice_monomials(self, n: int) -> Iterator[int]:
+        """Packed monomials of degree n in the allowed generators."""
         parts = self.generator_degrees(n)
 
-        def rec(remaining: int, idx: int) -> Iterator[tuple[int, ...]]:
+        def rec(remaining: int, idx: int) -> Iterator[int]:
             if remaining == 0:
-                yield ()
+                yield ONE
                 return
             for k in range(idx, len(parts)):
                 p = parts[k]
                 if p > remaining:
                     break
+                wp = _gen(p)
                 for rest in rec(remaining - p, k):
-                    yield (p,) + rest
+                    yield wp + rest
 
-        for combo in rec(n, 0):
-            yield wmono_from(combo)
+        yield from rec(n, 0)
 
     def slice_dimension(self, n: int) -> int:
         if n == 0:
@@ -600,75 +534,39 @@ class QuotientModel:
 
     # -- coproduct ---------------------------------------------------------------
 
-    def delta_generator(self, j: int) -> frozenset[tuple[WMono, WMono]]:
+    def delta_generator(self, j: int) -> frozenset[tuple[int, int]]:
         """(phi x phi) of the full splitting coproduct of w_j."""
-        acc: set[tuple[WMono, WMono]] = set()
+        acc: set[tuple[int, int]] = set()
         for a in range(j + 1):
-            left = self.phi(((a, 1),) if a else ONE)
-            right = self.phi(((j - a, 1),) if j - a else ONE)
-            for lm in left:
-                for rm in right:
-                    pair = (lm, rm)
-                    if pair in acc:
-                        acc.discard(pair)
-                    else:
-                        acc.add(pair)
+            left = self.phi(frozenset({_gen(a) if a else ONE}))
+            right = self.phi(frozenset({_gen(j - a) if j - a else ONE}))
+            acc ^= {(lm, rm) for lm in left for rm in right}
         return frozenset(acc)
 
-    def delta_monomial(self, mono: WMono) -> frozenset[tuple[WMono, WMono]]:
+    def delta_monomial(self, mono: int) -> frozenset[tuple[int, int]]:
         """Coproduct of a model basis monomial, in the model basis."""
-        result: frozenset[tuple[WMono, WMono]] = frozenset({(ONE, ONE)})
-
-        def tensor_mul(t1, t2):
-            acc: set[tuple[WMono, WMono]] = set()
-            for (a, b) in t1:
-                for (c, d) in t2:
-                    pair = (wmono_mul(a, c), wmono_mul(b, d))
-                    if pair in acc:
-                        acc.discard(pair)
-                    else:
-                        acc.add(pair)
-            return frozenset(acc)
-
-        def tensor_square(t):
-            return frozenset(
-                (tuple((i, 2 * e) for i, e in a), tuple((i, 2 * e) for i, e in b))
-                for (a, b) in t
-            )
-
-        for j, e in mono:
+        result: frozenset[tuple[int, int]] = frozenset({(ONE, ONE)})
+        fields = mono.to_bytes((mono.bit_length() + 7) // 8, "little")
+        for j, e in enumerate(fields, start=1):
+            if not e:
+                continue
             base = self.delta_generator(j)
-            a = 0
             while e:
                 if e & 1:
-                    result = tensor_mul(result, base)
+                    acc: set[tuple[int, int]] = set()
+                    for a, b in result:
+                        acc ^= {(a + c, b + d) for c, d in base}
+                    result = frozenset(acc)
                 e >>= 1
-                a += 1
-                base = tensor_square(base)
+                base = frozenset((a << 1, b << 1) for a, b in base)
         return result
 
-    def delta_reduced(self, p: ModPoly) -> frozenset[tuple[WMono, WMono]]:
+    def delta_reduced(self, p: ModPoly) -> frozenset[tuple[int, int]]:
         """Delta(x) - x (x) 1 - 1 (x) x on a model element."""
-        acc: set[tuple[WMono, WMono]] = set()
+        acc: set[tuple[int, int]] = set()
         for m in p:
-            for pair in self.delta_monomial(m):
-                if pair in acc:
-                    acc.discard(pair)
-                else:
-                    acc.add(pair)
-        for m in p:
-            for pair in ((m, ONE), (ONE, m)):
-                if pair in acc:
-                    acc.discard(pair)
-                else:
-                    acc.add(pair)
-        if ONE in p:
-            # Delta(1) = 1 (x) 1 counted twice above
-            pair = (ONE, ONE)
-            if pair in acc:
-                acc.discard(pair)
-            else:
-                acc.add(pair)
+            acc ^= self.delta_monomial(m)
+            acc ^= {(m, ONE), (ONE, m)}  # one pair when m = 1: Delta(1) = 1 (x) 1
         return frozenset(acc)
 
     # -- the generator indicator and primitive dimensions ---------------------------
@@ -708,11 +606,16 @@ class QuotientModel:
 
     def named_candidate(self, n: int) -> tuple[str, ModPoly] | None:
         """The closed-form primitive for degree n, or None in empty degrees."""
+        if n not in self._candidate_cache:
+            self._candidate_cache[n] = self._build_candidate(n)
+        return self._candidate_cache[n]
+
+    def _build_candidate(self, n: int) -> tuple[str, ModPoly] | None:
         if self.space == "bso":
             if n < 2:
                 return None
             if n == 2:
-                return "w2", self.phi(frozenset({((2, 1),)}))
+                return "w2", self.phi(frozenset({_gen(2)}))
             if n % 2:
                 return f"s{n}", self.phi(power_sum_mod2(n))
             name, poly = self.named_candidate(n // 2)
@@ -725,7 +628,7 @@ class QuotientModel:
             if n < 4:
                 return None
             if alpha(n) == 1:
-                return f"w4^{n // 4}", self.phi(poly_pow(frozenset({((4, 1),)}), n // 4))
+                return f"w4^{n // 4}", self.phi(poly_pow(frozenset({_gen(4)}), n // 4))
             if alpha(n) == 2:
                 m = n
                 while m % 2 == 0:
@@ -742,7 +645,7 @@ class QuotientModel:
             if alpha(n) == 2:
                 m = n // 2
                 return f"s{m},{m}", self.phi(two_row_power_sum(m))
-            return f"w2^{n // 2}", self.phi(poly_pow(frozenset({((2, 1),)}), n // 2))
+            return f"w2^{n // 2}", self.phi(poly_pow(frozenset({_gen(2)}), n // 2))
         # bo: one primitive per degree, the power sum
         if n < 1:
             return None
@@ -776,8 +679,6 @@ class QuotientModel:
         """Structural primitivity of the named candidate: squares of
         primitives are primitive (Frobenius), so strip squares down to the
         base class and certify that."""
-        if self.named_candidate(n) is None:
-            return True
         k = n
         while k % 2 == 0 and not self._base_case_degree(k):
             k //= 2
@@ -798,14 +699,14 @@ class QuotientModel:
             return self._power_sum_primitive_certified(k)
         if self.space == "bso":
             if k == 2:
-                return not self.delta_reduced(self.phi(frozenset({((2, 1),)})))
+                return not self.delta_reduced(self.phi(frozenset({_gen(2)})))
             return self._power_sum_primitive_certified(k)
         if k % 2 == 1:
             return self._power_sum_primitive_certified(k)
         if self.space == "bspin" and k == 4:
-            return not self.delta_reduced(self.phi(frozenset({((4, 1),)})))
+            return not self.delta_reduced(self.phi(frozenset({_gen(4)})))
         if self.space == "bspinc" and k == 2:
-            return not self.delta_reduced(self.phi(frozenset({((2, 1),)})))
+            return not self.delta_reduced(self.phi(frozenset({_gen(2)})))
         if alpha(k) == 2:
             return self._two_row_certified(k // 2)
         return False
@@ -836,7 +737,7 @@ class QuotientModel:
             )
             if verified and self.generator_indicator(n):
                 # a fresh generator-level primitive must actually hit w_n
-                verified = ((n, 1),) in poly
+                verified = _gen(n) in poly
         kernel_checked = False
         if kernel_limit and n <= kernel_limit:
             kernel = self.kernel_primitives(n)
@@ -852,7 +753,7 @@ class QuotientModel:
     def kernel_primitives(self, n: int) -> list[ModPoly]:
         """Literal kernel of the reduced coproduct on the degree-n slice."""
         basis = list(self.slice_monomials(n))
-        col_index: dict[tuple[WMono, WMono], int] = {}
+        col_index: dict[tuple[int, int], int] = {}
         rows = []
         for mono in basis:
             bits = 0
@@ -878,7 +779,7 @@ class QuotientModel:
 
 def _row_basis(span: list[ModPoly]) -> list[ModPoly]:
     """The members of span independent of the members before them."""
-    index: dict[WMono, int] = {}
+    index: dict[int, int] = {}
     pivots: dict[int, int] = {}
     basis: list[ModPoly] = []
     for p in span:
@@ -1015,10 +916,8 @@ def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> Power
 
 def s17_naive_substitution() -> ModPoly:
     """s_17 with w_2 and every w_(2^k+1) set to zero, keeping the rest."""
-    killed = {2, 3, 5, 9, 17}
-    return frozenset(
-        m for m in power_sum_mod2(17) if all(i not in killed and i != 1 for i, _ in m)
-    )
+    killed = sum(255 * _gen(i) for i in (1, 2, 3, 5, 9, 17))  # w_1 is killed too
+    return frozenset(m for m in power_sum_mod2(17) if not m & killed)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +952,7 @@ def spinc_homology_indecomposables(n_max: int) -> IndecomposableTable:
     """
     dims: dict[int, int] = {n: 0 for n in range(n_max + 1)}
     r_squares = {1, 3}
-    r_odds = {2**k - 1 for k in range(3, 12)}
+    r_odds = {2**k - 1 for k in range(3, n_max.bit_length() + 1)}
     for i in range(1, n_max // 2 + 1):
         if alpha(i) < 3 and 2 * i <= n_max and i not in r_squares:
             dims[2 * i] += 1

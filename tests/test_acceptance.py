@@ -185,9 +185,9 @@ def test_c11_primitive_tables_through_64():
             assert r.verified, (space, n, r.dimension, r.formula)
             assert r.kernel_checked == (n <= 12)
     assert charclass.s17_naive_substitution() == (
-        frozenset({charclass.wmono_from([7, 10])})
-        ^ frozenset({charclass.wmono_from([6, 11])})
-        ^ frozenset({charclass.wmono_from([4, 13])})
+        frozenset({charclass.mono_from([7, 10])})
+        ^ frozenset({charclass.mono_from([6, 11])})
+        ^ frozenset({charclass.mono_from([4, 13])})
     )
     for k in range(4):
         assert charclass.power_sum_vanishing_check(k).ok, k

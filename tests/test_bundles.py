@@ -20,7 +20,7 @@ from steenrod.bundles import (
     restriction_model,
     substitute_vertical,
 )
-from steenrod.charclass import wmono_from
+from steenrod.charclass import mono_from
 from steenrod.f2 import F2Poly
 
 
@@ -179,7 +179,7 @@ class TestReports:
 class TestPrimitiveTransfer:
     def test_vertical_substitution(self):
         b = cp2_bundle()
-        got = substitute_vertical(b, frozenset({wmono_from([2, 2, 2]), wmono_from([2, 4]), wmono_from([6])}))
+        got = substitute_vertical(b, frozenset({mono_from([2, 2, 2]), mono_from([2, 4]), mono_from([6])}))
         # w2^3 + w2 w4 + w6 -> x2^3 + x2 x4 (w6 component of the vertical class is 0)
         assert got == b.total.ring.parse("x2^3 + x2*x4")
 

@@ -6,29 +6,26 @@ import pytest
 
 from steenrod.action import SqAlgebraPresentation
 from steenrod.algebra import binom_mod2
+from steenrod import charclass
 from steenrod.charclass import (
     _PACK_LIMIT,
     SPACES,
     ModelError,
     QuotientModel,
     WRing,
-    _int_add,
-    _int_mul,
-    _pack,
+    _power_sum_mod4,
     _row_basis,
     _unpack,
     _wu_generator,
     model,
+    mono_from,
+    poly_mul,
     poly_square,
-    power_sum_in_w,
-    power_sum_int,
     power_sum_mod2,
     power_sum_vanishing_check,
     s17_naive_substitution,
     spinc_homology_indecomposables,
     two_row_power_sum,
-    wmono_from,
-    wmono_mul,
     _juxtaposition_power_sum,
     _juxtaposition_two_row,
 )
@@ -36,7 +33,99 @@ from steenrod.f2 import F2Poly, WeightedPolyRing
 
 
 def w(*parts):
-    return frozenset({wmono_from(parts)})
+    return frozenset({mono_from(parts)})
+
+
+# ---------------------------------------------------------------------------
+# sparse reference forms: monomials as sorted ((index, exponent), ...) tuples
+# ---------------------------------------------------------------------------
+
+
+def _pack(m):
+    return sum(e << (8 * (i - 1)) for i, e in m)
+
+
+def wmono_from(parts):
+    d = {}
+    for p in parts:
+        d[p] = d.get(p, 0) + 1
+    return tuple(sorted(d.items()))
+
+
+def wmono_mul(a, b):
+    d = dict(a)
+    for i, e in b:
+        d[i] = d.get(i, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def sparse_poly_mul(a, b):
+    acc = set()
+    for x in a:
+        for y in b:
+            acc ^= {wmono_mul(x, y)}
+    return frozenset(acc)
+
+
+def _int_add(acc, other, scale=1):
+    for m, c in other.items():
+        v = acc.get(m, 0) + scale * c
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
+
+
+def _int_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = wmono_mul(m1, m2)
+            v = out.get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _power_sum_packed(n):
+    """s_n over the integers on packed monomials, by the Newton recursion
+    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n (the shared
+    dict is read only)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    acc = {1 << (8 * (n - 1)): n if n % 2 else -n}
+    for i in range(1, n):
+        wi = 1 << (8 * (i - 1))
+        sign = 1 if i % 2 else -1
+        for k, c in _power_sum_packed(n - i).items():
+            k += wi
+            v = acc.get(k, 0) + sign * c
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def power_sum_int(n):
+    """s_n over the integers in the classes w_i, sorted by monomial."""
+    return tuple(sorted((_unpack(k), c) for k, c in _power_sum_packed(n).items()))
+
+
+def power_sum_in_w(n, mod2=True):
+    """The power sum s_n in elementary symmetric coordinates."""
+    if mod2:
+        return power_sum_mod2(n)
+    return dict(power_sum_int(n))
+
+
+def sparse(p):
+    """A packed polynomial in the sparse form."""
+    return frozenset(map(_unpack, p))
 
 
 def var_power_sum(n, nvars):
@@ -63,7 +152,7 @@ def var_mul(a, b):
 def evaluate_in_vars(poly, nvars):
     """Substitute w_i -> e_i(x_1..x_nvars) into a mod-2 w-polynomial."""
     acc = set()
-    for mono in poly:
+    for mono in map(_unpack, poly):
         term = {(0,) * nvars}
         for i, e in mono:
             if i > nvars:
@@ -147,7 +236,7 @@ class TestTwoRow:
             _int_add(diff, dict(power_sum_int(2 * n)), -1)
             assert all(c % 2 == 0 for c in diff.values()), n
             want = frozenset(m for m, c in diff.items() if (c // 2) % 2)
-            assert two_row_power_sum(n) == want, n
+            assert sparse(two_row_power_sum(n)) == want, n
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +256,7 @@ class TestPackedMonomials:
         assert len(monos) == len(set(monos)) == 272
         for a in monos:
             assert _unpack(_pack(a)) == a
-            assert _unpack(_pack(a) << 1) == next(iter(poly_square(frozenset({a}))))
+            assert _unpack(_pack(a) << 1) == tuple((i, 2 * e) for i, e in a)
             for b in monos:
                 assert _unpack(_pack(a) + _pack(b)) == wmono_mul(a, b), (a, b)
 
@@ -197,18 +286,81 @@ class TestPackedMonomials:
             _int_add(diff, newton_oracle(2 * n), -1)
             assert all(c % 2 == 0 for c in diff.values()), n
             want = frozenset(m for m, c in diff.items() if (c // 2) % 2)
-            assert two_row_power_sum(n) == want, n
+            assert sparse(two_row_power_sum(n)) == want, n
+
+    def test_product_and_square_match_the_sparse_forms_through_8(self):
+        polys = [w(*p) for d in range(1, 9) for p in partitions(d, least=1)]
+        polys += [a ^ b for a, b in zip(polys, polys[3:])]
+        for a in polys[::3]:
+            assert sparse(poly_square(a)) == sparse_poly_mul(sparse(a), sparse(a))
+            for b in polys[::5]:
+                assert sparse(poly_mul(a, b)) == sparse_poly_mul(sparse(a), sparse(b))
 
     def test_degrees_past_the_limit_raise(self):
         with pytest.raises(ValueError):
             WRing(kill_w1=True, top=_PACK_LIMIT)
         with pytest.raises(ValueError):
             QuotientModel("bso", _PACK_LIMIT)
-        for fn in (power_sum_int, power_sum_mod2):
+        for fn in (_power_sum_mod4, power_sum_mod2):
             with pytest.raises(ValueError):
                 fn(_PACK_LIMIT)
         with pytest.raises(ValueError):
             two_row_power_sum(129)  # s_258 would carry
+
+
+def integer_two_row(n):
+    """Oracle: s_{n,n} mod 2 from (s_n^2 - s_2n)/2 over the integers."""
+    s_n = _power_sum_packed(n)
+    diff = {k: -c for k, c in _power_sum_packed(2 * n).items()}
+    for k1, c1 in s_n.items():
+        for k2, c2 in s_n.items():
+            diff[k1 + k2] = diff.get(k1 + k2, 0) + c1 * c2
+    assert all(c % 2 == 0 for c in diff.values()), n
+    return frozenset(k for k, c in diff.items() if (c // 2) % 2)
+
+
+def corrupted_two_row(n, k, by, monkeypatch):
+    """s_{n,n} (uncached) with the coefficient of k in s_2n mod 4 raised by `by`."""
+    real = _power_sum_mod4
+
+    def corrupted(m):
+        lo, hi = real(m)
+        if m == 2 * n:
+            for _ in range(by):
+                lo, hi = (lo - {k}, hi ^ {k}) if k in lo else (lo | {k}, hi)
+        return lo, hi
+
+    monkeypatch.setattr(charclass, "_power_sum_mod4", corrupted)
+    return two_row_power_sum.__wrapped__(n)
+
+
+class TestNewtonMod4:
+    def test_mod4_layer_is_the_integer_layer_mod_4_through_16(self):
+        for n in range(1, 17):
+            lo, hi = _power_sum_mod4(n)
+            mod4 = {k: c % 4 for k, c in _power_sum_packed(n).items()}
+            assert lo == {k for k, c in mod4.items() if c & 1}, n
+            assert hi == {k for k, c in mod4.items() if c & 2}, n
+            assert lo == power_sum_mod2(n), n
+
+    def test_two_row_of_odd_matches_the_packed_integer_layer_through_17(self):
+        for n in range(1, 18, 2):
+            assert two_row_power_sum(n) == integer_two_row(n), n
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_a_coefficient_off_by_one_raises(self, n, monkeypatch):
+        lo, hi = _power_sum_mod4(2 * n)
+        for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
+            with pytest.raises(ArithmeticError, match=f"odd coefficient in s_{n},{n}"):
+                corrupted_two_row(n, k, 1, monkeypatch)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_a_coefficient_off_by_two_changes_the_result(self, n, monkeypatch):
+        want = integer_two_row(n)
+        lo, hi = _power_sum_mod4(2 * n)
+        for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
+            got = corrupted_two_row(n, k, 2, monkeypatch)
+            assert got != want and got ^ want == {k}, k
 
 
 class TestWuFormula:
@@ -276,7 +428,7 @@ class TestModels:
     def test_reductions_decomposable(self):
         for space in ("bspin", "bspinc"):
             for e, rho in model(space, 20).reductions.items():
-                for mono in rho:
+                for mono in map(_unpack, rho):
                     assert sum(exp for _, exp in mono) >= 2, (space, e)
 
     def test_slice_dimensions_match_partition_counts(self):
@@ -318,9 +470,24 @@ class TestModels:
                         named = {i for c in comps for k in c for i, _ in _unpack(k)}
                         assert max(named) <= cap, (space, cap, j)
 
+    def test_a_generator_term_fails_the_decomposability_check(self):
+        for space in ("bspin", "bspinc"):
+            m = QuotientModel(space, 20, series_check=0)
+            for e in (9, 17):
+                rho = m.reductions[e]
+                for term in (w(e), w(4)):
+                    m.reductions[e] = rho ^ term
+                    with pytest.raises(ModelError, match=f"reduction of w_{e} has a generator"):
+                        m._validate_reductions()
+                # a square is a single bit too, but not a generator term
+                m.reductions[e] = rho ^ w(4, 4)
+                assert "generator term" not in (stability_error(m) or "")
+                m.reductions[e] = rho
+            assert stability_error(m) is None
+
     def test_a_flipped_monomial_of_rho33_fails_the_stability_check(self):
         m = QuotientModel("bspinc", 64, series_check=0)
-        m.reductions[33] = m.reductions[33] ^ {min(m.reductions[33])}
+        m.reductions[33] = m.reductions[33] ^ {min(m.reductions[33], key=_unpack)}
         m._phi_cache.clear()
         with pytest.raises(ModelError, match="escapes the kernel in bspinc"):
             m._validate_reductions()
@@ -354,7 +521,7 @@ def squaring_ideal_slices(space):
     w_j products (the ideal does not depend on the cap)."""
     mdl = model(space, 24)
     g = mdl.ideal_generator
-    gdeg = sum(i * e for i, e in g)
+    gdeg = sum(i * e for i, e in _unpack(g))
     basis_by_deg = []
     for d in range(21):
         span = [frozenset({g})] if d == gdeg else []
@@ -362,8 +529,9 @@ def squaring_ideal_slices(space):
             for b in basis_by_deg[m]:
                 span.append(mdl.ring.sq(d - m, b))
                 if d - m >= 2:
-                    span.append(frozenset(wmono_mul(((d - m, 1),), mm) for mm in b))
-        index = {mm: k for k, mm in enumerate(sorted({mm for p in span for mm in p}))}
+                    span.append(frozenset(mono_from([d - m]) + mm for mm in b))
+        monos = sorted({mm for p in span for mm in p}, key=_unpack)
+        index = {mm: k for k, mm in enumerate(monos)}
         rows, basis = [], []
         for p in span:
             row = sum(1 << index[mm] for mm in p)
@@ -381,7 +549,7 @@ def squaring_stability_error(mdl):
     """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, squaring each
     relation in the unreduced ring; the first failure's text, or None."""
     for e, rho in sorted(mdl.reductions.items()):
-        relation = frozenset({((e, 1),)}) ^ rho
+        relation = w(e) ^ rho
         for i in range(1, mdl.cap - e + 1):
             if mdl.phi(mdl.ring.sq(i, relation)):
                 return f"Sq^{i}(w_{e} + reduction) escapes the kernel in {mdl.space}"
@@ -464,7 +632,7 @@ def scanned_generator_indicator(mdl, k):
     m = k // 2
     if m < (1 if mdl.space == "bo" else 2) or not mdl.is_allowed(m):
         return 1
-    for mono in mdl.slice_monomials(k):
+    for mono in map(_unpack, mdl.slice_monomials(k)):
         want = 1 if mono == ((k, 1),) else 0
         if coeff_wm_wm(mdl, mono, m) != want:
             return 1
@@ -545,6 +713,20 @@ class TestPrimitives:
             _, poly = m.named_candidate(n)
             assert not m.delta_reduced(poly_square(poly))
 
+    def test_each_named_candidate_is_built_once(self, monkeypatch):
+        built = []
+        build = QuotientModel._build_candidate
+
+        def counting(self, n):
+            built.append(n)
+            return build(self, n)
+
+        monkeypatch.setattr(QuotientModel, "_build_candidate", counting)
+        m = QuotientModel("bspin", 40)
+        for n in range(2, 41):
+            m.primitives(n)
+        assert sorted(built) == list(range(2, 41))
+
     def test_cap_enforced(self):
         with pytest.raises(ModelError):
             model("bso", 20).primitives(21)
@@ -592,3 +774,9 @@ class TestIndecomposables:
         table = spinc_homology_indecomposables(32)
         assert table.rule_violations == (6,)
         assert table.dims[6] == 0 and table.rule(6) == 1
+
+    def test_the_subring_generators_follow_the_cap_past_2047(self):
+        # x_4095 = x_(2^12 - 1) lies in the comparison subring like x_7
+        table = spinc_homology_indecomposables(4100)
+        assert table.rule_violations == (6,)
+        assert table.dims[4095] == table.dims[2047] == table.dims[7] == 0
