@@ -22,7 +22,6 @@ and safe under concurrent readers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -227,11 +226,28 @@ class SqAlgebraPresentation:
 
 @dataclass(frozen=True)
 class Check:
-    """A named check: whether it held, and a witness when it did not."""
+    """A named check: whether it held, and a witness when it did not.
+
+    This is the one check-result type, from the engines to the report.  A
+    passing check keeps no witness, whatever its caller passed.
+    """
 
     check_id: str
     ok: bool
     witness: str = ""
+
+    def __post_init__(self):
+        if self.ok:
+            object.__setattr__(self, "witness", "")
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else "fail"
+
+
+def _eq(check_id: str, got, want) -> Check:
+    ok = got == want
+    return Check(check_id, ok, "" if ok else f"got {got}, want {want}")
 
 
 def check_presentation(
@@ -314,36 +330,3 @@ class AlgebraMap:
                     return Check(check_id, False, f"Sq^{k}({name}) fails to commute")
         return Check(check_id, True)
 
-
-# ---------------------------------------------------------------------------
-# declarative loading
-# ---------------------------------------------------------------------------
-
-
-def presentation_from_dict(data: dict) -> SqAlgebraPresentation:
-    """Build a presentation from {"generators": [[name, deg], ...],
-    "action": {name: {"k": "poly-string", ...}, ...}}."""
-    ring = WeightedPolyRing(tuple((g[0], int(g[1])) for g in data["generators"]))
-    declared: dict[str, dict[int, str]] = {}
-    for name, images in data.get("action", {}).items():
-        declared[name] = {int(k): v for k, v in images.items()}
-    return SqAlgebraPresentation.build(ring, declared)
-
-
-def presentation_from_json(text: str) -> SqAlgebraPresentation:
-    return presentation_from_dict(json.loads(text))
-
-
-def presentation_to_dict(p: SqAlgebraPresentation) -> dict:
-    action: dict[str, dict[str, str]] = {}
-    for (name, deg), images in zip(p.ring.generators, p.action):
-        row = {
-            str(k): str(img)
-            for k, img in enumerate(images, start=1)
-            if not img.is_zero()
-        }
-        action[name] = row
-    return {
-        "generators": [[name, deg] for name, deg in p.ring.generators],
-        "action": action,
-    }

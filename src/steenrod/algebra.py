@@ -351,14 +351,6 @@ def express_in_two_power_generators(n: int) -> frozenset[tuple[int, ...]]:
     return frozenset(acc)
 
 
-def two_power_expression_value(expr: frozenset[tuple[int, ...]]) -> SteenrodElement:
-    """Multiply out a 2-power product expression and normalize."""
-    acc: set[Word] = set()
-    for product in expr:
-        acc.symmetric_difference_update(normalize_word(product))
-    return SteenrodElement(frozenset(acc))
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------

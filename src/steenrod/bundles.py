@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .action import AlgebraMap, Check, SqAlgebraPresentation
+from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq
 from .charclass import ModPoly, _unpack, model as charclass_model
-from .f2 import F2Matrix, F2Poly, F2Span, WeightedPolyRing
+from .f2 import F2Poly, F2Span, WeightedPolyRing
 
 
 class BundleError(Exception):
@@ -379,11 +379,6 @@ def bundle(name: str) -> FiberBundleData:
 # ---------------------------------------------------------------------------
 
 
-def _eq(check_id: str, got, want) -> Check:
-    ok = got == want
-    return Check(check_id, ok, "" if ok else f"got {got}, want {want}")
-
-
 def restriction_model_report() -> list[Check]:
     """Re-derive the rank-one restriction identities behind the hp2 preset."""
     m = restriction_model()
@@ -600,40 +595,6 @@ def module_property_check(b: FiberBundleData, samples: int) -> Check:
         if lhs != y * rhs_parts:
             return Check("module property", False, f"trial {trial}")
     return Check("module property", True)
-
-
-def bookkeeping_report(n_max: int = 40) -> list[Check]:
-    """Degreewise freeness and injectivity checks for both presets."""
-    checks = []
-    for name in ("cp2", "hp2"):
-        b = bundle(name)
-        ok = True
-        witness = ""
-        for n in range(n_max + 1):
-            want = sum(
-                b.base.ring.slice_dimension(n - bb.degree()) if n >= bb.degree() else 0
-                for bb in b.lh_basis
-            )
-            if b.total.ring.slice_dimension(n) != want:
-                ok, witness = False, f"degree {n}"
-                break
-        checks.append(Check(f"{name}: free module bookkeeping", ok, witness))
-
-        ok = True
-        witness = ""
-        for n in range(n_max + 1):
-            monos = list(b.base.ring.monomials_of_degree(n))
-            if not monos:
-                continue
-            index = {m: i for i, m in enumerate(b.total.ring.monomials_of_degree(n))}
-            # one row per image, so the row rank is the rank of the pullback
-            images = [b.pullback.apply(F2Poly(b.base.ring, frozenset({m}))) for m in monos]
-            rows = [sum(1 << index[mm] for mm in img.monomials) for img in images]
-            if F2Matrix(len(monos), len(index), rows).rank() != len(monos):
-                ok, witness = False, f"degree {n}"
-                break
-        checks.append(Check(f"{name}: pullback injectivity", ok, witness))
-    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,7 @@ def cmd_verify(args) -> tuple[str, int]:
             f"{counts['provisional']} provisional"
         )
         for c in r.checks:
-            marker = {"pass": "PASS", "fail": "FAIL", "provisional": "PROV"}[c.status]
-            line = f"  [{marker}] {c.check_id}"
+            line = f"  [{'PASS' if c.ok else 'FAIL'}] {c.check_id}"
             if c.witness:
                 line += f"  ({c.witness})"
             lines.append(line)

@@ -332,16 +332,6 @@ def pair(d: DualElement, s: SteenrodElement | Word) -> int:
     return total
 
 
-def pair_tensor(t: DualTensor, a: SteenrodElement, b: SteenrodElement) -> int:
-    """<t, a (x) b> with the componentwise pairing."""
-    total = 0
-    for (lm, rm) in t.pairs:
-        total ^= pair(DualElement(frozenset({lm})), a) & pair(
-            DualElement(frozenset({rm})), b
-        )
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Milnor basis conversion
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -100,22 +99,6 @@ class F2Matrix:
         raise AttributeError("F2Matrix is immutable")
 
     @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "F2Matrix":
-        nrows = len(entries)
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise ShapeError("ragged rows")
-            bits = 0
-            for j, v in enumerate(row):
-                if v & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        return cls(nrows, ncols, rows)
-
-    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
         return cls(nrows, ncols, [0] * nrows)
 
@@ -125,13 +108,6 @@ class F2Matrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> F2Vector:
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                bits |= 1 << i
-        return F2Vector(self.nrows, bits)
 
     def transpose(self) -> "F2Matrix":
         cols = [0] * self.ncols
@@ -164,11 +140,6 @@ class F2Matrix:
                 rr ^= low
             rows.append(acc)
         return F2Matrix(self.nrows, other.ncols, rows)
-
-    def stack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.ncols != other.ncols:
-            raise ShapeError("column counts differ")
-        return F2Matrix(self.nrows + other.nrows, self.ncols, self.rows + other.rows)
 
     def _reduced(self):
         """Row echelon data: (pivot column -> reduced row) in pivot order."""
@@ -223,12 +194,6 @@ class F2Matrix:
             basis.append(F2Vector(self.ncols, bits))
         return basis
 
-    def row_space_contains(self, v: F2Vector) -> bool:
-        if v.length != self.ncols:
-            raise ShapeError("length mismatch")
-        pivots = self._reduced()
-        return _reduce_against(v.bits, pivots) == 0
-
     def __eq__(self, other):
         return (
             isinstance(other, F2Matrix)
@@ -276,11 +241,6 @@ class F2Span:
         """Bitmask of input vectors summing to v, or None if v is outside."""
         row = _reduce_against(v << self._k, self._pivots)
         return None if row >> self._k else row
-
-
-def solve_f2(matrix: F2Matrix, b: F2Vector) -> F2Vector | None:
-    """Solve Ax = b over F2; None signals "no solution" (shape errors raise)."""
-    return matrix.solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +305,6 @@ class WeightedPolyRing:
 
         yield from rec(0, degree, ())
 
-    def slice_dimension(self, degree: int) -> int:
-        return _slice_dim(self.degrees, degree)
-
     # -- polynomial constructors -------------------------------------------
 
     def zero(self) -> "F2Poly":
@@ -371,19 +328,6 @@ class WeightedPolyRing:
 
     def parse(self, text: str) -> "F2Poly":
         return _parse_poly(self, text)
-
-
-@lru_cache(maxsize=None)
-def _slice_dim(degrees: tuple[int, ...], degree: int) -> int:
-    if degree == 0:
-        return 1
-    if degree < 0:
-        return 0
-    if not degrees:
-        return 0
-    d = degrees[-1]
-    rest = degrees[:-1]
-    return sum(_slice_dim(rest, degree - k * d) for k in range(degree // d + 1))
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?$")
@@ -570,12 +514,6 @@ class PoincareSeries:
             sum(self[i] * other[d - i] for i in range(d + 1)) for d in range(n + 1)
         ]
         return PoincareSeries(tuple(coeffs))
-
-    def truncate(self, max_degree: int) -> "PoincareSeries":
-        if max_degree > self.max_degree:
-            raise DegreeCapError(f"series truncated at degree {self.max_degree}")
-        return PoincareSeries(self.coefficients[: max_degree + 1])
-
 
 def series_of_ring(ring: WeightedPolyRing, max_degree: int) -> PoincareSeries:
     """Monomial counts of the ring by weighted degree, up to max_degree.

@@ -33,7 +33,6 @@ Margolis homology (Adams-Margolis) is a standard fact the solver relies on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -104,9 +103,6 @@ class FiniteModule:
         if 0 <= i < len(self.dims):
             return dict(self.ops)[op][i]
         return F2Matrix.zero(self.dim(degree + shift), self.dim(degree))
-
-    def poincare(self) -> tuple[int, ...]:
-        return self.dims
 
     def reliable_max(self) -> int:
         return self.dmax - EDGE_MARGIN if self.truncated else self.dmax
@@ -202,47 +198,6 @@ class FiniteModule:
             reliable = d <= self.reliable_max()
             out[d] = (ker - im, reliable)
         return out
-
-    def margolis_series(self, which: str) -> tuple[int, ...]:
-        h = self.margolis_homology(which)
-        return tuple(h[d][0] for d in range(self.dmin, self.dmax + 1))
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self) -> str:
-        data = {
-            "algebra": self.algebra,
-            "dmin": self.dmin,
-            "dims": list(self.dims),
-            "truncated": self.truncated,
-            "ops": {
-                op: [
-                    [[i, j] for i in range(m.nrows) for j in range(m.ncols) if m.entry(i, j)]
-                    for m in mats
-                ]
-                for op, mats in self.ops
-            },
-        }
-        return json.dumps(data, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteModule":
-        data = json.loads(text)
-        dims = data["dims"]
-        dmin = data["dmin"]
-        algebra = data["algebra"]
-        mats_by_op = {}
-        for op, shift in ALGEBRA_OPS[algebra]:
-            mats = []
-            for idx, entries in enumerate(data["ops"][op]):
-                d = dmin + idx
-                tgt = dims[d + shift - dmin] if 0 <= d + shift - dmin < len(dims) else 0
-                rows = [0] * tgt
-                for i, j in entries:
-                    rows[i] |= 1 << j
-                mats.append(F2Matrix(tgt, dims[idx], rows))
-            mats_by_op[op] = mats
-        return cls.build(algebra, dmin, dims, mats_by_op, truncated=data["truncated"])
 
     def to_dot(self) -> str:
         """Node-and-edge picture: nodes per basis element, short edges for the

@@ -1,7 +1,10 @@
 """Named verification suites: each re-derives one family of computations.
 
-A suite returns a list of CheckResult rows; a check is `pass`, `fail`, or
-`provisional` (the latter for conclusions drawn inside a truncation fringe).
+A suite returns a list of action.Check rows, each of which passes or fails;
+a failing row carries a witness.  No suite emits a third status: the report
+counts keep a `provisional` entry fixed at 0 only because the JSON schema
+requires the key and the byte-stable text line ends in `0 provisional`
+(truncation fringes are flagged by the module commands, not by a suite).
 Suites are pure and deterministic, so reports are byte-stable for a fixed
 cap.  The default caps are chosen so the whole battery completes in seconds
 to a few minutes on commodity hardware: Hopf-axiom suites stop at degree 12,
@@ -24,41 +27,25 @@ import os
 from dataclasses import dataclass
 
 from . import action, algebra, bundles, charclass, dual, modules
+from .action import Check, _eq
 from .algebra import SteenrodElement, admissible_basis
 from .dual import DualElement, SubHopfAlgebra
 from .f2 import WeightedPolyRing, geometric_series_product, series_of_ring
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    status: str  # pass | fail | provisional
-    witness: str = ""
-
-
-@dataclass(frozen=True)
 class SuiteReport:
     suite: str
-    checks: tuple[CheckResult, ...]
+    checks: tuple[Check, ...]
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "provisional": 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+        fail = sum(not c.ok for c in self.checks)
+        return {"pass": len(self.checks) - fail, "fail": fail, "provisional": 0}
 
     @property
     def ok(self) -> bool:
-        return self.counts["fail"] == 0
-
-
-def _check(check_id: str, ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(check_id, "pass" if ok else "fail", witness if not ok else "")
-
-
-def _eq(check_id: str, got, want) -> CheckResult:
-    return _check(check_id, got == want, f"got {got}, want {want}")
+        return all(c.ok for c in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +55,7 @@ def _eq(check_id: str, got, want) -> CheckResult:
 Sq = SteenrodElement.sq
 
 
-def suite_hopf(max_degree: int = 12) -> list[CheckResult]:
+def suite_hopf(max_degree: int = 12) -> list[Check]:
     checks = [
         _eq("Sq1 Sq2 = Sq3", Sq(1, 2), Sq(3)),
         _eq("Sq2 Sq2 = Sq3 Sq1", Sq(2, 2), Sq(3, 1)),
@@ -99,7 +86,7 @@ def suite_hopf(max_degree: int = 12) -> list[CheckResult]:
         if {k for k, v in left.items() if v} != {k for k, v in right.items() if v}:
             coassoc, witness = False, str(x)
             break
-    checks.append(_check(f"coassociativity through degree {max_degree}", coassoc, witness))
+    checks.append(Check(f"coassociativity through degree {max_degree}", coassoc, witness))
 
     pool = [w for d in range(max_degree // 2 + 1) for w in admissible_basis(d)]
     witness = ""
@@ -111,7 +98,7 @@ def suite_hopf(max_degree: int = 12) -> list[CheckResult]:
             if (ea * eb).coproduct() != ea.coproduct() * eb.coproduct():
                 algebra_map, witness = False, f"{ea} (x) {eb}"
                 break
-    checks.append(_check(f"coproduct is an algebra map through degree {max_degree}", algebra_map, witness))
+    checks.append(Check(f"coproduct is an algebra map through degree {max_degree}", algebra_map, witness))
 
     witness = ""
     for w in words:
@@ -126,12 +113,12 @@ def suite_hopf(max_degree: int = 12) -> list[CheckResult]:
         if x.antipode().antipode() != x:
             involution, witness = False, str(x)
             break
-    checks.append(_check(f"antipode axiom through degree {max_degree}", antipode_axiom, witness))
-    checks.append(_check(f"antipode is an involution through degree {max_degree}", involution, witness))
+    checks.append(Check(f"antipode axiom through degree {max_degree}", antipode_axiom, witness))
+    checks.append(Check(f"antipode is an involution through degree {max_degree}", involution, witness))
     return checks
 
 
-def suite_pairing(max_degree: int = 12) -> list[CheckResult]:
+def suite_pairing(max_degree: int = 12) -> list[Check]:
     xi = DualElement.xi
     checks = []
     want = dual.DualTensor(frozenset({((0, 1), ()), ((2,), (1,)), ((), (0, 1))}))
@@ -145,7 +132,7 @@ def suite_pairing(max_degree: int = 12) -> list[CheckResult]:
         if not acc.is_zero():
             ok, witness = False, f"n={n}"
             break
-    checks.append(_check("conjugate recursion identity n <= 6", ok, witness))
+    checks.append(Check("conjugate recursion identity n <= 6", ok, witness))
 
     ok, witness = True, ""
     for n in range(max_degree + 1):
@@ -157,21 +144,21 @@ def suite_pairing(max_degree: int = 12) -> list[CheckResult]:
             if matrix.entry(i, i) != 1 or any(matrix.entry(i, j) for j in range(i)):
                 ok, witness = False, f"degree {n} not unitriangular"
                 break
-    checks.append(_check(f"pairing matrices unitriangular through degree {max_degree}", ok, witness))
+    checks.append(Check(f"pairing matrices unitriangular through degree {max_degree}", ok, witness))
 
     ok, witness = True, ""
     for n in range(21):
         if len(dual.xi_monomials(n)) != len(admissible_basis(n)):
             ok, witness = False, f"degree {n}"
             break
-    checks.append(_check("basis counts agree through degree 20", ok, witness))
+    checks.append(Check("basis counts agree through degree 20", ok, witness))
 
     q = dual.milnor_primitive
     checks.append(_eq("Sq(0,1) = Sq3 + Sq2 Sq1", dual.milnor_to_admissible((0, 1)), Sq(3) + Sq(2, 1)))
     ok = all((q(i) * q(i)).is_zero() for i in range(3))
-    checks.append(_check("milnor primitives square to zero", ok))
+    checks.append(Check("milnor primitives square to zero", ok))
     checks.append(
-        _check(
+        Check(
             "milnor primitives commute",
             all(
                 (q(i) * q(j) + q(j) * q(i)).is_zero()
@@ -191,11 +178,11 @@ def suite_pairing(max_degree: int = 12) -> list[CheckResult]:
             if back != x:
                 ok, witness = False, str(x)
                 break
-    checks.append(_check("basis conversion round-trip through degree 12", ok, witness))
+    checks.append(Check("basis conversion round-trip through degree 12", ok, witness))
     return checks
 
 
-def suite_dual_quotients(max_degree: int = 16) -> list[CheckResult]:
+def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
     checks = []
     xi = DualElement.xi
     expectations = {
@@ -233,29 +220,27 @@ def suite_dual_quotients(max_degree: int = 16) -> list[CheckResult]:
                 ok, witness = False, str(prod)
                 break
         checks.append(
-            _check(f"{name}: generator products lie in the cotensor through degree {max_degree}", ok, witness)
+            Check(f"{name}: generator products lie in the cotensor through degree {max_degree}", ok, witness)
         )
     return checks
 
 
-def suite_bpsp_model(max_degree: int = 24) -> list[CheckResult]:
-    rows = bundles.restriction_model_report()
-    out = [_check(c.check_id, c.ok, c.witness) for c in rows]
+def suite_bpsp_model(max_degree: int = 24) -> list[Check]:
+    checks = bundles.restriction_model_report()
     report = action.check_presentation(bundles.bpsp3_presentation(), max_degree, adem_max=4)
-    out.append(_check(f"derived ring consistent through degree {max_degree}", report.ok, report.witness))
-    return out
+    checks.append(Check(f"derived ring consistent through degree {max_degree}", report.ok, report.witness))
+    return checks
 
 
-def suite_cp2_transfer(max_degree: int = 10) -> list[CheckResult]:
-    return [_check(c.check_id, c.ok, c.witness) for c in bundles.cp2_transfer_report(max_degree)]
+def suite_cp2_transfer(max_degree: int = 10) -> list[Check]:
+    return bundles.cp2_transfer_report(max_degree)
 
 
-def suite_hp2_transfer(max_degree: int = 4) -> list[CheckResult]:
-    rows = bundles.hp2_transfer_report(3, min(max_degree, 4), samples=200)
-    return [_check(c.check_id, c.ok, c.witness) for c in rows]
+def suite_hp2_transfer(max_degree: int = 4) -> list[Check]:
+    return bundles.hp2_transfer_report(3, min(max_degree, 4), samples=200)
 
 
-def suite_a1_modules(max_degree: int = 40) -> list[CheckResult]:
+def suite_a1_modules(max_degree: int = 40) -> list[Check]:
     checks = []
     ring = WeightedPolyRing.make(("t2", 2), ("t3", 3), ("t8", 8), ("t12", 12))
     lhs = series_of_ring(ring, 60)
@@ -271,11 +256,11 @@ def suite_a1_modules(max_degree: int = 40) -> list[CheckResult]:
     for name, want in expectations.items():
         r = modules.stable_type_solve(modules.restrict_to_e1(modules.standard_piece("A1", name)))
         ok = r.status == "unique" and r.pieces == want and r.iso is not None
-        checks.append(_check(f"restriction of {name}", ok, f"{r.status}: {r.solutions[:2]}"))
+        checks.append(Check(f"restriction of {name}", ok, f"{r.status}: {r.solutions[:2]}"))
 
     a1 = modules.standard_piece("A1", "A1")
     cert = modules.check_split_criterion(modules.identity_map(a1))
-    checks.append(_check("identity map certified split", cert.split_guaranteed))
+    checks.append(Check("identity map certified split", cert.split_guaranteed))
 
     j2 = modules.standard_piece("A1", "J").suspend(2)
     fmap = None
@@ -286,18 +271,18 @@ def suite_a1_modules(max_degree: int = 40) -> list[CheckResult]:
             break
     cert = modules.check_split_criterion(fmap)
     checks.append(
-        _check(
+        Check(
             "suspended joker inclusion rejected at the margolis stage",
             cert.f_injective and not cert.q0_margolis_injective and cert.witness_degree == 4,
         )
     )
 
     zmap = modules.zero_map(modules.standard_piece("A1", "Z2"), a1)
-    checks.append(_check("zero map rejected", not modules.check_split_criterion(zmap).f_injective))
+    checks.append(Check("zero map rejected", not modules.check_split_criterion(zmap).f_injective))
 
     m = modules.from_presentation(bundles.bpsp3_presentation(), "A1", (0, max_degree))
     checks.append(
-        _check(
+        Check(
             f"four piece types plus free cover [0, {max_degree}]",
             modules.four_piece_feasibility(m),
         )
@@ -307,17 +292,11 @@ def suite_a1_modules(max_degree: int = 40) -> list[CheckResult]:
     # Margolis series: the degree-4 class already needs a joker at
     # suspension 2.  Reported as a finding.
     res = modules.eight_fold_feasibility(m)
-    checks.append(
-        CheckResult(
-            "strict eight-fold placement family",
-            "pass" if res.feasible else "fail",
-            res.note,
-        )
-    )
+    checks.append(Check("strict eight-fold placement family", res.feasible, res.note))
     return checks
 
 
-def suite_e1_modules(max_degree: int = 40) -> list[CheckResult]:
+def suite_e1_modules(max_degree: int = 40) -> list[Check]:
     checks = []
     base86 = series_of_ring(WeightedPolyRing.make(("a", 8), ("b", 6)), 60)
     base8 = series_of_ring(WeightedPolyRing.make(("a", 8)), 60)
@@ -328,7 +307,7 @@ def suite_e1_modules(max_degree: int = 40) -> list[CheckResult]:
         if ring46[d] != base8[d] + two_cell:
             ok, witness = False, f"degree {d}"
             break
-    checks.append(_check("bookkeeping decomposition series through degree 60", ok, witness))
+    checks.append(Check("bookkeeping decomposition series through degree 60", ok, witness))
 
     m = modules.from_presentation(bundles.bsu3_presentation(), "E1", (0, max_degree))
     r = modules.stable_type_solve(m)
@@ -337,7 +316,7 @@ def suite_e1_modules(max_degree: int = 40) -> list[CheckResult]:
         want.extend([("Z2", d)] * m.dim(d))
     ok = r.status == "unique" and r.pieces == tuple(sorted(want)) and r.iso is not None
     checks.append(
-        _check(
+        Check(
             f"evenly graded ring splits into trivial pieces on [0, {max_degree}]",
             ok,
             r.status,
@@ -348,11 +327,11 @@ def suite_e1_modules(max_degree: int = 40) -> list[CheckResult]:
         for op in ("q0", "q1")
         for d in range(0, m.reliable_max())
     )
-    checks.append(_check("both differentials vanish identically", both_zero))
+    checks.append(Check("both differentials vanish identically", both_zero))
     return checks
 
 
-def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[CheckResult]:
+def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check]:
     checks = []
     for space in ("bso", "bspin", "bspinc"):
         mdl = charclass.model(space, max(max_degree, 34))
@@ -362,7 +341,7 @@ def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check
             if not r.verified:
                 ok, witness = False, f"degree {n}: dim {r.dimension}, {r.formula}"
                 break
-        checks.append(_check(f"{space}: table verified through degree {max_degree}", ok, witness))
+        checks.append(Check(f"{space}: table verified through degree {max_degree}", ok, witness))
     checks.append(
         _eq(
             "s17 under naive substitution",
@@ -373,25 +352,25 @@ def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check
     spin = charclass.model("bspin", max(max_degree, 34))
     for k in range(4):
         res = charclass.power_sum_vanishing_check(k, spin)
-        checks.append(_check(f"power-sum vanishing chain k={k}", res.ok))
+        checks.append(Check(f"power-sum vanishing chain k={k}", res.ok))
     return checks
 
 
-def suite_power_sums(max_degree: int = 3) -> list[CheckResult]:
+def suite_power_sums(max_degree: int = 3) -> list[Check]:
     checks = []
     # max_degree bounds the exponent k of the family s_(2^k + 1), clamped to
     # k <= 4: s_17 is the largest member the suite reports, well inside the
     # cap-34 bspin model the check reads
     for k in range(min(max_degree, 4) + 1):
         res = charclass.power_sum_vanishing_check(k)
-        checks.append(_check(f"total-square identity k={k}", res.total_square_identity))
-        checks.append(_check(f"square component step k={k}", res.squares_to_next))
-        checks.append(_check(f"reduces to zero in the quotient k={k}", res.reduces_to_zero))
-        checks.append(_check(f"exact ideal membership k={k}", res.in_honest_ideal))
+        checks.append(Check(f"total-square identity k={k}", res.total_square_identity))
+        checks.append(Check(f"square component step k={k}", res.squares_to_next))
+        checks.append(Check(f"reduces to zero in the quotient k={k}", res.reduces_to_zero))
+        checks.append(Check(f"exact ideal membership k={k}", res.in_honest_ideal))
     return checks
 
 
-def suite_indecomposables(max_degree: int = 32) -> list[CheckResult]:
+def suite_indecomposables(max_degree: int = 32) -> list[Check]:
     table = charclass.spinc_homology_indecomposables(max_degree)
     checks = [
         _eq("degree 3", table.dims[3], 0),
@@ -408,32 +387,27 @@ def suite_indecomposables(max_degree: int = 32) -> list[CheckResult]:
             else ""
         )
         checks.append(
-            CheckResult(
+            Check(
                 f"closed-form rule at degree {n}",
-                "fail",
+                False,
                 f"table has {table.dims[n]}, rule predicts {table.rule(n)}{why}",
             )
         )
     ok = set(table.rule_violations) <= {6}
-    checks.append(_check("rule discrepancies limited to degree 6", ok, str(table.rule_violations)))
+    checks.append(Check("rule discrepancies limited to degree 6", ok, str(table.rule_violations)))
     return checks
 
 
-def suite_primitive_transfer(max_degree: int = 32) -> list[CheckResult]:
-    checks = []
-    for r in bundles.primitive_transfer_check(max_degree):
-        if r.detected:
-            checks.append(CheckResult(f"degree {r.degree} ({r.formula})", "pass"))
-        else:
-            checks.append(
-                CheckResult(
-                    f"degree {r.degree} ({r.formula})",
-                    "fail",
-                    f"both legs vanish: cp2 leg {r.cp2_value}, hp2 leg {r.hp2_value}"
-                    " (the transfer drops 4 and 8 degrees; degree 6 cannot be seen)",
-                )
-            )
-    return checks
+def suite_primitive_transfer(max_degree: int = 32) -> list[Check]:
+    return [
+        Check(
+            f"degree {r.degree} ({r.formula})",
+            r.detected,
+            f"both legs vanish: cp2 leg {r.cp2_value}, hp2 leg {r.hp2_value}"
+            " (the transfer drops 4 and 8 degrees; degree 6 cannot be seen)",
+        )
+        for r in bundles.primitive_transfer_check(max_degree)
+    ]
 
 
 SUITES = {

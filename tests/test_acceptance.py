@@ -27,9 +27,7 @@ Sq = SteenrodElement.sq
 
 
 def all_pass(checks):
-    bad = [c for c in checks if c.status == "fail"] if hasattr(checks[0], "status") else [
-        c for c in checks if not c.ok
-    ]
+    bad = [c for c in checks if not c.ok]
     assert not bad, bad
     return True
 

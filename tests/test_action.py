@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +7,6 @@ from steenrod.action import (
     PresentationError,
     SqAlgebraPresentation,
     check_presentation,
-    presentation_from_json,
-    presentation_to_dict,
 )
 from steenrod.cli import PRESETS
 from steenrod.f2 import F2Poly, WeightedPolyRing
@@ -246,18 +242,3 @@ class TestAlgebraMap:
         bad = AlgebraMap(source, target, (target.ring.parse("x1*x2"),))
         assert not bad.check_equivariant().ok
 
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        data = {
-            "generators": [["t2", 2], ["t3", 3]],
-            "action": {
-                "t2": {"1": "t3", "2": "t2^2"},
-                "t3": {"2": "t2*t3", "3": "t3^2"},
-            },
-        }
-        p = presentation_from_json(json.dumps(data))
-        assert p.sq(1, p.ring.parse("t2")) == p.ring.parse("t3")
-        assert p.sq(1, p.ring.parse("t3")).is_zero()
-        again = presentation_from_json(json.dumps(presentation_to_dict(p)))
-        assert again == p

@@ -17,11 +17,18 @@ from steenrod.algebra import (
     is_admissible,
     normalize_word,
     parse_element,
-    two_power_expression_value,
     word_sort_key,
 )
 
 Sq = SteenrodElement.sq
+
+
+def two_power_expression_value(expr):
+    """Oracle: multiply out a 2-power product expression and normalize."""
+    acc = set()
+    for product in expr:
+        acc.symmetric_difference_update(normalize_word(product))
+    return SteenrodElement(frozenset(acc))
 
 
 @lru_cache(maxsize=None)

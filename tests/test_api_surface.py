@@ -1,0 +1,89 @@
+"""The public surface of `src/` holds only names the product uses.
+
+Every public top-level function, class and method of `steenrod` must be
+used somewhere else in the package's code, be exported in
+`steenrod.__all__`, or be named in README.md.  A name that only the tests
+call belongs in the test file that uses it, as an oracle.  The few
+exceptions are listed in ALLOWED, each with its reason.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import steenrod
+
+SRC = Path(steenrod.__file__).parent
+README = SRC.parent.parent / "README.md"
+
+ALLOWED = {
+    # a reason for every entry; keep this short
+}
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each public top-level function and class, and of
+    each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Every identifier the code reads: names, attributes, keyword
+    arguments and identifier-shaped string constants (for getattr)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            out.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def unused_public_names() -> list[str]:
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_uses(t) for t in trees.values()))
+    readme = README.read_text()
+    exported = set(steenrod.__all__)
+    unused = []
+    for path, tree in trees.items():
+        for qualname, line in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in used or name in exported or qualname in ALLOWED:
+                continue
+            if re.search(rf"\b{re.escape(name)}\b", readme):
+                continue
+            unused.append(f"{path.name}:{line} {qualname}")
+    return unused
+
+
+def test_every_public_name_is_used_exported_or_documented():
+    assert unused_public_names() == []
+
+
+def test_the_walk_sees_a_name_nothing_uses(tmp_path, monkeypatch):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def orphan():\n    return used()\n\n\n"
+        "class K:\n    def method(self):\n        return orphan\n\n"
+        "    def lonely(self):\n        return 0\n"
+    )
+    (tmp_path / "README.md").write_text("K is the class.\n")
+    monkeypatch.setattr(steenrod, "__all__", [])
+    monkeypatch.setitem(globals(), "SRC", pkg)
+    monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
+    assert unused_public_names() == ["a.py:10 K.method", "a.py:13 K.lonely"]

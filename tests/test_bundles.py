@@ -9,7 +9,6 @@ from steenrod.bundles import (
     bsu3_presentation,
     bu3_presentation,
     bundle,
-    bookkeeping_report,
     cp2_bundle,
     cp2_transfer_report,
     hp2_bundle,
@@ -21,7 +20,7 @@ from steenrod.bundles import (
     substitute_vertical,
 )
 from steenrod.charclass import mono_from
-from steenrod.f2 import F2Poly
+from steenrod.f2 import F2Matrix, F2Poly, series_of_ring
 
 
 class TestDerivedPresentations:
@@ -161,7 +160,21 @@ class TestReports:
         assert all(c.ok for c in checks)
 
     def test_bookkeeping_pass(self):
-        assert all(c.ok for c in bookkeeping_report(30))
+        # degreewise freeness over the base and injectivity of the pullback
+        for name in ("cp2", "hp2"):
+            b = bundle(name)
+            base, total = series_of_ring(b.base.ring, 30), series_of_ring(b.total.ring, 30)
+            for n in range(31):
+                want = sum(base[n - bb.degree()] for bb in b.lh_basis if n >= bb.degree())
+                assert total[n] == want, (name, n)
+                monos = list(b.base.ring.monomials_of_degree(n))
+                if not monos:
+                    continue
+                index = {m: i for i, m in enumerate(b.total.ring.monomials_of_degree(n))}
+                # one row per image, so the row rank is the rank of the pullback
+                images = [b.pullback.apply(F2Poly(b.base.ring, frozenset({m}))) for m in monos]
+                rows = [sum(1 << index[mm] for mm in img.monomials) for img in images]
+                assert F2Matrix(len(monos), len(index), rows).rank() == len(monos), (name, n)
 
     def test_module_property_holds(self):
         for name in ("cp2", "hp2"):

@@ -26,8 +26,6 @@ from steenrod.charclass import (
     s17_naive_substitution,
     spinc_homology_indecomposables,
     two_row_power_sum,
-    _juxtaposition_power_sum,
-    _juxtaposition_two_row,
 )
 from steenrod.f2 import F2Poly, WeightedPolyRing
 
@@ -434,7 +432,8 @@ class TestModels:
     def test_slice_dimensions_match_partition_counts(self):
         m = model("bspinc", 20)
         for n in range(1, 15):
-            assert m.slice_dimension(n) == len(list(m.slice_monomials(n)))
+            parts = tuple(m.generator_degrees(n))
+            assert charclass._partition_count(n, parts) == len(list(m.slice_monomials(n)))
 
     def test_stability_validation_catches_a_wrong_reduction(self):
         m = QuotientModel("bspinc", 20, series_check=0)
@@ -731,11 +730,19 @@ class TestPrimitives:
         with pytest.raises(ModelError):
             model("bso", 20).primitives(21)
 
-    def test_juxtaposition_certificates(self):
-        for mm in (1, 3, 5, 7, 9):
-            assert _juxtaposition_power_sum(mm)
-        for mm in (1, 3, 5):
-            assert _juxtaposition_two_row(mm)
+    def test_a_nonzero_phi_of_s17_fails_the_two_row_certificate(self, monkeypatch):
+        # (s17,17) is the bspin primitive of degree 34 only because
+        # phi(s17) = 0; hand the certificate a nonzero s17 and degree 34
+        # alone loses its verified flag
+        m = QuotientModel("bspin", 40, series_check=0)
+        for n in (32, 34, 36):
+            m.named_candidate(n)  # built from the true power sums
+        true_sum, naive = charclass.power_sum_mod2, s17_naive_substitution()
+        monkeypatch.setattr(
+            charclass, "power_sum_mod2", lambda k: naive if k == 17 else true_sum(k)
+        )
+        assert not m.primitives(34).verified
+        assert m.primitives(32).verified and m.primitives(36).verified
 
 
 class TestPowerSumVanishing:

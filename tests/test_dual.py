@@ -12,7 +12,6 @@ from steenrod.dual import (
     milnor_primitive,
     milnor_to_admissible,
     pair,
-    pair_tensor,
     pairing_matrix,
     parse_dual,
     parse_milnor_operator,
@@ -25,6 +24,14 @@ from steenrod.dual import (
 
 Sq = SteenrodElement.sq
 xi = DualElement.xi
+
+
+def pair_tensor(t, a, b):
+    """Oracle: <t, a (x) b> with the componentwise pairing."""
+    total = 0
+    for (lm, rm) in t.pairs:
+        total ^= pair(DualElement(frozenset({lm})), a) & pair(DualElement(frozenset({rm})), b)
+    return total
 
 
 class TestXiMonomials:

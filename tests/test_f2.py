@@ -15,7 +15,6 @@ from steenrod.f2 import (
     WeightedPolyRing,
     geometric_series_product,
     series_of_ring,
-    solve_f2,
 )
 
 
@@ -33,25 +32,25 @@ class TestLinearAlgebra:
     def test_identity_solve_returns_rhs(self):
         m = F2Matrix.identity(5)
         b = F2Vector.from_support(5, [0, 3])
-        assert solve_f2(m, b) == b
+        assert m.solve(b) == b
 
     def test_zero_matrix_nonzero_rhs_has_no_solution(self):
         m = F2Matrix.zero(3, 3)
         b = F2Vector.from_support(3, [1])
-        assert solve_f2(m, b) is None
+        assert m.solve(b) is None
 
     def test_2x2_upper_triangular(self):
         # oracle: exhaustive search over all 4 candidates
-        m = F2Matrix.from_entries([[1, 1], [0, 1]])
+        m = F2Matrix(2, 2, [0b11, 0b10])  # rows (1, 1) and (0, 1), column j at bit j
         b = F2Vector.from_support(2, [0, 1])
         oracle = brute_force_solutions(m, b)
         assert oracle == [F2Vector.from_support(2, [1])]
-        assert solve_f2(m, b) == oracle[0]
+        assert m.solve(b) == oracle[0]
 
     def test_shape_error_is_distinct_from_no_solution(self):
         m = F2Matrix.zero(3, 3)
         with pytest.raises(ShapeError):
-            solve_f2(m, F2Vector(2, 0))
+            m.solve(F2Vector(2, 0))
 
     @given(
         st.integers(1, 6),
@@ -65,24 +64,12 @@ class TestLinearAlgebra:
         ]
         m = F2Matrix(nrows, ncols, rows)
         b = F2Vector(nrows, data.draw(st.integers(0, (1 << nrows) - 1)))
-        got = solve_f2(m, b)
+        got = m.solve(b)
         oracle = brute_force_solutions(m, b)
         if got is None:
             assert not oracle
         else:
             assert m.mat_vec(got).bits == b.bits
-
-    @given(st.integers(0, 5), st.integers(1, 6), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_row_space_contains_matches_brute_force_span(self, nrows, ncols, data):
-        rows = [data.draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
-        # oracle: every sum of a subset of the rows
-        span = {0}
-        for r in rows:
-            span |= {s ^ r for s in span}
-        m = F2Matrix(nrows, ncols, rows)
-        for bits in range(1 << ncols):
-            assert m.row_space_contains(F2Vector(ncols, bits)) == (bits in span)
 
     @given(st.integers(1, 7), st.integers(1, 7), st.data())
     @settings(max_examples=40, deadline=None)
@@ -97,7 +84,7 @@ class TestLinearAlgebra:
             assert m.mat_vec(v).is_zero()
 
     def test_transpose_and_matmul(self):
-        m = F2Matrix.from_entries([[1, 0, 1], [0, 1, 1]])
+        m = F2Matrix(2, 3, [0b101, 0b110])  # rows (1, 0, 1) and (0, 1, 1)
         t = m.transpose()
         assert t.nrows == 3 and t.ncols == 2
         prod = m.mat_mul(t)
@@ -261,7 +248,6 @@ class TestSeries:
         s = series_of_ring(ring, 30)
         for d in range(31):
             assert s[d] == len(list(ring.monomials_of_degree(d)))
-            assert s[d] == ring.slice_dimension(d)
 
     def test_geometric_product_identity_through_60(self):
         ring = WeightedPolyRing.make(("t2", 2), ("t3", 3), ("t8", 8), ("t12", 12))
@@ -283,5 +269,3 @@ class TestSeries:
         s = PoincareSeries((1, 1, 2))
         with pytest.raises(DegreeCapError):
             s[3]
-        with pytest.raises(DegreeCapError):
-            s.truncate(5)

@@ -7,7 +7,6 @@ from steenrod.algebra import SteenrodElement
 from steenrod.dual import SubHopfAlgebra, basis_of
 from steenrod.f2 import WeightedPolyRing
 from steenrod.modules import (
-    FiniteModule,
     ModuleError,
     catalog,
     check_split_criterion,
@@ -115,19 +114,7 @@ class TestTemplates:
 
     def test_zero_module_margolis(self):
         z = zero_module("E1")
-        assert z.margolis_series("q0") == (0,)
-
-    def test_serialization_round_trip(self):
-        for name in catalog("A1"):
-            t = standard_piece("A1", name)
-            assert FiniteModule.from_json(t.to_json()) == FiniteModule.from_json(
-                FiniteModule.from_json(t.to_json()).to_json()
-            )
-            back = FiniteModule.from_json(t.to_json())
-            assert back.dims == t.dims and back.dmin == t.dmin
-            for op, _ in t.ops:
-                for d in range(t.dmin, t.dmax + 1):
-                    assert back.op_matrix(op, d) == t.op_matrix(op, d)
+        assert [h for h, _ in z.margolis_homology("q0").values()] == [0]
 
     def test_dot_output_mentions_every_node(self):
         t = standard_piece("A1", "J")
