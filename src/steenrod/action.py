@@ -14,7 +14,8 @@ rather than 2^a convolutions.
 TotalSquare, the one engine for this (charclass.WRing feeds it Wu's formula),
 works on packed monomials, one int with an exponent field per generator: a
 product is an addition and a Frobenius square a left shift.  Presentations
-pack 32-bit fields and unpack only the polynomials they return.
+hand it the monomials of their F2Poly values as they are, in the 32-bit
+fields of f2.FIELD.
 
 Presentations are immutable; the engine's component caches are idempotent
 and safe under concurrent readers.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .f2 import F2Error, F2Poly, WeightedPolyRing
+from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing
 
 Components = list[frozenset[int]]  # entry k: the packed monomials of Sq^k
 
@@ -103,13 +104,6 @@ class TotalSquare:
         return comps
 
 
-# Presentations pack exponent i into bits 32i .. 32i + 31.  The total square of
-# a degree-d monomial has degree at most 2d, so no field carries while d is
-# below _DEGREE_LIMIT; its d + 1 components could never be listed past that.
-_FIELD = 32
-_DEGREE_LIMIT = 1 << (_FIELD - 1)
-
-
 @dataclass(frozen=True)
 class SqAlgebraPresentation:
     """A weighted polynomial ring with a declared Steenrod action."""
@@ -138,7 +132,7 @@ class SqAlgebraPresentation:
             square = self.ring.gen(name) * self.ring.gen(name)
             if images[deg - 1] != square:
                 raise PresentationError(f"Sq^{deg}({name}) must equal {name}^2")
-        square = TotalSquare(self._gen, self.ring.degrees.__getitem__, _FIELD)
+        square = TotalSquare(self._gen, self.ring.degrees.__getitem__, FIELD)
         object.__setattr__(self, "_square", square)
 
     @classmethod
@@ -165,32 +159,22 @@ class SqAlgebraPresentation:
             rows.append(tuple(images))
         return cls(ring, tuple(rows))
 
-    # -- packed monomials -----------------------------------------------------
-
-    def _pack(self, m: tuple[int, ...]) -> int:
-        return sum(e << s for e, s in zip(m, range(0, _FIELD * self.ring.ngens, _FIELD)))
-
     def _gen(self, i: int) -> Components:
         """Packed [g_i, Sq^1 g_i, ..., Sq^deg g_i] from the declared row."""
         row = [self.ring.gen(self.ring.generators[i][0]), *self.action[i]]
-        return [frozenset(map(self._pack, c.monomials)) for c in row]
+        return [c.monomials for c in row]
 
     def _monomials(self, f: F2Poly) -> list[tuple[int, int]]:
-        """Each monomial of f packed, with its degree, all checked against
-        the packed degree limit before any is squared."""
+        """Each monomial of f with its degree, all checked before any is
+        squared: the total square of a degree-d monomial has exponents at
+        most 2d, below f2.LIMIT while d is below LIMIT // 2."""
         if f.ring != self.ring:
             raise PresentationError("polynomial lives in the wrong ring")
         out = [(m, self.ring.monomial_degree(m)) for m in f.monomials]
         for _, deg in out:
-            if deg >= _DEGREE_LIMIT:
-                raise ValueError(f"degree {deg} passes the packed limit {_DEGREE_LIMIT - 1}")
-        return [(self._pack(m), deg) for m, deg in out]
-
-    def _unpack(self, packed: set[int]) -> F2Poly:
-        mask = (1 << _FIELD) - 1
-        shifts = range(0, _FIELD * self.ring.ngens, _FIELD)
-        monos = frozenset(tuple((u >> s) & mask for s in shifts) for u in packed)
-        return F2Poly(self.ring, monos)
+            if deg >= LIMIT // 2:
+                raise ValueError(f"degree {deg} passes the packed limit {LIMIT // 2 - 1}")
+        return out
 
     # -- public action --------------------------------------------------------
 
@@ -206,7 +190,7 @@ class SqAlgebraPresentation:
         for mono, deg in self._monomials(f):
             if k <= deg:
                 acc ^= self._square.components(mono, deg)[k]
-        return self._unpack(acc)
+        return F2Poly(self.ring, frozenset(acc))
 
     def total_sq(self, f: F2Poly) -> F2Poly:
         """The finite sum (1 + Sq^1 + Sq^2 + ...) applied to f."""
@@ -214,7 +198,7 @@ class SqAlgebraPresentation:
         for mono, deg in self._monomials(f):
             for c in self._square.components(mono, deg):
                 acc ^= c
-        return self._unpack(acc)
+        return F2Poly(self.ring, frozenset(acc))
 
     def q0(self, f: F2Poly) -> F2Poly:
         return self.sq(1, f)

@@ -76,42 +76,32 @@ def derive_presentation(
     action table and proves closure.
     """
     ring = WeightedPolyRing(tuple((name, poly.degree()) for name, poly in generators))
-    images = {name: poly for name, poly in generators}
-
-    @lru_cache(maxsize=None)
-    def gen_power(name: str, e: int) -> F2Poly:
-        return images[name] ** e
-
-    def image(mono: tuple[int, ...]) -> F2Poly:
-        img = ambient.ring.one()
-        for (name, _), e in zip(ring.generators, mono):
-            if e:
-                img = img * gen_power(name, e)
-        return img
-
+    images = dict(generators)
+    powers: dict = {}
     solvers = {}
 
     def express(poly: F2Poly, degree: int) -> F2Poly:
         """Write an ambient polynomial in the generators, modulo the ideal."""
         if degree not in solvers:
             targets = list(ring.monomials_of_degree(degree))
+            columns = [
+                F2Poly(ring, frozenset({t})).substitute(ambient.ring, list(images.values()), powers)
+                for t in targets
+            ]
             multiples = [
                 g * F2Poly(ambient.ring, frozenset({m}))
                 for g in ideal
                 for m in ambient.ring.monomials_of_degree(degree - g.degree())
             ]
             solvers[degree] = _slice_solver(
-                ambient.ring,
-                degree,
-                [image(t) for t in targets] + multiples,
-                targets + [None] * len(multiples),
+                ambient.ring, degree, columns + multiples, targets + [None] * len(multiples)
             )
         sol = solvers[degree](poly)
         if sol is None:
             raise BundleError(
                 f"polynomial of degree {degree} does not lie in the subquotient"
             )
-        return ring.from_monomials(t for t in sol if t is not None)
+        return F2Poly(ring, frozenset(t for t in sol if t is not None))
 
     declared: dict[str, dict[int, F2Poly]] = {}
     for name, poly in generators:
@@ -294,10 +284,10 @@ class FiberBundleData:
         sol = self._cache[n](f)
         if sol is None:
             raise BundleError("Leray-Hirsch expansion failed (internal)")
-        out: list[list[tuple[int, ...]]] = [[] for _ in self.lh_basis]
+        out: list[list[int]] = [[] for _ in self.lh_basis]
         for i, mono in sol:
             out[i].append(mono)
-        return tuple(self.base.ring.from_monomials(monos) for monos in out)
+        return tuple(F2Poly(self.base.ring, frozenset(monos)) for monos in out)
 
     def fiber_integrate(self, f: F2Poly) -> F2Poly:
         """Integration along the fiber: the top Leray-Hirsch coefficient,
@@ -581,11 +571,11 @@ def module_property_check(b: FiberBundleData, samples: int) -> Check:
 
     def random_poly(ring: WeightedPolyRing, max_degree: int) -> F2Poly:
         d = rng.randrange(0, max_degree + 1)
-        monos = list(ring.monomials_of_degree(d))
+        monos = ring.monomials_of_degree(d)
         if not monos:
             return ring.zero()
         chosen = [m for m in monos if rng.random() < 0.5] or [rng.choice(monos)]
-        return ring.from_monomials(chosen)
+        return F2Poly(ring, frozenset(chosen))
 
     for trial in range(samples):
         y = random_poly(b.base.ring, 12)

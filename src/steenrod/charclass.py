@@ -345,6 +345,7 @@ class QuotientModel:
         self.reductions: dict[int, ModPoly] = {}
         self._phi_cache: dict[int, ModPoly] = {}
         self._candidate_cache: dict[int, tuple[str, ModPoly] | None] = {}
+        self._two_row_cache: dict[int, bool] = {}
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         for e in sorted(excluded):
@@ -660,11 +661,12 @@ class QuotientModel:
 
     # -- primitivity certificates ------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def _two_row_certified(self, m: int) -> bool:
         """s_{m,m} has reduced coproduct s_m (x) s_m upstream; it becomes
         primitive in the model exactly when phi(s_m) = 0."""
-        return not self.phi(power_sum_mod2(m))
+        if m not in self._two_row_cache:
+            self._two_row_cache[m] = not self.phi(power_sum_mod2(m))
+        return self._two_row_cache[m]
 
     def _candidate_certified(self, n: int) -> bool:
         """Structural primitivity of the named candidate: squares of

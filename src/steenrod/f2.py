@@ -3,8 +3,10 @@
 Vectors and matrix rows are stored as Python int bitmasks, so addition is a
 single XOR and Gaussian elimination runs at machine-word speed.  Polynomials
 live in explicitly weighted polynomial rings and store their monomials as a
-frozenset of exponent tuples; duplicate monomials cancel, which is mod-2
-arithmetic for free.
+frozenset of packed ints, the exponent of generator j in bits 32j .. 32j + 31;
+duplicate monomials cancel, which is mod-2 arithmetic for free.  Exponents are
+at most 2^31 - 1: parsing, from_monomials and every product, power, square and
+substitution raise F2Error rather than let a field carry into the next.
 
 Everything here is immutable after construction and every operation is pure,
 so values may be shared freely between threads or processes.
@@ -13,8 +15,10 @@ so values may be shared freely between threads or processes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
+from typing import Iterable, Sequence
 
 
 class F2Error(Exception):
@@ -249,12 +253,27 @@ class F2Span:
 
 Monomial = tuple[int, ...]
 
+# A packed monomial holds the exponent of generator j in bits FIELD * j to
+# FIELD * (j + 1) - 1.  Every exponent stays below LIMIT, so the sum of two
+# fields, or a doubled one, still fits its field: a product of monomials is an
+# integer addition and a Frobenius square a left shift, and a result with an
+# exponent at LIMIT or above is refused instead of carried into the next field.
+FIELD = 32
+LIMIT = 1 << (FIELD - 1)
+_MASK = (1 << FIELD) - 1
+
 
 @dataclass(frozen=True)
 class WeightedPolyRing:
     """A polynomial ring over F2 with named generators of positive degree."""
 
     generators: tuple[tuple[str, int], ...]
+    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # the top bit of every field, which a sum or double of exponents below
+    # LIMIT sets exactly when it reaches LIMIT
+    _high: int = field(init=False, compare=False, repr=False)
+    # (i, d) -> the packed monomials of degree d in generators i, i + 1, ...
+    _suffixes: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.generators]
@@ -263,6 +282,9 @@ class WeightedPolyRing:
         for n, d in self.generators:
             if d < 1:
                 raise F2Error(f"generator {n} must have degree >= 1")
+        object.__setattr__(self, "degrees", tuple(d for _, d in self.generators))
+        object.__setattr__(self, "_high", sum(LIMIT << (FIELD * j) for j in range(self.ngens)))
+        object.__setattr__(self, "_suffixes", {})
 
     @classmethod
     def make(cls, *gens: tuple[str, int]) -> "WeightedPolyRing":
@@ -272,38 +294,64 @@ class WeightedPolyRing:
     def ngens(self) -> int:
         return len(self.generators)
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.generators)
-
     def index_of(self, name: str) -> int:
         for i, (n, _) in enumerate(self.generators):
             if n == name:
                 return i
         raise F2Error(f"unknown generator {name!r}")
 
-    def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+    def pack(self, mono: Iterable[int]) -> int:
+        """The packed form of an exponent tuple."""
+        mono = tuple(mono)
+        if len(mono) != self.ngens:
+            raise ShapeError("monomial length must equal generator count")
+        packed = 0
+        for j, e in enumerate(mono):
+            if not 0 <= e < LIMIT:
+                raise F2Error(f"exponent {e} outside 0 .. {LIMIT - 1}")
+            packed |= e << (FIELD * j)
+        return packed
 
-    def monomials_of_degree(self, degree: int) -> Iterator[Monomial]:
-        """All exponent tuples of the given weighted degree, lexicographic."""
-        if degree < 0:
-            return
-        degs = self.degrees
+    def unpack(self, mono: int) -> Monomial:
+        """The exponent tuple of a packed monomial."""
+        return tuple(mono >> (FIELD * j) & _MASK for j in range(self.ngens))
 
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-            if i == len(degs):
-                if remaining == 0:
-                    yield prefix
-                return
-            if i == len(degs) - 1:
-                if remaining % degs[i] == 0:
-                    yield prefix + (remaining // degs[i],)
-                return
-            for e in range(remaining // degs[i], -1, -1):
-                yield from rec(i + 1, remaining - e * degs[i], prefix + (e,))
+    def monomial_degree(self, mono: int) -> int:
+        d = 0
+        for deg in self.degrees:
+            d += (mono & _MASK) * deg
+            mono >>= FIELD
+        return d
 
-        yield from rec(0, degree, ())
+    def monomials_of_degree(self, degree: int) -> tuple[int, ...]:
+        """All packed monomials of the given weighted degree, in lexicographic
+        order of their exponent tuples, each exponent descending."""
+        return self._suffix(0, degree) if degree >= 0 else ()
+
+    def _suffix(self, i: int, remaining: int) -> tuple[int, ...]:
+        key = (i, remaining)
+        out = self._suffixes.get(key)
+        if out is None:
+            if i == self.ngens:
+                out = (0,) if remaining == 0 else ()
+            else:
+                deg, shift = self.degrees[i], FIELD * i
+                out = tuple(
+                    (e << shift) + s
+                    for e in range(remaining // deg, -1, -1)
+                    for s in self._suffix(i + 1, remaining - e * deg)
+                )
+            self._suffixes[key] = out
+        return out
+
+    def _guarded(self, monos: Iterable[int]) -> "F2Poly":
+        """The polynomial on these packed monomials, sums or doubles of
+        fields below LIMIT (so none carried), refused if a field reached
+        LIMIT."""
+        monos = frozenset(monos)
+        if reduce(or_, monos, 0) & self._high:
+            raise F2Error(f"an exponent reached the limit {LIMIT}")
+        return F2Poly(self, monos)
 
     # -- polynomial constructors -------------------------------------------
 
@@ -311,19 +359,16 @@ class WeightedPolyRing:
         return F2Poly(self, frozenset())
 
     def one(self) -> "F2Poly":
-        return F2Poly(self, frozenset({(0,) * self.ngens}))
+        return F2Poly(self, frozenset({0}))
 
     def gen(self, name: str) -> "F2Poly":
-        i = self.index_of(name)
-        mono = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return F2Poly(self, frozenset({mono}))
+        return F2Poly(self, frozenset({1 << (FIELD * self.index_of(name))}))
 
     def from_monomials(self, monos: Iterable[Monomial]) -> "F2Poly":
-        acc: set[Monomial] = set()
+        """The sum of the monomials given as exponent tuples."""
+        acc: set[int] = set()
         for m in monos:
-            if len(m) != self.ngens:
-                raise ShapeError("monomial length must equal generator count")
-            acc.symmetric_difference_update({tuple(m)})
+            acc ^= {self.pack(m)}
         return F2Poly(self, frozenset(acc))
 
     def parse(self, text: str) -> "F2Poly":
@@ -339,7 +384,7 @@ def _parse_poly(ring: WeightedPolyRing, text: str) -> "F2Poly":
         raise F2Error("empty polynomial expression")
     if text == "0":
         return ring.zero()
-    monomials: set[Monomial] = set()
+    monomials: list[Monomial] = []
     for term in text.split("+"):
         term = term.strip()
         if not term:
@@ -354,19 +399,24 @@ def _parse_poly(ring: WeightedPolyRing, text: str) -> "F2Poly":
                 raise F2Error(f"cannot parse factor {factor!r}")
             idx = ring.index_of(m.group(1))
             exps[idx] += int(m.group(2)) if m.group(2) else 1
-        monomials.symmetric_difference_update({tuple(exps)})
-    return F2Poly(ring, frozenset(monomials))
+        monomials.append(tuple(exps))
+    return ring.from_monomials(monomials)
 
 
 @dataclass(frozen=True)
 class F2Poly:
-    """A polynomial over F2: a set of exponent tuples in a fixed ring."""
+    """A polynomial over F2: a set of packed monomials in a fixed ring.
+
+    Monomials are ints in the ring's packed layout (see FIELD), every
+    exponent at most LIMIT - 1 = 2^31 - 1; exponent tuples appear only where
+    text is parsed or printed and in from_monomials and coefficient.
+    """
 
     ring: WeightedPolyRing
-    monomials: frozenset[Monomial]
+    monomials: frozenset[int]
 
     def _check(self, other: "F2Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("polynomials live in different rings")
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
@@ -375,31 +425,26 @@ class F2Poly:
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         self._check(other)
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         for a in self.monomials:
-            for b in other.monomials:
-                m = tuple(x + y for x, y in zip(a, b))
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return F2Poly(self.ring, frozenset(acc))
+            acc ^= {a + b for b in other.monomials}
+        return self.ring._guarded(acc)
 
     def __pow__(self, e: int) -> "F2Poly":
         if e < 0:
             raise F2Error("negative exponent")
-        result = self.ring.one()
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
-            base = base.square()
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base.square()
+        return self.ring.one() if result is None else result
 
     def square(self) -> "F2Poly":
         # Frobenius: squaring doubles every exponent, cross terms cancel.
-        return F2Poly(self.ring, frozenset(tuple(2 * x for x in m) for m in self.monomials))
+        return self.ring._guarded(m << 1 for m in self.monomials)
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -421,7 +466,7 @@ class F2Poly:
         )
 
     def homogeneous_parts(self) -> dict[int, "F2Poly"]:
-        parts: dict[int, set[Monomial]] = {}
+        parts: dict[int, set[int]] = {}
         for m in self.monomials:
             parts.setdefault(self.ring.monomial_degree(m), set()).add(m)
         return {d: F2Poly(self.ring, frozenset(s)) for d, s in sorted(parts.items())}
@@ -439,32 +484,32 @@ class F2Poly:
         """
         if len(images) != self.ring.ngens:
             raise ShapeError("need one image per generator")
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         cache = {} if cache is None else cache
-
-        def power(i: int, e: int) -> F2Poly:
-            key = (i, e)
-            if key not in cache:
-                cache[key] = images[i] ** e
-            return cache[key]
-
         for m in self.monomials:
-            term = target_ring.one()
-            for i, e in enumerate(m):
+            term = None
+            i = 0
+            while m:
+                e = m & _MASK
                 if e:
-                    term = term * power(i, e)
-            acc ^= term.monomials
+                    power = cache.get((i, e))
+                    if power is None:
+                        power = cache[i, e] = images[i] ** e
+                    term = power if term is None else term * power
+                m >>= FIELD
+                i += 1
+            acc ^= {0} if term is None else term.monomials
         return F2Poly(target_ring, frozenset(acc))
 
     def coefficient(self, mono: Monomial) -> int:
-        return 1 if tuple(mono) in self.monomials else 0
+        return 1 if self.ring.pack(mono) in self.monomials else 0
 
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
         names = [n for n, _ in self.ring.generators]
         terms = []
-        for m in sorted(self.monomials, reverse=True):
+        for m in sorted(map(self.ring.unpack, self.monomials), reverse=True):
             factors = []
             for name, e in zip(names, m):
                 if e == 1:

@@ -422,7 +422,7 @@ def from_presentation(
     dmin, dmax = window
     if dmin < 0 or dmax < dmin:
         raise ModuleError("bad window")
-    monos = {d: list(pres.ring.monomials_of_degree(d)) for d in range(dmin, dmax + 1)}
+    monos = {d: pres.ring.monomials_of_degree(d) for d in range(dmin, dmax + 1)}
     index = {d: {m: i for i, m in enumerate(ms)} for d, ms in monos.items()}
     dims = [len(monos[d]) for d in range(dmin, dmax + 1)]
 

@@ -9,7 +9,7 @@ from steenrod.action import (
     check_presentation,
 )
 from steenrod.cli import PRESETS
-from steenrod.f2 import F2Poly, WeightedPolyRing
+from steenrod.f2 import FIELD, LIMIT, F2Poly, WeightedPolyRing
 
 
 def rank_one_model(nvars):
@@ -24,9 +24,23 @@ def chern_root_model(nvars):
     return SqAlgebraPresentation.build(ring, {})
 
 
+def pack_oracle(m):
+    """The presentation's former packing of an exponent tuple: exponent i
+    in bits 32i .. 32i + 31."""
+    return sum(e << s for e, s in zip(m, range(0, 32 * len(m), 32)))
+
+
+def unpack_oracle(ring, packed):
+    """The presentation's former unpacking of a set of packed monomials
+    into exponent tuples."""
+    mask = (1 << 32) - 1
+    shifts = range(0, 32 * ring.ngens, 32)
+    return frozenset(tuple((u >> s) & mask for s in shifts) for u in packed)
+
+
 def convolution_oracle(p):
     """The F2Poly Frobenius-block/Cartan convolution the packed engine
-    replaced: mono -> [mono, Sq^1 mono, ..., Sq^deg mono]."""
+    replaced: exponent tuple -> [mono, Sq^1 mono, ..., Sq^deg mono]."""
     ring = p.ring
     blocks = {}
 
@@ -51,7 +65,7 @@ def convolution_oracle(p):
         return out
 
     def components(mono):
-        deg = ring.monomial_degree(mono)
+        deg = sum(e * d for e, d in zip(mono, ring.degrees))
         comps = [ring.one()]
         for i, e in enumerate(mono):
             a = 0
@@ -82,7 +96,7 @@ class TestEngineAgainstOracle:
         for d in range(13):
             for mono in p.ring.monomials_of_degree(d):
                 f = F2Poly(p.ring, frozenset({mono}))
-                want = oracle(mono)
+                want = oracle(p.ring.unpack(mono))
                 assert len(want) == d + 1
                 for k in range(d + 1):
                     assert p.sq(k, f) == want[k], (name, f, k)
@@ -91,7 +105,7 @@ class TestEngineAgainstOracle:
     def test_total_square_of_sums(self, name):
         p = ORACLE_MODELS[name]()
         oracle = convolution_oracle(p)
-        monos = [m for d in range(1, 9) for m in p.ring.monomials_of_degree(d)]
+        monos = [p.ring.unpack(m) for d in range(1, 9) for m in p.ring.monomials_of_degree(d)]
         for start in range(0, len(monos), 5):
             chunk = monos[start : start + 7]
             want = p.ring.zero()
@@ -103,29 +117,42 @@ class TestEngineAgainstOracle:
 
 class TestPackedGuard:
     def test_a_monomial_past_the_field_limit_raises_before_squaring(self, monkeypatch):
-        from steenrod.action import _DEGREE_LIMIT
-
         p = chern_root_model(2)
 
         def unreachable(mono, deg):
             raise AssertionError("components built past the field limit")
 
         monkeypatch.setattr(p._square, "components", unreachable)
-        big = p.ring.from_monomials([(_DEGREE_LIMIT // 2, 0), (1, 1)])
+        big = p.ring.from_monomials([(LIMIT // 2, 0), (1, 1)])
         for op in (lambda f: p.sq(1, f), p.total_sq, p.q1):
             with pytest.raises(ValueError):
                 op(big)
         assert p.sq(0, big) == big
 
     def test_fields_hold_every_exponent_below_the_limit(self):
-        from steenrod.action import _DEGREE_LIMIT, _FIELD
-
         # Sq^d of a degree-d monomial in degree-1 classes doubles it: the
         # largest exponent any packed monomial can reach
-        top = 2 * (_DEGREE_LIMIT - 1)
-        assert top < 1 << _FIELD
+        top = 2 * (LIMIT // 2 - 1)
+        assert top < LIMIT
         p = rank_one_model(2)
-        assert p._unpack({top + (top << _FIELD)}) == p.ring.from_monomials([(top, top)])
+        packed = top + (top << FIELD)
+        assert p.ring.unpack(packed) == (top, top)
+        assert F2Poly(p.ring, frozenset({packed})) == p.ring.from_monomials([(top, top)])
+        # a sum of two exponents below LIMIT still fits its field
+        top = 2 * (LIMIT - 1)
+        assert top < 1 << FIELD
+        assert unpack_oracle(p.ring, {top + (top << FIELD)}) == {(top, top)}
+        assert p.ring.unpack(top + (top << FIELD)) == (top, top)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_pack_and_unpack_match_the_former_packing_through_16(self, name):
+        ring = ORACLE_MODELS[name]().ring
+        for d in range(17):
+            packed = ring.monomials_of_degree(d)
+            tuples = unpack_oracle(ring, packed)
+            assert {ring.unpack(m) for m in packed} == tuples
+            assert sorted(map(ring.pack, tuples)) == sorted(map(pack_oracle, tuples))
+            assert all(ring.pack(ring.unpack(m)) == m for m in packed)
 
 
 class TestGeneratorAction:

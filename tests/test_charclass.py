@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import time
+import weakref
 
 import pytest
 
@@ -27,7 +29,7 @@ from steenrod.charclass import (
     spinc_homology_indecomposables,
     two_row_power_sum,
 )
-from steenrod.f2 import F2Poly, WeightedPolyRing
+from steenrod.f2 import WeightedPolyRing
 
 
 def w(*parts):
@@ -370,7 +372,7 @@ class TestWuFormula:
         wring = WRing(kill_w1=False)
 
         def to_f2poly(monos):
-            return F2Poly(ring, frozenset(monos))
+            return ring.from_monomials(monos)
 
         for j in range(1, nvars + 1):
             ej = to_f2poly(var_elementary(j, nvars))
@@ -729,6 +731,15 @@ class TestPrimitives:
     def test_cap_enforced(self):
         with pytest.raises(ModelError):
             model("bso", 20).primitives(21)
+
+    def test_a_model_whose_primitives_were_read_is_freed(self):
+        # the primitivity certificates memoise on the model, not on the class
+        m = QuotientModel("bspin", 20, series_check=0)
+        assert all(m.primitives(n).verified for n in range(2, 21))
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
 
     def test_a_nonzero_phi_of_s17_fails_the_two_row_certificate(self, monkeypatch):
         # (s17,17) is the bspin primitive of degree 34 only because

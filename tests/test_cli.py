@@ -69,8 +69,9 @@ class TestExpressions:
             ["transfer", "--bundle", "hp2", "--expr", "u4 + zz"],
             ["sq", "--preset", "bsu3", "2", "y4^"],
             ["sq", "--preset", "bsu3", "2", "zz"],
+            ["sq", "--preset", "cp2-total", "0", "x2^3000000000"],
         ],
-        ids=["transfer-syntax", "transfer-generator", "sq-syntax", "sq-generator"],
+        ids=["transfer-syntax", "transfer-generator", "sq-syntax", "sq-generator", "sq-exponent-limit"],
     )
     def test_unparsable_expression_exits_2(self, argv):
         code, out, err = run(argv)

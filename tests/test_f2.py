@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod.bundles import chern_root_model, rank_one_model
+from steenrod.cli import PRESETS
 from steenrod.f2 import (
+    LIMIT,
     DegreeCapError,
+    F2Error,
     F2Matrix,
     F2Span,
     F2Vector,
@@ -224,6 +228,173 @@ class TestPolynomials:
             for d2, part2 in p.homogeneous_parts().items():
                 prod = part1 * part2
                 assert prod.is_zero() or prod.degree() == d1 + d2
+
+
+# -- the tuple-monomial polynomial layer the packed one replaced, as oracles --
+# A tuple polynomial is a frozenset of exponent tuples.
+
+
+def tuple_monomials_of_degree(degs, degree):
+    """All exponent tuples of the given weighted degree, lexicographic."""
+    if degree < 0:
+        return
+
+    def rec(i, remaining, prefix):
+        if i == len(degs):
+            if remaining == 0:
+                yield prefix
+            return
+        if i == len(degs) - 1:
+            if remaining % degs[i] == 0:
+                yield prefix + (remaining // degs[i],)
+            return
+        for e in range(remaining // degs[i], -1, -1):
+            yield from rec(i + 1, remaining - e * degs[i], prefix + (e,))
+
+    yield from rec(0, degree, ())
+
+
+def tuple_mul(f, g):
+    acc = set()
+    for a in f:
+        for b in g:
+            m = tuple(x + y for x, y in zip(a, b))
+            if m in acc:
+                acc.discard(m)
+            else:
+                acc.add(m)
+    return frozenset(acc)
+
+
+def tuple_square(f):
+    return frozenset(tuple(2 * x for x in m) for m in f)
+
+
+def tuple_pow(f, e, ngens):
+    result, base = frozenset({(0,) * ngens}), f
+    while e:
+        if e & 1:
+            result = tuple_mul(result, base)
+        base = tuple_square(base)
+        e >>= 1
+    return result
+
+
+def tuple_substitute(f, images, target_ngens):
+    acc = set()
+    for m in f:
+        term = frozenset({(0,) * target_ngens})
+        for i, e in enumerate(m):
+            if e:
+                term = tuple_mul(term, tuple_pow(images[i], e, target_ngens))
+        acc ^= term
+    return frozenset(acc)
+
+
+def tuple_str(f, names):
+    if not f:
+        return "0"
+    terms = []
+    for m in sorted(f, reverse=True):
+        factors = []
+        for name, e in zip(names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        terms.append("*".join(factors) if factors else "1")
+    return " + ".join(terms)
+
+
+PACKED_MODELS = {
+    **PRESETS,
+    "rank-one-3": lambda: rank_one_model(("x1", "x2", "x3")),
+    "chern-root-3": lambda: chern_root_model(3),
+}
+
+
+class TestPackedAgainstTupleOracle:
+    """The packed F2Poly against the tuple-monomial code it replaced, on the
+    five CLI presets and two root models, through degree 16."""
+
+    @pytest.mark.parametrize("name", list(PACKED_MODELS))
+    def test_enumeration_order_is_the_tuple_order(self, name):
+        ring = PACKED_MODELS[name]().ring
+        for d in range(-1, 17):
+            want = list(tuple_monomials_of_degree(ring.degrees, d))
+            assert [ring.unpack(m) for m in ring.monomials_of_degree(d)] == want, d
+            assert ring.monomials_of_degree(d) is ring.monomials_of_degree(d)
+
+    @pytest.mark.parametrize("name", list(PACKED_MODELS))
+    def test_arithmetic_and_printing_agree_on_seeded_pairs(self, name):
+        ring = PACKED_MODELS[name]().ring
+        rng = random.Random(f"packed {name}")
+        slices = [list(tuple_monomials_of_degree(ring.degrees, d)) for d in range(9)]
+
+        def draw(max_degree):
+            monos = {m for d in range(max_degree + 1) for m in slices[d] if rng.random() < 0.3}
+            return ring.from_monomials(monos), frozenset(monos)
+
+        def tuples(p):
+            return frozenset(map(ring.unpack, p.monomials))
+
+        names = [n for n, _ in ring.generators]
+        for _ in range(12):
+            (f, tf), (g, tg) = draw(8), draw(8)
+            assert tuples(f * g) == tuple_mul(tf, tg)
+            assert tuples(f.square()) == tuple_square(tf)
+            e = rng.randrange(4)
+            small, tsmall = draw(4)
+            assert tuples(small ** e) == tuple_pow(tsmall, e, ring.ngens)
+            images = [draw(2) for _ in range(ring.ngens)]
+            got = small.substitute(ring, [p for p, _ in images])
+            want = tuple_substitute(tsmall, [t for _, t in images], ring.ngens)
+            assert tuples(got) == want
+            for p, t in ((f, tf), (f * g, tuple_mul(tf, tg)), (got, want)):
+                assert str(p) == tuple_str(t, names)
+
+
+class TestCarryGuard:
+    """An exponent reaching LIMIT would spill into the next generator's
+    field; every way to build one raises instead."""
+
+    RING = WeightedPolyRing.make(("x", 1), ("y", 1))
+
+    def test_parse_and_from_monomials_refuse_the_limit(self):
+        R = self.RING
+        assert R.parse(f"x^{LIMIT - 1}").monomials == {LIMIT - 1}
+        for text in (f"x^{LIMIT}", f"x^{LIMIT - 1}*x", f"y^{LIMIT}"):
+            with pytest.raises(F2Error):
+                R.parse(text)
+        for mono in ((LIMIT, 0), (0, LIMIT), (-1, 0)):
+            with pytest.raises(F2Error):
+                R.from_monomials([mono])
+
+    def test_products_powers_and_squares_refuse_the_limit(self):
+        R = self.RING
+        x = R.gen("x")
+        top = R.from_monomials([(LIMIT - 1, 0)])
+        assert x ** (LIMIT - 1) == top
+        half = R.from_monomials([(LIMIT // 2, 0)])
+        for op in (
+            lambda: top * x,
+            lambda: x * top,
+            lambda: half.square(),
+            lambda: half * half,
+            lambda: half ** 2,
+            lambda: x ** LIMIT,
+        ):
+            with pytest.raises(F2Error):
+                op()
+        # unguarded, the square of x^LIMIT would read as y
+        assert R.unpack(LIMIT << 1) == (0, 1)
+
+    def test_substitute_refuses_the_limit(self):
+        R = self.RING
+        images = [R.from_monomials([(LIMIT // 2, 0)]), R.gen("y")]
+        with pytest.raises(F2Error):
+            R.parse("x^2").substitute(R, images)
+        assert R.parse("x*y").substitute(R, images) == R.from_monomials([(LIMIT // 2, 1)])
 
 
 class TestSeries:
