@@ -107,7 +107,7 @@ def derive_presentation(
     for name, poly in generators:
         deg = poly.degree()
         declared[name] = {}
-        for k in range(1, deg + 1):
+        for k in range(deg, 0, -1):  # Sq^deg first: each monomial is squared once
             declared[name][k] = express(ambient.sq(k, poly), deg + k)
     pres = SqAlgebraPresentation.build(ring, declared)
     return pres, images
@@ -255,14 +255,17 @@ class FiberBundleData:
     _cache: dict = field(
         default_factory=dict, init=False, compare=False, repr=False, hash=False
     )
+    _pullbacks: dict = field(  # base monomial -> its pullback, as _cache
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def lh_reduce(self, f: F2Poly) -> tuple[F2Poly, ...]:
         """The unique coefficients r_i with f = sum pi^*(r_i) b_i.
 
-        The span of the products pi^*(mono) b_i is built once per degree and
-        cached.  The cache is exact: those products depend only on the degree
-        and on fields of this frozen bundle, and they form a basis of the
-        slice, so every expansion read from the span is the unique one.
+        The span of the products pi^*(mono) b_i is built once per degree, and
+        each pi^*(mono) once per bundle.  The caches are exact: both depend
+        only on fields of this frozen bundle, and the products form a basis of
+        the slice, so every expansion read from the span is the unique one.
         """
         if f.ring != self.total.ring:
             raise BundleError("element lives in the wrong ring")
@@ -277,8 +280,10 @@ class FiberBundleData:
             columns, labels = [], []
             for i, b in enumerate(self.lh_basis):
                 for mono in self.base.ring.monomials_of_degree(n - b.degree()):
-                    base_class = F2Poly(self.base.ring, frozenset({mono}))
-                    columns.append(self.pullback.apply(base_class) * b)
+                    if mono not in self._pullbacks:
+                        base_class = F2Poly(self.base.ring, frozenset({mono}))
+                        self._pullbacks[mono] = self.pullback.apply(base_class)
+                    columns.append(self._pullbacks[mono] * b)
                     labels.append((i, mono))
             self._cache[n] = _slice_solver(self.total.ring, n, columns, labels)
         sol = self._cache[n](f)

@@ -501,9 +501,6 @@ class F2Poly:
             acc ^= {0} if term is None else term.monomials
         return F2Poly(target_ring, frozenset(acc))
 
-    def coefficient(self, mono: Monomial) -> int:
-        return 1 if self.ring.pack(mono) in self.monomials else 0
-
     def __str__(self) -> str:
         if not self.monomials:
             return "0"

@@ -33,7 +33,7 @@ Margolis homology (Adams-Margolis) is a standard fact the solver relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -64,6 +64,10 @@ class FiniteModule:
     ops: tuple[tuple[str, tuple[F2Matrix, ...]], ...]
     truncated: bool = False
     name: str = ""
+    # which -> Margolis table, exact as it reads only this frozen module
+    _margolis: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def __post_init__(self):
         if self.algebra not in ALGEBRA_OPS:
@@ -187,17 +191,18 @@ class FiniteModule:
         return 3, mats
 
     def margolis_homology(self, which: str) -> dict[int, tuple[int, bool]]:
-        """Degree -> (dim ker/im, reliable flag)."""
+        """Degree -> (dim ker/im, reliable flag), computed once; returns a copy."""
         if which not in ("q0", "q1"):
             raise ModuleError("which must be 'q0' or 'q1'")
-        shift, mats = self.margolis_operator(which)
-        out = {}
-        for d in range(self.dmin, self.dmax + 1):
-            ker = self.dim(d) - mats[d].rank()
-            im = mats[d - shift].rank() if d - shift >= self.dmin else 0
-            reliable = d <= self.reliable_max()
-            out[d] = (ker - im, reliable)
-        return out
+        if which not in self._margolis:
+            shift, mats = self.margolis_operator(which)
+            out = {}
+            for d in range(self.dmin, self.dmax + 1):
+                ker = self.dim(d) - mats[d].rank()
+                im = mats[d - shift].rank() if d - shift >= self.dmin else 0
+                out[d] = (ker - im, d <= self.reliable_max())
+            self._margolis[which] = out
+        return dict(self._margolis[which])
 
     def to_dot(self) -> str:
         """Node-and-edge picture: nodes per basis element, short edges for the
@@ -593,14 +598,15 @@ class StableType:
 
 
 def _piece_profile(algebra: str, family: str, susp: int, lo: int, hi: int):
-    """(poincare, q0m, q1m) of a suspended piece restricted to [lo, hi]."""
-    t = standard_piece(algebra, family).suspend(susp)
-    poin = tuple(t.dim(d) for d in range(lo, hi + 1))
-    q0 = t.margolis_homology("q0")
-    q1 = t.margolis_homology("q1")
-    q0m = tuple(q0.get(d, (0, True))[0] for d in range(lo, hi + 1))
-    q1m = tuple(q1.get(d, (0, True))[0] for d in range(lo, hi + 1))
-    return poin, q0m, q1m
+    """(poincare, q0m, q1m) of a piece suspended by susp, over [lo, hi]."""
+    t = standard_piece(algebra, family)
+    window = range(lo - susp, hi - susp + 1)  # the unsuspended degrees
+    q0, q1 = t.margolis_homology("q0"), t.margolis_homology("q1")
+    return (
+        tuple(t.dim(d) for d in window),
+        tuple(q0.get(d, (0, True))[0] for d in window),
+        tuple(q1.get(d, (0, True))[0] for d in window),
+    )
 
 
 def stable_type_solve(
@@ -625,10 +631,11 @@ def stable_type_solve(
     lo, hi = module.dmin, module.reliable_max()
     if hi < lo:
         raise ModuleError("window too small to say anything reliable")
+    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
     target = (
         tuple(module.dim(d) for d in range(lo, hi + 1)),
-        tuple(module.margolis_homology("q0")[d][0] for d in range(lo, hi + 1)),
-        tuple(module.margolis_homology("q1")[d][0] for d in range(lo, hi + 1)),
+        tuple(q0[d][0] for d in range(lo, hi + 1)),
+        tuple(q1[d][0] for d in range(lo, hi + 1)),
     )
 
     bottoms = {name: standard_piece(algebra, name).dmin for name in names}
@@ -909,15 +916,16 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
     if module.algebra != "A1":
         raise ModuleError("expected an A(1)-module")
     lo, hi = module.dmin, module.reliable_max()
-    q0m = {d: module.margolis_homology("q0")[d][0] for d in range(lo, hi + 1)}
-    q1m = {d: module.margolis_homology("q1")[d][0] for d in range(lo, hi + 1)}
+    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
+    q0m = {d: q0[d][0] for d in range(lo, hi + 1)}
+    q1m = {d: q1[d][0] for d in range(lo, hi + 1)}
 
-    # margolis signatures of the placed pieces (computed, then used blind)
+    # margolis signatures of the placed pieces: their tables shifted by susp
     def signature(name, susp):
-        t = standard_piece("A1", name).suspend(susp)
-        return (
-            {d: v for d, (v, _) in t.margolis_homology("q0").items() if v},
-            {d: v for d, (v, _) in t.margolis_homology("q1").items() if v},
+        t = standard_piece("A1", name)
+        return tuple(
+            {d + susp: v for d, (v, _) in t.margolis_homology(which).items() if v}
+            for which in ("q0", "q1")
         )
 
     counts: dict[tuple[str, int], int] = {}
@@ -958,9 +966,9 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
     # leftover dimensions must be free: greedy generator counts
     residual = {d: module.dim(d) for d in range(lo, hi + 1)}
     for (name, susp), count in counts.items():
-        t = standard_piece("A1", name).suspend(susp)
+        t = standard_piece("A1", name)
         for d in range(lo, hi + 1):
-            residual[d] -= count * t.dim(d)
+            residual[d] -= count * t.dim(d - susp)
     a1 = standard_piece("A1", "A1")
     free = {}
     for d in range(lo, hi + 1):

@@ -6,6 +6,7 @@ from steenrod.action import (
     AlgebraMap,
     PresentationError,
     SqAlgebraPresentation,
+    TotalSquare,
     check_presentation,
 )
 from steenrod.cli import PRESETS
@@ -115,11 +116,63 @@ class TestEngineAgainstOracle:
             assert p.total_sq(p.ring.from_monomials(chunk)) == want, (name, chunk)
 
 
+def fresh_engine(p):
+    """A TotalSquare for presentation p with empty caches (the presets are
+    shared, and so are their engines)."""
+    return TotalSquare(p._gen, p.ring.degrees.__getitem__, FIELD)
+
+
+class TestTruncatedComponents:
+    """components(mono, deg, upto) against the full list it cuts short."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_ascending_requests_then_full_give_prefixes_through_12(self, name):
+        p = ORACLE_MODELS[name]()
+        full, engine = fresh_engine(p), fresh_engine(p)
+        for d in range(13):
+            for mono in p.ring.monomials_of_degree(d):
+                want = full.components(mono, d)
+                for k in range(d + 1):
+                    got = engine.components(mono, d, k)
+                    assert k < len(got) <= len(want), (name, mono, k)
+                    assert got == want[: len(got)], (name, mono, k)
+                assert engine.components(mono, d) == want, (name, mono)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_full_request_first_serves_every_later_cut_through_12(self, name):
+        p = ORACLE_MODELS[name]()
+        full, engine = fresh_engine(p), fresh_engine(p)
+        for d in range(13):
+            for mono in p.ring.monomials_of_degree(d):
+                want = full.components(mono, d)
+                assert engine.components(mono, d) == want
+                for k in range(d + 1):
+                    assert engine.components(mono, d, k) == want, (name, mono, k)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_a_fresh_request_builds_k_plus_one_components(self, name):
+        p = ORACLE_MODELS[name]()
+        for d in range(9):
+            for mono in p.ring.monomials_of_degree(d):
+                for k in range(d + 1):
+                    assert len(fresh_engine(p).components(mono, d, k)) == k + 1
+
+    def test_sq1_of_a_high_monomial_holds_two_components(self):
+        # Sq^1 of x1^63 x2^63 x3^63 once built all 190 components
+        p = rank_one_model(3)
+        f = p.ring.parse("x1^63*x2^63*x3^63")
+        want = p.ring.parse("x1^64*x2^63*x3^63 + x1^63*x2^64*x3^63 + x1^63*x2^63*x3^64")
+        assert p.sq(1, f) == want
+        (mono,) = f.monomials
+        _, comps = p._square._monos[mono]
+        assert len(comps) <= 2
+
+
 class TestPackedGuard:
     def test_a_monomial_past_the_field_limit_raises_before_squaring(self, monkeypatch):
         p = chern_root_model(2)
 
-        def unreachable(mono, deg):
+        def unreachable(mono, deg, upto=None):
             raise AssertionError("components built past the field limit")
 
         monkeypatch.setattr(p._square, "components", unreachable)

@@ -2,7 +2,7 @@
 
 Every public top-level function, class and method of `steenrod` must be
 used somewhere else in the package's code, be exported in
-`steenrod.__all__`, or be named in README.md.  A name that only the tests
+`steenrod.__all__`, or be named in a code span or block of README.md.  A name that only the tests
 call belongs in the test file that uses it, as an oracle.  The few
 exceptions are listed in ALLOWED, each with its reason.
 """
@@ -51,10 +51,18 @@ def _uses(tree: ast.Module) -> set[str]:
     return out
 
 
+def _code_spans(markdown: str) -> str:
+    """The text of every fenced block and inline code span, one per line;
+    a name the README only uses as a prose word documents nothing."""
+    fenced = re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.S | re.M)
+    prose = re.sub(r"^```[^\n]*\n.*?^```", "", markdown, flags=re.S | re.M)
+    return "\n".join(fenced + re.findall(r"`([^`\n]+)`", prose))
+
+
 def unused_public_names() -> list[str]:
     trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     used = set().union(*(_uses(t) for t in trees.values()))
-    readme = README.read_text()
+    readme = _code_spans(README.read_text())
     exported = set(steenrod.__all__)
     unused = []
     for path, tree in trees.items():
@@ -82,8 +90,27 @@ def test_the_walk_sees_a_name_nothing_uses(tmp_path, monkeypatch):
         "class K:\n    def method(self):\n        return orphan\n\n"
         "    def lonely(self):\n        return 0\n"
     )
-    (tmp_path / "README.md").write_text("K is the class.\n")
+    (tmp_path / "README.md").write_text("`K` is the class.\n")
     monkeypatch.setattr(steenrod, "__all__", [])
     monkeypatch.setitem(globals(), "SRC", pkg)
     monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
     assert unused_public_names() == ["a.py:10 K.method", "a.py:13 K.lonely"]
+
+
+def test_a_name_only_in_readme_prose_is_unused(tmp_path, monkeypatch):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        "def coefficient():\n    return 0\n\n\n"
+        "def spanned():\n    return 1\n\n\n"
+        "def fenced():\n    return 2\n"
+    )
+    (tmp_path / "README.md").write_text(
+        "Read each coefficient off `spanned(x)`.\n\n"
+        "```python\nfenced()\n```\n\nThe fenced value, and a coefficient\nword.\n"
+    )
+    monkeypatch.setattr(steenrod, "__all__", [])
+    monkeypatch.setitem(globals(), "SRC", pkg)
+    monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
+    assert unused_public_names() == ["a.py:1 coefficient"]

@@ -138,6 +138,29 @@ class TestLerayHirsch:
         other = dataclasses.replace(b.pullback, images=(S.gen("x4"), b.pullback.images[1]))
         assert other.apply(y4 * y4) == S.parse("x4^2")
 
+    def test_reducing_every_degree_pulls_each_base_monomial_back_once(self, monkeypatch):
+        from steenrod.action import AlgebraMap
+
+        b = dataclasses.replace(cp2_bundle(), cap=24)  # fresh caches
+        calls = []
+        real = AlgebraMap.apply
+
+        def counting(self, f):
+            calls.append(f)
+            return real(self, f)
+
+        monkeypatch.setattr(AlgebraMap, "apply", counting)
+        S = b.total.ring
+        for d in range(b.cap + 1):
+            for mono in sorted(S.monomials_of_degree(d))[:1]:
+                f = F2Poly(S, frozenset({mono}))
+                total = S.zero()
+                for r, basis_elt in zip(b.lh_reduce(f), b.lh_basis):
+                    total = total + real(b.pullback, r) * basis_elt
+                assert total == f
+        assert calls and len(calls) == len(set(calls))
+        assert all(len(f.monomials) == 1 for f in calls)
+
     def test_slice_solver_treats_other_degrees_as_outside_the_span(self):
         from steenrod.bundles import _slice_solver
 

@@ -7,6 +7,7 @@ from steenrod.algebra import SteenrodElement
 from steenrod.dual import SubHopfAlgebra, basis_of
 from steenrod.f2 import WeightedPolyRing
 from steenrod.modules import (
+    FiniteModule,
     ModuleError,
     catalog,
     check_split_criterion,
@@ -316,6 +317,68 @@ class TestEightFoldFeasibility:
         assert not res.feasible and "q1 left at [4" in res.note
         counting = stable_type_solve(m, build_iso=False, max_solutions=2)
         assert ("J", 2) in counting.solutions[0]
+
+
+def suspended_profile_oracle(algebra, name, susp, lo, hi):
+    """A piece's (poincare, q0m, q1m) over [lo, hi], read off the suspended
+    module itself, as the search did before it shifted the piece's tables."""
+    t = standard_piece(algebra, name).suspend(susp)
+    q0, q1 = t.margolis_homology("q0"), t.margolis_homology("q1")
+    return (
+        tuple(t.dim(d) for d in range(lo, hi + 1)),
+        tuple(q0.get(d, (0, True))[0] for d in range(lo, hi + 1)),
+        tuple(q1.get(d, (0, True))[0] for d in range(lo, hi + 1)),
+    )
+
+
+class TestMargolisTables:
+    """One Margolis table per module, and shifted tables for suspensions."""
+
+    @pytest.mark.parametrize("algebra", ["A1", "E1"])
+    def test_suspension_shifts_every_catalog_table(self, algebra):
+        from steenrod.modules import _piece_profile
+
+        for name in catalog(algebra):
+            piece = standard_piece(algebra, name)
+            for which in ("q0", "q1"):
+                table = piece.margolis_homology(which)
+                assert {d: v for d, (v, _) in table.items()} == brute_margolis(piece, which)
+                for s in range(-9, 10):
+                    got = piece.suspend(s).margolis_homology(which)
+                    assert got == {d + s: v for d, v in table.items()}, (name, s)
+            for s in range(-9, 10):
+                for lo, hi in ((-4, 12), (0, 6), (s, s + 3)):
+                    got = _piece_profile(algebra, name, s, lo, hi)
+                    assert got == suspended_profile_oracle(algebra, name, s, lo, hi)
+
+    def test_a_returned_table_is_a_copy(self):
+        m = standard_piece("A1", "J").suspend(3)
+        for which in ("q0", "q1"):
+            table = m.margolis_homology(which)
+            want = dict(table)
+            table[m.dmin] = (99, False)
+            table[m.dmax + 1] = (1, True)
+            assert m.margolis_homology(which) == want
+
+    def test_solve_and_feasibility_compute_each_table_once(self, monkeypatch):
+        from steenrod.bundles import bpsp3_presentation
+
+        computed = []
+        real = FiniteModule.margolis_operator
+
+        def counting(self, which):
+            computed.append((self, which))
+            return real(self, which)
+
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 24))
+        standard_piece.cache_clear()  # pieces whose tables nothing has built yet
+        monkeypatch.setattr(FiniteModule, "margolis_operator", counting)
+        stable_type_solve(m, build_iso=False, max_solutions=2)
+        eight_fold_feasibility(m)
+        assert len(computed) == len(set(computed))
+        pieces = {standard_piece("A1", name) for name in catalog("A1")}
+        assert {t for t, _ in computed} <= pieces | {m}
+        assert {(m, "q0"), (m, "q1")} <= set(computed)
 
 
 def permutation_search_oracle(module, pieces=None, max_solutions=4):
