@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq
-from .charclass import ModPoly, _unpack, model as charclass_model
 from .f2 import F2Poly, F2Span, WeightedPolyRing
 
 
@@ -606,8 +605,10 @@ class LegResult:
     detected: bool
 
 
-def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: ModPoly) -> F2Poly:
-    """wpoly with parts[i] substituted for each w_i (zero where absent)."""
+def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: frozenset[int]) -> F2Poly:
+    """The charclass polynomial wpoly with parts[i] substituted for each
+    w_i (zero where absent)."""
+    from .charclass import _unpack
     acc = ring.zero()
     for mono in map(_unpack, wpoly):
         term = ring.one()
@@ -621,7 +622,7 @@ def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: ModPoly
     return acc
 
 
-def substitute_vertical(b: FiberBundleData, wpoly: ModPoly) -> F2Poly:
+def substitute_vertical(b: FiberBundleData, wpoly: frozenset[int]) -> F2Poly:
     """Substitute the vertical-class components for the w generators."""
     parts = {i: b.vertical_class_part(i) for i in range(1, b.fiber_dim + 1)}
     return _substitute(b.total.ring, parts, wpoly)
@@ -632,7 +633,8 @@ def primitive_transfer_check(
 ) -> list[LegResult]:
     """For each admissible degree, push the spin-c primitive through both
     transfer legs and record whether at least one leg sees it."""
-    mdl = charclass_model("bspinc", max(n_max, 34))
+    from .charclass import model
+    mdl = model("bspinc", max(n_max, 34))
     cp2, hp2 = cp2_bundle(), hp2_bundle()
     if use_inverse_class:
         cp2_sub = {

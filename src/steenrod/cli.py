@@ -16,9 +16,7 @@ import argparse
 import json
 import sys
 
-from . import bundles, charclass, dual, modules, verify
-from .algebra import basis, parse_element
-from .dual import parse_dual, parse_milnor_operator
+from . import verify
 from .f2 import F2Error
 
 # committed schema for the JSON report emitted by `verify`
@@ -61,12 +59,18 @@ REPORT_SCHEMA = {
     },
 }
 
+
+def _bundles():
+    from . import bundles
+    return bundles
+
+
 PRESETS = {
-    "bpsp3": bundles.bpsp3_presentation,
-    "bsu3": bundles.bsu3_presentation,
-    "bu3": bundles.bu3_presentation,
-    "cp2-total": bundles.cp2_total_presentation,
-    "hp2-total": bundles.hp2_total_presentation,
+    "bpsp3": lambda: _bundles().bpsp3_presentation(),
+    "bsu3": lambda: _bundles().bsu3_presentation(),
+    "bu3": lambda: _bundles().bu3_presentation(),
+    "cp2-total": lambda: _bundles().cp2_total_presentation(),
+    "hp2-total": lambda: _bundles().hp2_total_presentation(),
 }
 
 
@@ -83,8 +87,9 @@ def _preset(name: str):
     return PRESETS[name]()
 
 
-def _preset_module(args) -> modules.FiniteModule:
+def _preset_module(args):
     """The preset's module over --algebra on the window [0, --max]."""
+    from . import modules
     algebra = ALGEBRAS.get(args.algebra.lower())
     if algebra is None:
         raise CliError(
@@ -104,30 +109,36 @@ def _parse_poly(ring, text: str):
 
 
 def cmd_adem(args) -> str:
+    from .algebra import parse_element
     return str(parse_element(args.expr))
 
 
 def cmd_mul(args) -> str:
+    from .algebra import parse_element
     return str(parse_element(args.left) * parse_element(args.right))
 
 
 def cmd_coprod(args) -> str:
+    from .algebra import parse_element
     return str(parse_element(args.expr).coproduct())
 
 
 def cmd_antipode(args) -> str:
+    from .algebra import parse_element
     return str(parse_element(args.expr).antipode())
 
 
 def cmd_pair(args) -> str:
-    return str(dual.pair(parse_dual(args.dual), parse_element(args.steenrod)))
+    from . import algebra, dual
+    return str(dual.pair(dual.parse_dual(args.dual), algebra.parse_element(args.steenrod)))
 
 
 def cmd_milnor(args) -> str:
+    from . import algebra, dual
     text = args.expr.strip()
     if text.startswith(("SqM", "Q")):
-        return str(parse_milnor_operator(text))
-    x = parse_element(text)
+        return str(dual.parse_milnor_operator(text))
+    x = algebra.parse_element(text)
     seqs = sorted(dual.admissible_to_milnor(x), key=dual.xi_sort_key)
     if not seqs:
         return "0"
@@ -135,6 +146,7 @@ def cmd_milnor(args) -> str:
 
 
 def cmd_basis(args) -> str:
+    from .algebra import basis
     elts = basis(args.degree)
     if args.format == "json":
         return json.dumps([e.to_json()[0] for e in elts])
@@ -150,6 +162,7 @@ def cmd_sq(args) -> str:
 
 
 def cmd_module_type(args) -> str:
+    from . import modules
     m = _preset_module(args)
     if args.format == "dot":
         return m.to_dot()
@@ -181,6 +194,7 @@ def cmd_margolis(args) -> str:
 
 
 def cmd_split_check(args) -> str:
+    from . import modules
     a1 = modules.standard_piece("A1", "A1")
     if args.case == "identity":
         cert = modules.check_split_criterion(modules.identity_map(a1))
@@ -212,6 +226,7 @@ def cmd_primitives(args) -> str:
         raise CliError(f"--max must be >= 0, got {args.max}")
     if args.kernel_limit < 0:
         raise CliError(f"--kernel-limit must be >= 0, got {args.kernel_limit}")
+    from . import charclass
     mdl = charclass.model(args.space, max(args.max, 34))
     rows = []
     for n in range(2, args.max + 1):
@@ -242,7 +257,7 @@ def cmd_primitives(args) -> str:
 
 
 def cmd_transfer(args) -> str:
-    b = bundles.bundle(args.bundle)
+    b = _bundles().bundle(args.bundle)
     poly = _parse_poly(b.total.ring, args.expr)
     result = b.fiber_integrate(poly)
     if args.json:
@@ -354,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_split_check)
 
     sp = sub.add_parser("primitives", help="primitive table of a classifying space")
-    sp.add_argument("--space", choices=charclass.SPACES, default="bspinc")
+    # charclass.SPACES, written out so that building the parser loads no charclass
+    sp.add_argument("--space", choices=("bo", "bso", "bspin", "bspinc"), default="bspinc")
     sp.add_argument("--max", type=int, default=64)
     sp.add_argument("--kernel-limit", type=int, default=0)
     sp.add_argument("--format", choices=("text", "json", "tsv"), default="text")

@@ -531,6 +531,7 @@ class ModuleMap:
         of the first failure otherwise."""
         _, mats_s = self.source.margolis_operator(which)
         shift, mats_t = self.target.margolis_operator(which)
+        hdims = self.source.margolis_homology(which)
         top = min(self.source.reliable_max(), self.target.reliable_max())
         for d in range(self.source.dmin, top + 1):
             ker = mats_s[d].kernel_basis()
@@ -547,7 +548,7 @@ class ModuleMap:
                             pivots[rr.bit_length() - 1] = rr
             # the induced map is injective iff the images of the source
             # kernel span hdim_source new directions modulo that image
-            hdim_source = self.source.margolis_homology(which)[d][0]
+            hdim_source = hdims[d][0]
             survivors = 0
             for v in ker:
                 rr = _reduce_against(self.mat(d).mat_vec(v).bits, pivots)

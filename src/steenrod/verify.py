@@ -6,10 +6,11 @@ counts keep a `provisional` entry fixed at 0 only because the JSON schema
 requires the key and the byte-stable text line ends in `0 provisional`
 (truncation fringes are flagged by the module commands, not by a suite).
 Suites are pure and deterministic, so reports are byte-stable for a fixed
-cap.  The default caps are chosen so the whole battery completes in seconds
-to a few minutes on commodity hardware: Hopf-axiom suites stop at degree 12,
-module and series suites at 40, the primitives table at 64 and the
-primitive-transfer sweep at 32.
+cap.  Each suite imports the modules it runs, so a command that runs one
+suite loads no other suite's modules.  The default caps are chosen so the
+whole battery completes in seconds to a few minutes on commodity hardware:
+Hopf-axiom suites stop at degree 12, module and series suites at 40, the
+primitives table at 64 and the primitive-transfer sweep at 32.
 
 Three rows are expected to fail by design and carry witnesses; they are
 listed in EXPECTED_FINDINGS.  Two stem from the same degree-6 edge case:
@@ -26,11 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import action, algebra, bundles, charclass, dual, modules
 from .action import Check, _eq
-from .algebra import SteenrodElement, admissible_basis
-from .dual import DualElement, SubHopfAlgebra
-from .f2 import WeightedPolyRing, geometric_series_product, series_of_ring
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,11 @@ class SuiteReport:
 # suites
 # ---------------------------------------------------------------------------
 
-Sq = SteenrodElement.sq
-
 
 def suite_hopf(max_degree: int = 12) -> list[Check]:
+    from . import algebra, dual
+    from .algebra import SteenrodElement, admissible_basis
+    Sq = SteenrodElement.sq
     checks = [
         _eq("Sq1 Sq2 = Sq3", Sq(1, 2), Sq(3)),
         _eq("Sq2 Sq2 = Sq3 Sq1", Sq(2, 2), Sq(3, 1)),
@@ -64,7 +62,7 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
         _eq("chi(Sq3) = Sq2 Sq1", Sq(3).antipode(), Sq(2, 1)),
         _eq(
             "A(1) basis has eight elements",
-            len(dual.basis_of(SubHopfAlgebra("A", 1))),
+            len(dual.basis_of(dual.SubHopfAlgebra("A", 1))),
             8,
         ),
     ]
@@ -119,14 +117,17 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
 
 
 def suite_pairing(max_degree: int = 12) -> list[Check]:
-    xi = DualElement.xi
+    from . import dual
+    from .algebra import SteenrodElement, admissible_basis
+    Sq = SteenrodElement.sq
+    xi = dual.DualElement.xi
     checks = []
     want = dual.DualTensor(frozenset({((0, 1), ()), ((2,), (1,)), ((), (0, 1))}))
     checks.append(_eq("coproduct of xi_2", dual.dual_coproduct(xi(2)), want))
 
     ok, witness = True, ""
     for n in range(1, 7):
-        acc = DualElement.zero()
+        acc = dual.DualElement.zero()
         for i in range(n + 1):
             acc = acc + (xi(i) ** (1 << (n - i))) * dual.zeta(n - i)
         if not acc.is_zero():
@@ -183,17 +184,18 @@ def suite_pairing(max_degree: int = 12) -> list[Check]:
 
 
 def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
+    from . import dual
     checks = []
-    xi = DualElement.xi
+    xi = dual.DualElement.xi
     expectations = {
         "A(0)": [xi(1) ** 2, xi(2), xi(3)],
         "A(1)": [xi(1) ** 4, xi(2) ** 2, xi(3), xi(4)],
         "E(1)": [xi(1) ** 2, xi(2) ** 2, xi(3), xi(4)],
     }
     algebras = {
-        "A(0)": SubHopfAlgebra("A", 0),
-        "A(1)": SubHopfAlgebra("A", 1),
-        "E(1)": SubHopfAlgebra("E", 1),
+        "A(0)": dual.SubHopfAlgebra("A", 0),
+        "A(1)": dual.SubHopfAlgebra("A", 1),
+        "E(1)": dual.SubHopfAlgebra("E", 1),
     }
     for name, h in algebras.items():
         gens = dual.dual_quotient_generators(h, 15)
@@ -211,11 +213,11 @@ def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
                 if deg + degrees[j] <= max_degree:
                     yield from products(
                         j,
-                        acc * DualElement(frozenset({gen_monos[j]})),
+                        acc * dual.DualElement(frozenset({gen_monos[j]})),
                         deg + degrees[j],
                     )
 
-        for prod in products(0, DualElement.one(), 0):
+        for prod in products(0, dual.DualElement.one(), 0):
             if not dual.verify_cotensor_member(prod, h):
                 ok, witness = False, str(prod)
                 break
@@ -226,6 +228,7 @@ def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
 
 
 def suite_bpsp_model(max_degree: int = 24) -> list[Check]:
+    from . import action, bundles
     checks = bundles.restriction_model_report()
     report = action.check_presentation(bundles.bpsp3_presentation(), max_degree, adem_max=4)
     checks.append(Check(f"derived ring consistent through degree {max_degree}", report.ok, report.witness))
@@ -233,14 +236,18 @@ def suite_bpsp_model(max_degree: int = 24) -> list[Check]:
 
 
 def suite_cp2_transfer(max_degree: int = 10) -> list[Check]:
+    from . import bundles
     return bundles.cp2_transfer_report(max_degree)
 
 
 def suite_hp2_transfer(max_degree: int = 4) -> list[Check]:
+    from . import bundles
     return bundles.hp2_transfer_report(3, min(max_degree, 4), samples=200)
 
 
 def suite_a1_modules(max_degree: int = 40) -> list[Check]:
+    from . import bundles, modules
+    from .f2 import WeightedPolyRing, geometric_series_product, series_of_ring
     checks = []
     ring = WeightedPolyRing.make(("t2", 2), ("t3", 3), ("t8", 8), ("t12", 12))
     lhs = series_of_ring(ring, 60)
@@ -297,6 +304,8 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
 
 
 def suite_e1_modules(max_degree: int = 40) -> list[Check]:
+    from . import bundles, modules
+    from .f2 import WeightedPolyRing, series_of_ring
     checks = []
     base86 = series_of_ring(WeightedPolyRing.make(("a", 8), ("b", 6)), 60)
     base8 = series_of_ring(WeightedPolyRing.make(("a", 8)), 60)
@@ -332,6 +341,7 @@ def suite_e1_modules(max_degree: int = 40) -> list[Check]:
 
 
 def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check]:
+    from . import charclass
     checks = []
     for space in ("bso", "bspin", "bspinc"):
         mdl = charclass.model(space, max(max_degree, 34))
@@ -357,6 +367,7 @@ def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check
 
 
 def suite_power_sums(max_degree: int = 3) -> list[Check]:
+    from . import charclass
     checks = []
     # max_degree bounds the exponent k of the family s_(2^k + 1), clamped to
     # k <= 4: s_17 is the largest member the suite reports, well inside the
@@ -371,6 +382,7 @@ def suite_power_sums(max_degree: int = 3) -> list[Check]:
 
 
 def suite_indecomposables(max_degree: int = 32) -> list[Check]:
+    from . import charclass
     table = charclass.spinc_homology_indecomposables(max_degree)
     checks = [
         _eq("degree 3", table.dims[3], 0),
@@ -399,6 +411,7 @@ def suite_indecomposables(max_degree: int = 32) -> list[Check]:
 
 
 def suite_primitive_transfer(max_degree: int = 32) -> list[Check]:
+    from . import bundles
     return [
         Check(
             f"degree {r.degree} ({r.formula})",

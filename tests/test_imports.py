@@ -1,0 +1,107 @@
+"""Each command imports only the modules it runs, and the package's public
+names resolve on first access.
+
+The footprint tests start a fresh interpreter per case, since a test
+process has long since imported every module."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import steenrod
+from steenrod import charclass, cli
+
+SRC = str(Path(steenrod.__file__).resolve().parents[1])
+
+
+def loaded_after(statements: str) -> set[str]:
+    """The steenrod modules a fresh interpreter holds after the statements,
+    without the package prefix ("" for the package itself)."""
+    script = (
+        "import sys\n" + statements + "\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'steenrod'))"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return {m.removeprefix("steenrod").lstrip(".") for m in out.split()}
+
+
+def loaded_by(argv: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds after `steenrod ARGV`."""
+    return loaded_after(
+        "import contextlib, io\n"
+        "from steenrod import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main({argv!r})"
+    )
+
+
+class TestImportFootprint:
+    def test_building_the_parser_loads_only_cli_verify_action_and_f2(self):
+        loaded = loaded_after("from steenrod import cli\ncli.build_parser()")
+        assert loaded == {"", "cli", "verify", "action", "f2"}
+
+    @pytest.mark.parametrize("suite", ["hopf", "pairing", "dual-quotients"])
+    def test_hopf_suites_load_no_charclass_bundles_or_modules(self, suite):
+        loaded = loaded_by(["verify", "--suite", suite])
+        assert "dual" in loaded
+        assert not loaded & {"charclass", "bundles", "modules"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "primitives", "--max", "4"],
+            ["verify", "--suite", "power-sums"],
+            ["verify", "--suite", "indecomposables"],
+        ],
+        ids=["primitives", "power-sums", "indecomposables"],
+    )
+    def test_charclass_suites_load_no_bundles_modules_or_dual(self, argv):
+        loaded = loaded_by(argv)
+        assert "charclass" in loaded
+        assert not loaded & {"bundles", "modules", "dual"}
+
+    @pytest.mark.parametrize("suite", ["cp2-transfer", "hp2-transfer"])
+    def test_transfer_suites_load_no_charclass_modules_or_dual(self, suite):
+        loaded = loaded_by(["verify", "--suite", suite])
+        assert "bundles" in loaded
+        assert not loaded & {"charclass", "modules", "dual"}
+
+
+class TestLazyPackage:
+    def test_importing_the_package_loads_no_module_until_a_name_is_read(self):
+        assert loaded_after("import steenrod") == {""}
+        assert loaded_after("from steenrod import pair") == {"", "algebra", "dual", "f2"}
+
+    def test_every_exported_name_is_its_home_modules_object(self):
+        assert len(steenrod.__all__) == 12
+        for name, home in steenrod._HOMES.items():
+            module = importlib.import_module(f"steenrod.{home}")
+            assert getattr(steenrod, name) is getattr(module, name), name
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace: dict = {}
+        exec("from steenrod import *", namespace)
+        assert set(steenrod.__all__) <= set(namespace)
+        assert namespace["pair"] is steenrod.pair
+
+    def test_an_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            steenrod.no_such_name
+        assert not hasattr(steenrod, "SPACES")
+
+    def test_the_space_choices_are_charclass_spaces(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        space = next(a for a in sub.choices["primitives"]._actions if a.dest == "space")
+        assert tuple(space.choices) == charclass.SPACES
