@@ -50,18 +50,26 @@ by poly_str and the bundle substitutions.  The total square is
 action.TotalSquare, the Frobenius-block/Cartan engine that serves the
 declared presentations too, fed the packed Wu table.
 
-The Newton layer works mod 2 and mod 4, never over the integers.  s_n mod 2
-comes from the Newton recursion mod 2 (even n collapse to squares by
-Frobenius).  The two-row sum s_{n,n} = (a - b)/2, with a = s_n^2 and
-b = s_2n coefficientwise, is wanted mod 2, so only (a - b) mod 4 matters.
-Lemma: a mod 4 depends only on s_n mod 2.  Writing s_n = sum c_m m, the
+The Newton layer works mod 2 and mod 4, never over the integers, and a model
+runs it in its own ring.  s_n mod 2 comes from the Newton recursion mod 2,
+s_n = sum_{i<n} w_i s_{n-i} + n w_n (even n collapse to squares by
+Frobenius).  phi is a ring map, so phi(s_n) = sum_{i<n} phi(w_i)
+phi(s_{n-i}) + n phi(w_n): the model runs the recursion on the generator
+images (w_i if allowed, rho_i if excluded, 0 for w_1 once it is killed) and
+never builds s_n upstream to reduce it.  The two-row sum s_{n,n} = (a - b)/2,
+with a = s_n^2 and b = s_2n coefficientwise, is wanted mod 2, so only
+(a - b) mod 4 matters.  Lemma: a mod 4 depends only on s_n mod 2.  Writing s_n = sum c_m m, the
 coefficient of a monomial in s_n^2 collects diagonal terms c_m^2, which are
 1 mod 4 for odd c_m and 0 for even c_m, and cross terms 2 c_m c_m' (m != m'),
 which are 2 mod 4 exactly when both are odd.  So a = D + 2X mod 4, with D the
 squares {2m} and X the cross sums m + m' counted mod 2, both over the
 support of s_n mod 2.  Running s_2n through the recursion mod 4 gives
 b = b_0 + 2 b_1; a - b is even exactly when b_0 = D, and then
-s_{n,n} = X + b_1 mod 2.
+s_{n,n} = X + b_1 mod 2.  A model takes both in the ring without the
+generators phi sends to zero (w_1 once it is killed; w_2, w_3, w_5 and w_9 in
+bspin; w_3 and w_5 in bspinc) and reduces the result by phi: setting
+generators to zero is a ring map of Z[w_1, w_2, ...] onto a torsion-free ring,
+so it commutes with the halving, and phi factors through it mod 2.
 """
 
 from __future__ import annotations
@@ -167,17 +175,20 @@ def power_sum_mod2(n: int) -> ModPoly:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_mod4(n: int) -> tuple[ModPoly, ModPoly]:
+def _power_sum_mod4(n: int, killed: frozenset[int] = frozenset()) -> tuple[ModPoly, ModPoly]:
     """s_n mod 4 as its two bit planes (the monomials whose coefficient has
     bit 0, and bit 1, set), by the Newton recursion
-    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n."""
+    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n, in the ring
+    with the generators w_i, i in killed, set to zero."""
     _check_index(n)
-    c = (n if n % 2 else -n) % 4
+    c = 0 if n in killed else (n if n % 2 else -n) % 4
     lo = {_gen(n)} if c & 1 else set()
     hi = {_gen(n)} if c & 2 else set()
     for i in range(1, n):
+        if i in killed:
+            continue
         wi = _gen(i)
-        tlo, thi = _power_sum_mod4(n - i)
+        tlo, thi = _power_sum_mod4(n - i, killed)
         tlo = {k + wi for k in tlo}
         thi = {k + wi for k in thi}
         if i % 2 == 0:
@@ -188,18 +199,20 @@ def _power_sum_mod4(n: int) -> tuple[ModPoly, ModPoly]:
 
 
 @lru_cache(maxsize=None)
-def two_row_power_sum(n: int) -> ModPoly:
-    """s_{n,n} = (s_n^2 - s_{2n})/2 mod 2, from s_n mod 2 and s_2n mod 4.
+def two_row_power_sum(n: int, killed: frozenset[int] = frozenset()) -> ModPoly:
+    """s_{n,n} = (s_n^2 - s_{2n})/2 mod 2, from s_n mod 2 and s_2n mod 4, in
+    the ring with the generators w_i, i in killed, set to zero.
 
     Even n are the square of s_{n/2,n/2} by Frobenius.  For odd n the
     coefficient (a - b)/2 is read off mod 2 as the module docstring derives;
     an odd a - b anywhere would be an internal failure of the Newton layer.
     """
     if n % 2 == 0:
-        return poly_square(two_row_power_sum(n // 2))
-    # s_2n first: its degree bound also covers every product in s_n^2
-    b_odd, b_two = _power_sum_mod4(2 * n)
-    s_n = power_sum_mod2(n)
+        return poly_square(two_row_power_sum(n // 2, killed))
+    # s_2n first: its degree bound also covers every product in s_n^2, and
+    # its recursion leaves s_n mod 4 cached
+    b_odd, b_two = _power_sum_mod4(2 * n, killed)
+    s_n = _power_sum_mod4(n, killed)[0]
     odd = b_odd ^ poly_square(s_n)  # where a - b is odd
     if odd:
         raise ArithmeticError(f"odd coefficient in s_{n},{n} at {_unpack(min(odd))}")
@@ -345,12 +358,16 @@ class QuotientModel:
         self.reductions: dict[int, ModPoly] = {}
         self._phi_cache: dict[int, ModPoly] = {}
         self._candidate_cache: dict[int, tuple[str, ModPoly] | None] = {}
-        self._two_row_cache: dict[int, bool] = {}
+        self._power_sum_cache: dict[int, ModPoly] = {}  # phi(s_n) by n, see power_sum
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         for e in sorted(excluded):
             self.reductions[e] = self._find_reduction(e)
         self._validate_reductions()
+        # phi(w_i) through the cap (the Newton layer runs on these images),
+        # and the generators phi kills
+        self._w_images = [frozenset()] + [self.phi(frozenset({_gen(i)})) for i in range(1, cap + 1)]
+        self.killed = frozenset(i for i in range(1, cap + 1) if not self._w_images[i])
         self._series_validated_to = 0
         if self.ideal_generator is not None and series_check:
             # past the cap the excluded generators are unknown to the model
@@ -600,6 +617,33 @@ class QuotientModel:
             k //= 2
         return total
 
+    # -- the Newton layer in the model ------------------------------------------
+
+    def power_sum(self, n: int) -> ModPoly:
+        """phi(s_n) by the Newton recursion mod 2 on the generator images:
+        phi is a ring map, so phi(s_n) = sum_{i<n} phi(w_i) phi(s_{n-i}) +
+        n phi(w_n).  Even n are squares by Frobenius.  Past the cap phi(w_n)
+        is unknown, so n above the cap raises ValueError."""
+        if not 1 <= n <= self.cap:
+            raise ValueError(f"s_{n} lies outside the degrees 1..{self.cap} of the model")
+        sums = self._power_sum_cache
+        images = self._w_images
+        for k in range(len(sums) + 1, n + 1):
+            if k % 2 == 0:
+                sums[k] = poly_square(sums[k // 2])
+                continue
+            acc = set(images[k])  # k w_k, k odd
+            for i in range(1, k):
+                for x in images[i]:
+                    acc ^= {x + y for y in sums[k - i]}
+            sums[k] = frozenset(acc)
+        return sums[n]
+
+    def two_row(self, m: int) -> ModPoly:
+        """phi(s_{m,m}), from the two-row sum in the ring without the
+        generators phi kills (the module docstring says why that is exact)."""
+        return self.phi(two_row_power_sum(m, self.killed))
+
     # -- named candidates -------------------------------------------------------
 
     def named_candidate(self, n: int) -> tuple[str, ModPoly] | None:
@@ -615,14 +659,14 @@ class QuotientModel:
             if n == 2:
                 return "w2", self.phi(frozenset({_gen(2)}))
             if n % 2:
-                return f"s{n}", self.phi(power_sum_mod2(n))
+                return f"s{n}", self.power_sum(n)
             name, poly = self.named_candidate(n // 2)
             return f"({name})^2", poly_square(poly)
         if self.space == "bspin":
             if n % 2:
                 if alpha(n) == 2 or n < 7:
                     return None  # degrees 2^s + 1 carry no primitive
-                return f"s{n}", self.phi(power_sum_mod2(n))
+                return f"s{n}", self.power_sum(n)
             if n < 4:
                 return None
             if alpha(n) == 1:
@@ -632,22 +676,22 @@ class QuotientModel:
                 while m % 2 == 0:
                     m //= 2
                 exp = n // (2 * m)
-                return f"(s{m},{m})^{exp}", poly_pow(self.phi(two_row_power_sum(m)), exp)
+                return f"(s{m},{m})^{exp}", poly_pow(self.two_row(m), exp)
             name, poly = self.named_candidate(n // 2)
             return f"({name})^2", poly_square(poly)
         if self.space == "bspinc":
             if n < 2 or (n % 2 and alpha(n) == 2):
                 return None  # 2^k + 1
             if alpha(n) >= 3:
-                return f"s{n}", self.phi(power_sum_mod2(n))
+                return f"s{n}", self.power_sum(n)
             if alpha(n) == 2:
                 m = n // 2
-                return f"s{m},{m}", self.phi(two_row_power_sum(m))
+                return f"s{m},{m}", self.two_row(m)
             return f"w2^{n // 2}", self.phi(poly_pow(frozenset({_gen(2)}), n // 2))
         # bo: one primitive per degree, the power sum
         if n < 1:
             return None
-        return f"s{n}", self.phi(power_sum_mod2(n))
+        return f"s{n}", self.power_sum(n)
 
     def expected_dimension(self, n: int) -> int:
         if self.space == "bo":
@@ -664,9 +708,7 @@ class QuotientModel:
     def _two_row_certified(self, m: int) -> bool:
         """s_{m,m} has reduced coproduct s_m (x) s_m upstream; it becomes
         primitive in the model exactly when phi(s_m) = 0."""
-        if m not in self._two_row_cache:
-            self._two_row_cache[m] = not self.phi(power_sum_mod2(m))
-        return self._two_row_cache[m]
+        return not self.power_sum(m)
 
     def _candidate_certified(self, n: int) -> bool:
         """Structural primitivity of the named candidate: squares of
@@ -854,11 +896,11 @@ def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> Power
     if k == 0:
         # Sq^1(s_2) = C(2,1) s_3 = 0; the step holds in the model because
         # s_3 itself reduces to zero there
-        squares_to_next = (m + 2**k not in got) and not mdl.phi(power_sum_mod2(nxt))
+        squares_to_next = (m + 2**k not in got) and not mdl.power_sum(nxt)
     else:
         squares_to_next = (m + 2**k in got) and (m + 2**k == nxt)
 
-    reduces = not mdl.phi(power_sum_mod2(m))
+    reduces = not mdl.power_sum(m)
 
     # membership: s_m must lie in the span of the ideal slice basis
     in_ideal = mdl._in_ideal(power_sum_mod2(m), m)

@@ -383,6 +383,8 @@ def suite_power_sums(max_degree: int = 3) -> list[Check]:
 
 def suite_indecomposables(max_degree: int = 32) -> list[Check]:
     from . import charclass
+    if max_degree < 7:  # the checks below read degrees 3, 4 and 7
+        raise ValueError(f"suite 'indecomposables' needs a cap of at least 7, got {max_degree}")
     table = charclass.spinc_homology_indecomposables(max_degree)
     checks = [
         _eq("degree 3", table.dims[3], 0),

@@ -319,19 +319,26 @@ def integer_two_row(n):
     return frozenset(k for k, c in diff.items() if (c // 2) % 2)
 
 
-def corrupted_two_row(n, k, by, monkeypatch):
-    """s_{n,n} (uncached) with the coefficient of k in s_2n mod 4 raised by `by`."""
+def restricted(p, killed):
+    """p with the generators w_i, i in killed, set to zero."""
+    mask = sum(255 << (8 * (i - 1)) for i in killed)
+    return frozenset(k for k in p if not k & mask)
+
+
+def corrupted_two_row(n, k, by, killed, monkeypatch):
+    """s_{n,n} (uncached) in the ring without the killed generators, with the
+    coefficient of k in that ring's s_2n mod 4 raised by `by`."""
     real = _power_sum_mod4
 
-    def corrupted(m):
-        lo, hi = real(m)
-        if m == 2 * n:
+    def corrupted(m, ring=frozenset()):
+        lo, hi = real(m, ring)
+        if m == 2 * n and ring == killed:
             for _ in range(by):
                 lo, hi = (lo - {k}, hi ^ {k}) if k in lo else (lo | {k}, hi)
         return lo, hi
 
     monkeypatch.setattr(charclass, "_power_sum_mod4", corrupted)
-    return two_row_power_sum.__wrapped__(n)
+    return two_row_power_sum.__wrapped__(n, killed)
 
 
 class TestNewtonMod4:
@@ -347,20 +354,79 @@ class TestNewtonMod4:
         for n in range(1, 18, 2):
             assert two_row_power_sum(n) == integer_two_row(n), n
 
+    def test_killed_ring_two_row_is_the_integer_layer_restricted_through_17(self):
+        for space in ("bso", "bspin", "bspinc"):
+            killed = model(space, 34).killed
+            for n in range(1, 18, 2):
+                assert two_row_power_sum(n, killed) == restricted(integer_two_row(n), killed)
+
+    # the ring of the bo model is the upstream one; bspin and bspinc read
+    # their two-row sums from the ring without the generators phi kills
+    @pytest.mark.parametrize("space", ["bo", "bspin", "bspinc"])
     @pytest.mark.parametrize("n", [3, 5, 9])
-    def test_a_coefficient_off_by_one_raises(self, n, monkeypatch):
-        lo, hi = _power_sum_mod4(2 * n)
+    def test_a_coefficient_off_by_one_raises(self, n, space, monkeypatch):
+        killed = model(space, 20).killed
+        lo, hi = _power_sum_mod4(2 * n, killed)
         for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
             with pytest.raises(ArithmeticError, match=f"odd coefficient in s_{n},{n}"):
-                corrupted_two_row(n, k, 1, monkeypatch)
+                corrupted_two_row(n, k, 1, killed, monkeypatch)
 
+    @pytest.mark.parametrize("space", ["bo", "bspin", "bspinc"])
     @pytest.mark.parametrize("n", [3, 5, 9])
-    def test_a_coefficient_off_by_two_changes_the_result(self, n, monkeypatch):
-        want = integer_two_row(n)
-        lo, hi = _power_sum_mod4(2 * n)
+    def test_a_coefficient_off_by_two_changes_the_result(self, n, space, monkeypatch):
+        killed = model(space, 20).killed
+        want = restricted(integer_two_row(n), killed)
+        lo, hi = _power_sum_mod4(2 * n, killed)
         for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
-            got = corrupted_two_row(n, k, 2, monkeypatch)
+            got = corrupted_two_row(n, k, 2, killed, monkeypatch)
             assert got != want and got ^ want == {k}, k
+
+
+def first_power_sum_mismatch(mdl, top):
+    """The least n <= top where the model's Newton layer differs from phi of
+    the upstream s_n, or None."""
+    return next(
+        (n for n in range(1, top + 1) if mdl.power_sum(n) != mdl.phi(power_sum_mod2(n))),
+        None,
+    )
+
+
+class TestNewtonInTheModel:
+    """The model-side Newton layer against phi of the upstream one."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_power_sums_are_phi_of_the_upstream_sums_through_40(self, space):
+        assert first_power_sum_mismatch(model(space, 40), 40) is None
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_killed_ring_two_row_sums_are_phi_of_the_upstream_ones(self, space):
+        mdl = model(space, 40)
+        for m in (3, 5, 9, 17):
+            assert mdl.two_row(m) == mdl.phi(two_row_power_sum(m)), m
+
+    def test_the_killed_generators_are_the_ones_phi_sends_to_zero(self):
+        want = {"bo": set(), "bso": {1}, "bspin": {1, 2, 3, 5, 9}, "bspinc": {1, 3, 5}}
+        for space in SPACES:
+            mdl = model(space, 40)
+            assert mdl.killed == want[space], space
+            for i in range(1, 41):
+                assert (not mdl.phi(w(i))) == (i in mdl.killed), (space, i)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_a_flipped_generator_image_fails_the_oracle(self, space):
+        for j in (1, 2, 3, 17, 33):
+            mdl = QuotientModel(space, 40, series_check=0)
+            mdl._w_images[j] = mdl._w_images[j] ^ w(j)  # the recursion's copy only
+            bad = first_power_sum_mismatch(mdl, 40)
+            assert bad is not None, j
+            if j % 2:
+                assert bad == j, j
+
+    def test_power_sums_past_the_cap_raise(self):
+        mdl = model("bso", 20)
+        for n in (0, 21):
+            with pytest.raises(ValueError):
+                mdl.power_sum(n)
 
 
 class TestWuFormula:
@@ -741,17 +807,17 @@ class TestPrimitives:
         gc.collect()
         assert ref() is None
 
-    def test_a_nonzero_phi_of_s17_fails_the_two_row_certificate(self, monkeypatch):
+    def test_a_nonzero_phi_of_s17_fails_the_two_row_certificate(self):
         # (s17,17) is the bspin primitive of degree 34 only because
         # phi(s17) = 0; hand the certificate a nonzero s17 and degree 34
         # alone loses its verified flag
         m = QuotientModel("bspin", 40, series_check=0)
         for n in (32, 34, 36):
-            m.named_candidate(n)  # built from the true power sums
-        true_sum, naive = charclass.power_sum_mod2, s17_naive_substitution()
-        monkeypatch.setattr(
-            charclass, "power_sum_mod2", lambda k: naive if k == 17 else true_sum(k)
-        )
+            m.named_candidate(n)  # built before the corruption
+        # the model's Newton layer with w_17 -> 0 in place of rho_17 gives
+        # the naive substitution
+        m._w_images[17] = frozenset()
+        assert m.power_sum(17) == s17_naive_substitution() != frozenset()
         assert not m.primitives(34).verified
         assert m.primitives(32).verified and m.primitives(36).verified
 

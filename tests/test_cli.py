@@ -287,6 +287,18 @@ class TestVerifyCommand:
         code, out, err = run(["verify", "--suite", "hopf", "--max", "-3"])
         assert code == 2 and out == "" and "must be >= 0" in err
 
+    @pytest.mark.parametrize("cap", ["0", "2", "4", "6", "7", None])
+    def test_indecomposables_names_its_smallest_cap(self, cap, monkeypatch):
+        # the suite reads degrees 3, 4 and 7, so a cap below 7 is refused
+        monkeypatch.delenv("STEENROD_CAP_INDECOMPOSABLES", raising=False)
+        flags = [] if cap is None else ["--max", cap]
+        code, out, err = run(["verify", "--suite", "indecomposables", *flags, "--format", "json"])
+        if cap is not None and int(cap) < 7:
+            assert code == 2 and out == "" and "at least 7" in err
+        else:
+            jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+            assert code == 1 and err == ""
+
     def test_negative_cap_environment_exits_2(self, monkeypatch):
         monkeypatch.setenv("STEENROD_CAP_HOPF", "-3")
         code, out, err = run(["verify", "--suite", "hopf"])
