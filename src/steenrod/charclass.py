@@ -641,7 +641,11 @@ class QuotientModel:
 
     def two_row(self, m: int) -> ModPoly:
         """phi(s_{m,m}), from the two-row sum in the ring without the
-        generators phi kills (the module docstring says why that is exact)."""
+        generators phi kills (the module docstring says why that is exact).
+        killed holds generators only through the cap, so 2m above it raises
+        ValueError."""
+        if not 1 <= 2 * m <= self.cap:
+            raise ValueError(f"s_{m},{m} lies outside the degrees 1..{self.cap} of the model")
         return self.phi(two_row_power_sum(m, self.killed))
 
     # -- named candidates -------------------------------------------------------

@@ -362,24 +362,24 @@ class TestNewtonMod4:
 
     # the ring of the bo model is the upstream one; bspin and bspinc read
     # their two-row sums from the ring without the generators phi kills
-    @pytest.mark.parametrize("space", ["bo", "bspin", "bspinc"])
     @pytest.mark.parametrize("n", [3, 5, 9])
-    def test_a_coefficient_off_by_one_raises(self, n, space, monkeypatch):
-        killed = model(space, 20).killed
-        lo, hi = _power_sum_mod4(2 * n, killed)
-        for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
-            with pytest.raises(ArithmeticError, match=f"odd coefficient in s_{n},{n}"):
-                corrupted_two_row(n, k, 1, killed, monkeypatch)
+    def test_a_coefficient_off_by_one_raises(self, n, monkeypatch):
+        for space in ("bo", "bspin", "bspinc"):
+            killed = model(space, 20).killed
+            lo, hi = _power_sum_mod4(2 * n, killed)
+            for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
+                with pytest.raises(ArithmeticError, match=f"odd coefficient in s_{n},{n}"):
+                    corrupted_two_row(n, k, 1, killed, monkeypatch)
 
-    @pytest.mark.parametrize("space", ["bo", "bspin", "bspinc"])
     @pytest.mark.parametrize("n", [3, 5, 9])
-    def test_a_coefficient_off_by_two_changes_the_result(self, n, space, monkeypatch):
-        killed = model(space, 20).killed
-        want = restricted(integer_two_row(n), killed)
-        lo, hi = _power_sum_mod4(2 * n, killed)
-        for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
-            got = corrupted_two_row(n, k, 2, killed, monkeypatch)
-            assert got != want and got ^ want == {k}, k
+    def test_a_coefficient_off_by_two_changes_the_result(self, n, monkeypatch):
+        for space in ("bo", "bspin", "bspinc"):
+            killed = model(space, 20).killed
+            want = restricted(integer_two_row(n), killed)
+            lo, hi = _power_sum_mod4(2 * n, killed)
+            for k in sorted(lo)[:3] + sorted(hi - lo)[:3] + [mono_from([n, n - 1, 1])]:
+                got = corrupted_two_row(n, k, 2, killed, monkeypatch)
+                assert got != want and got ^ want == {k}, (space, k)
 
 
 def first_power_sum_mismatch(mdl, top):
@@ -423,10 +423,14 @@ class TestNewtonInTheModel:
                 assert bad == j, j
 
     def test_power_sums_past_the_cap_raise(self):
-        mdl = model("bso", 20)
+        mdl = model("bspin", 20)
         for n in (0, 21):
             with pytest.raises(ValueError):
                 mdl.power_sum(n)
+        assert mdl.two_row(5) == mdl.phi(two_row_power_sum(5))
+        for m in (0, 11, 17):
+            with pytest.raises(ValueError):
+                mdl.two_row(m)
 
 
 class TestWuFormula:
