@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq
-from .f2 import F2Poly, F2Span, WeightedPolyRing
+from .f2 import F2Index, F2Poly, F2Span, WeightedPolyRing
 
 
 class BundleError(Exception):
@@ -46,16 +46,14 @@ class BundleError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _slice_solver(ring: WeightedPolyRing, degree: int, columns, labels):
-    """Solver in the span of polynomials of one degree: p -> the labels of
-    columns summing to p, or None when p lies outside the span."""
-    index = {m: i for i, m in enumerate(ring.monomials_of_degree(degree))}
-    span = F2Span([sum(1 << index[m] for m in p.monomials) for p in columns])
+def _slice_solver(columns, labels):
+    """Solver in the span of polynomials: p -> the labels of columns summing
+    to p, or None when p lies outside the span."""
+    index = F2Index()
+    span = F2Span([index.bits(p.monomials) for p in columns])
 
     def solve(p: F2Poly):
-        if not index.keys() >= p.monomials:
-            return None
-        sol = span.coords(sum(1 << index[m] for m in p.monomials))
+        sol = span.coords(index.bits(p.monomials))
         return None if sol is None else [x for j, x in enumerate(labels) if (sol >> j) & 1]
 
     return solve
@@ -92,9 +90,7 @@ def derive_presentation(
                 for g in ideal
                 for m in ambient.ring.monomials_of_degree(degree - g.degree())
             ]
-            solvers[degree] = _slice_solver(
-                ambient.ring, degree, columns + multiples, targets + [None] * len(multiples)
-            )
+            solvers[degree] = _slice_solver(columns + multiples, targets + [None] * len(multiples))
         sol = solvers[degree](poly)
         if sol is None:
             raise BundleError(
@@ -284,7 +280,7 @@ class FiberBundleData:
                         self._pullbacks[mono] = self.pullback.apply(base_class)
                     columns.append(self._pullbacks[mono] * b)
                     labels.append((i, mono))
-            self._cache[n] = _slice_solver(self.total.ring, n, columns, labels)
+            self._cache[n] = _slice_solver(columns, labels)
         sol = self._cache[n](f)
         if sol is None:
             raise BundleError("Leray-Hirsch expansion failed (internal)")

@@ -82,7 +82,7 @@ from typing import Iterable, Iterator
 
 from .action import TotalSquare
 from .algebra import admissible_basis, binom_mod2
-from .f2 import _reduce_against
+from .f2 import F2Basis, F2Index, F2Span
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]
@@ -424,7 +424,12 @@ class QuotientModel:
         return frozenset(acc)
 
     def _phi_mono(self, m: int) -> ModPoly:
-        """phi of one monomial under the reductions known so far."""
+        """phi of one monomial under the reductions known so far.  Past the
+        cap the excluded generators are unknown, so w_i with i above the cap
+        raises ValueError."""
+        if m >> (8 * self.cap):
+            i = (m.bit_length() - 1) // 8 + 1
+            raise ValueError(f"w_{i} lies above the cap {self.cap} of the model")
         allowed_part = m
         powers = []
         for i, rho in self.reductions.items():
@@ -792,41 +797,18 @@ class QuotientModel:
     def kernel_primitives(self, n: int) -> list[ModPoly]:
         """Literal kernel of the reduced coproduct on the degree-n slice."""
         basis = list(self.slice_monomials(n))
-        col_index: dict[tuple[int, int], int] = {}
-        rows = []
-        for mono in basis:
-            bits = 0
-            for pair in self.delta_reduced(frozenset({mono})):
-                if pair not in col_index:
-                    col_index[pair] = len(col_index)
-                bits |= 1 << col_index[pair]
-            rows.append(bits)
-        # kernel of the transpose-free row system: vectors over the basis
-        # whose combined row image vanishes; the low len(basis) bits of each
-        # row carry the combination, so every pivot sits above them
-        nb = len(basis)
-        pivots: dict[int, int] = {}
-        kernel: list[ModPoly] = []
-        for k, row in enumerate(rows):
-            row = _reduce_against((row << nb) | (1 << k), pivots)
-            if row >> nb:
-                pivots[row.bit_length() - 1] = row
-            else:
-                kernel.append(frozenset(basis[i] for i in range(nb) if (row >> i) & 1))
-        return kernel
+        index = F2Index()
+        rows = [index.bits(self.delta_reduced(frozenset({mono}))) for mono in basis]
+        return [
+            frozenset(basis[i] for i in range(len(basis)) if (rel >> i) & 1)
+            for rel in F2Span(rows).relations
+        ]
 
 
 def _row_basis(span: list[ModPoly]) -> list[ModPoly]:
     """The members of span independent of the members before them."""
-    index: dict[int, int] = {}
-    pivots: dict[int, int] = {}
-    basis: list[ModPoly] = []
-    for p in span:
-        row = _reduce_against(sum(1 << index.setdefault(mm, len(index)) for mm in p), pivots)
-        if row:
-            pivots[row.bit_length() - 1] = row
-            basis.append(p)
-    return basis
+    index, basis = F2Index(), F2Basis()
+    return [p for p in span if basis.add(index.bits(p))]
 
 
 @lru_cache(maxsize=None)

@@ -31,7 +31,7 @@ from .algebra import (
     normalize_word,
     word_sort_key,
 )
-from .f2 import F2Matrix, F2Vector, _reduce_against
+from .f2 import F2Basis, F2Index, F2Matrix, F2Vector
 
 XiMonomial = tuple[int, ...]
 
@@ -419,33 +419,14 @@ def _span_closure(generators: list[SteenrodElement]) -> list[SteenrodElement]:
     """
     basis_elts: list[SteenrodElement] = [SteenrodElement.one()]
     frontier = list(basis_elts)
-    # word index for coordinates
-    word_index: dict[Word, int] = {}
-
-    def coords(e: SteenrodElement) -> int:
-        bits = 0
-        for w in e.words:
-            if w not in word_index:
-                word_index[w] = len(word_index)
-            bits |= 1 << word_index[w]
-        return bits
-
-    pivots: dict[int, int] = {}
-
-    def add_to_span(e: SteenrodElement) -> bool:
-        row = _reduce_against(coords(e), pivots)
-        if row == 0:
-            return False
-        pivots[row.bit_length() - 1] = row
-        return True
-
-    add_to_span(SteenrodElement.one())
+    index, span = F2Index(), F2Basis()
+    span.add(index.bits(SteenrodElement.one().words))
     while frontier:
         new_frontier = []
         for e in frontier:
             for g in generators:
                 prod = g * e
-                if not prod.is_zero() and add_to_span(prod):
+                if not prod.is_zero() and span.add(index.bits(prod.words)):
                     basis_elts.append(prod)
                     new_frontier.append(prod)
         frontier = new_frontier

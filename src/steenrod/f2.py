@@ -9,7 +9,8 @@ at most 2^31 - 1: parsing, from_monomials and every product, power, square and
 substitution raise F2Error rather than let a field carry into the next.
 
 Everything here is immutable after construction and every operation is pure,
-so values may be shared freely between threads or processes.
+so values may be shared freely between threads or processes, with two
+growable exceptions: an F2Basis takes new rows and an F2Index new keys.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ class F2Matrix:
         """Row echelon data: (pivot column -> reduced row) in pivot order."""
         if self._echelon is not None:
             return self._echelon
-        pivots: dict[int, int] = {}
+        basis = F2Basis()
+        pivots = basis._pivots
         for row in self.rows:
-            row = _reduce_against(row, pivots)
+            row = basis.reduce(row)
             if row:
                 col = row.bit_length() - 1
                 # keep fully reduced form: clear this column from earlier rows
@@ -213,16 +215,60 @@ class F2Matrix:
         return f"F2Matrix({self.nrows}x{self.ncols})"
 
 
-def _reduce_against(row: int, pivots: dict[int, int]) -> int:
-    """Clear every pivot column appearing in the row."""
-    scan = row
-    while scan:
-        col = scan.bit_length() - 1
-        p = pivots.get(col)
-        if p is not None:
-            row ^= p
-        scan = row & ((1 << col) - 1)
-    return row
+class F2Basis:
+    """A growing reduced set of bitmask rows, one for each top bit.
+
+    A row is reduced by clearing, from the top down, every bit that is the
+    top bit of a kept row; it lies in the span exactly when that leaves 0.
+    """
+
+    __slots__ = ("_pivots",)
+
+    def __init__(self, pivots: dict[int, int] | None = None):
+        self._pivots = {} if pivots is None else pivots
+
+    def reduce(self, row: int) -> int:
+        """The row with every pivot column cleared."""
+        pivots = self._pivots
+        scan = row
+        while scan:
+            col = scan.bit_length() - 1
+            p = pivots.get(col)
+            if p is not None:
+                row ^= p
+            scan = row & ((1 << col) - 1)
+        return row
+
+    def add(self, row: int) -> bool:
+        """Keep the row; False, and nothing kept, when it is in the span."""
+        row = self.reduce(row)
+        if row:
+            self._pivots[row.bit_length() - 1] = row
+        return bool(row)
+
+    def copy(self) -> "F2Basis":
+        return F2Basis(dict(self._pivots))
+
+    def __len__(self) -> int:
+        return len(self._pivots)
+
+
+class F2Index:
+    """Column numbers for hashable keys, in the order they are first seen.
+
+    An unseen key gets the next column, so a query with one cannot lie in a
+    span built before it.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self):
+        self._cols: dict = {}
+
+    def bits(self, support: Iterable) -> int:
+        """The bitmask with a one in the column of every key."""
+        cols = self._cols
+        return reduce(or_, (1 << cols.setdefault(key, len(cols)) for key in support), 0)
 
 
 class F2Span:
@@ -230,20 +276,25 @@ class F2Span:
 
     Each vector is reduced with its combination carried in the low
     ``len(vectors)`` bits, so reducing a query also accumulates the vectors
-    that sum to it.
+    that sum to it.  A vector in the span of those before it leaves its
+    dependency in ``relations``: the bitmask of input vectors, itself
+    included, that sum to 0.
     """
 
     def __init__(self, vectors: Sequence[int]):
         self._k = k = len(vectors)
-        self._pivots: dict[int, int] = {}
+        self._basis = basis = F2Basis()
+        self.relations: list[int] = []
         for j, v in enumerate(vectors):
-            row = _reduce_against((v << k) | (1 << j), self._pivots)
+            row = basis.reduce((v << k) | (1 << j))
             if row >> k:
-                self._pivots[row.bit_length() - 1] = row
+                basis._pivots[row.bit_length() - 1] = row
+            else:
+                self.relations.append(row)
 
     def coords(self, v: int) -> int | None:
         """Bitmask of input vectors summing to v, or None if v is outside."""
-        row = _reduce_against(v << self._k, self._pivots)
+        row = self._basis.reduce(v << self._k)
         return None if row >> self._k else row
 
 

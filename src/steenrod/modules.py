@@ -40,7 +40,7 @@ from typing import Sequence
 from .action import SqAlgebraPresentation
 from .algebra import SteenrodElement
 from .dual import SubHopfAlgebra, basis_of, milnor_primitive
-from .f2 import F2Matrix, F2Poly, F2Span, _reduce_against
+from .f2 import F2Basis, F2Index, F2Matrix, F2Poly, F2Span
 
 EDGE_MARGIN = 3  # Q_1 has degree 3; conclusions this close to the top are provisional
 
@@ -231,19 +231,6 @@ class FiniteModule:
 # ---------------------------------------------------------------------------
 
 
-def _word_coords(elements: Sequence[SteenrodElement]):
-    """Coordinate bitmasks of Steenrod elements in their joint word support."""
-    words = sorted({w for e in elements for w in e.words})
-    index = {w: i for i, w in enumerate(words)}
-    vecs = []
-    for e in elements:
-        bits = 0
-        for w in e.words:
-            bits |= 1 << index[w]
-        vecs.append(bits)
-    return index, vecs
-
-
 def _module_from_subquotient(
     algebra: str,
     carrier: Sequence[SteenrodElement],
@@ -272,39 +259,27 @@ def _module_from_subquotient(
     dmin, dmax = min(by_degree), max(by_degree)
 
     # per degree: choose quotient representatives (carrier vectors independent
-    # of the ideal span), remembering coordinates for later solves
+    # of the ideal span)
     reps: dict[int, list[SteenrodElement]] = {}
     for d in range(dmin, dmax + 1):
-        elems = by_degree.get(d, [])
-        ideal_elems = ideal_by_degree.get(d, [])
-        index, vecs = _word_coords(elems + ideal_elems)
-        pivots: dict[int, int] = {}
-        for v in vecs[len(elems):]:
-            r = _reduce_against(v, pivots)
-            if r:
-                pivots[r.bit_length() - 1] = r
-        chosen = []
-        for e, v in zip(elems, vecs):
-            r = _reduce_against(v, pivots)
-            if r:
-                pivots[r.bit_length() - 1] = r
-                chosen.append(e)
-        reps[d] = chosen
+        index, basis = F2Index(), F2Basis()
+        for e in ideal_by_degree.get(d, []):
+            basis.add(index.bits(e.words))
+        reps[d] = [e for e in by_degree.get(d, []) if basis.add(index.bits(e.words))]
 
     dims = [len(reps.get(d, [])) for d in range(dmin, dmax + 1)]
 
-    spans: dict[int, tuple[dict, F2Span]] = {}
+    spans: dict[int, tuple[F2Index, F2Span]] = {}
 
     def express(x: SteenrodElement, d: int) -> int:
         """Coordinates of x in reps[d] modulo the ideal; raises if outside."""
         basis_elems = reps.get(d, [])
         if d not in spans:
-            index, vecs = _word_coords(basis_elems + ideal_by_degree.get(d, []))
-            spans[d] = (index, F2Span(vecs))
+            index = F2Index()
+            elems = basis_elems + ideal_by_degree.get(d, [])
+            spans[d] = (index, F2Span([index.bits(e.words) for e in elems]))
         index, span = spans[d]
-        sol = None
-        if index.keys() >= x.words:
-            sol = span.coords(sum(1 << index[w] for w in x.words))
+        sol = span.coords(index.bits(x.words))
         if sol is None:
             raise ModuleError("carrier is not closed under the action")
         return sol & ((1 << len(basis_elems)) - 1)
@@ -537,25 +512,17 @@ class ModuleMap:
             ker = mats_s[d].kernel_basis()
             if not ker:
                 continue
-            pivots: dict[int, int] = {}
             # span of the target differential's image
+            image = F2Basis()
             if d - shift >= self.target.dmin:
                 mt = mats_t.get(d - shift)
                 if mt is not None:
                     for r in mt.transpose().rows:
-                        rr = _reduce_against(r, pivots)
-                        if rr:
-                            pivots[rr.bit_length() - 1] = rr
+                        image.add(r)
             # the induced map is injective iff the images of the source
-            # kernel span hdim_source new directions modulo that image
-            hdim_source = hdims[d][0]
-            survivors = 0
-            for v in ker:
-                rr = _reduce_against(self.mat(d).mat_vec(v).bits, pivots)
-                if rr:
-                    pivots[rr.bit_length() - 1] = rr
-                    survivors += 1
-            if survivors < hdim_source:
+            # kernel span dim H(source) new directions modulo that image
+            survivors = sum(image.add(self.mat(d).mat_vec(v).bits) for v in ker)
+            if survivors < hdims[d][0]:
                 return False, d
         return True, None
 
@@ -795,23 +762,14 @@ def _build_isomorphism(module: FiniteModule, solution) -> ModuleMap | None:
                             F2Matrix(m1.nrows, m1.ncols, [r1 ^ r2 for r1, r2 in zip(m1.rows, m2.rows)])
                             for m1, m2 in zip(mats, hb[b])
                         ]
-            # check injectivity of this piece map and transversality to spans
-            new_spans = {d: dict(p) for d, p in spans.items()}
-            ok = True
-            for di, d in enumerate(range(t.dmin, t.dmax + 1)):
-                if t.dim(d) == 0:
-                    continue
-                cols = mats[di].transpose().rows  # images of basis vectors
-                pivots = new_spans.setdefault(d, {})
-                for v in cols:
-                    row = _reduce_against(v, pivots)
-                    if row == 0:
-                        ok = False
-                        break
-                    pivots[row.bit_length() - 1] = row
-                if not ok:
-                    break
-            if not ok:
+            # check injectivity of this piece map and transversality to spans:
+            # a transposed matrix's rows are the images of the basis vectors
+            new_spans = {d: b.copy() for d, b in spans.items()}
+            if not all(
+                all(new_spans.setdefault(d, F2Basis()).add(v) for v in mats[di].transpose().rows)
+                for di, d in enumerate(range(t.dmin, t.dmax + 1))
+                if t.dim(d)
+            ):
                 continue
             rest = try_place(idx + 1, new_spans)
             if rest is not None:

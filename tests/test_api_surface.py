@@ -114,3 +114,32 @@ def test_a_name_only_in_readme_prose_is_unused(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", pkg)
     monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
     assert unused_public_names() == ["a.py:1 coefficient"]
+
+
+def private_f2_imports() -> list[str]:
+    """module:line name for each private name a module other than f2
+    imports from .f2: elimination and column numbering stay behind the
+    public F2Basis, F2Index, F2Span and F2Matrix."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "f2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("f2", "steenrod.f2"):
+                out += [
+                    f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    return out
+
+
+def test_no_module_imports_a_private_name_of_f2():
+    assert private_f2_imports() == []
+
+
+def test_no_pasted_elimination_outside_f2():
+    pasted = re.compile(r"pivots|_reduce_against|_word_coords|col_index")
+    for name in ("charclass.py", "dual.py", "modules.py", "bundles.py"):
+        for n, line in enumerate((SRC / name).read_text().splitlines(), 1):
+            assert not pasted.search(line), f"{name}:{n} {line.strip()}"

@@ -166,7 +166,7 @@ class TestLerayHirsch:
 
         S = cp2_bundle().total.ring
         x2, x4 = S.gen("x2"), S.gen("x4")
-        solve = _slice_solver(S, 4, [x2 * x2, x2 * x2 + x4], ["a", "b"])
+        solve = _slice_solver([x2 * x2, x2 * x2 + x4], ["a", "b"])
         assert solve(x4) == ["a", "b"]
         assert solve(x2) is None and solve(x4 + x2) is None
 

@@ -29,7 +29,7 @@ from steenrod.charclass import (
     spinc_homology_indecomposables,
     two_row_power_sum,
 )
-from steenrod.f2 import WeightedPolyRing
+from steenrod.f2 import F2Matrix, WeightedPolyRing
 
 
 def w(*parts):
@@ -432,6 +432,15 @@ class TestNewtonInTheModel:
             with pytest.raises(ValueError):
                 mdl.two_row(m)
 
+    def test_phi_of_a_generator_past_the_cap_raises(self):
+        low, high = model("bspin", 20), model("bspin", 40)
+        assert len(high.phi(w(33))) == 41  # rho_33, unknown to the cap-20 model
+        with pytest.raises(ValueError, match="w_33 lies above the cap 20"):
+            low.phi(w(33))
+        with pytest.raises(ValueError, match="w_21"):
+            low.phi(w(2, 21))
+        assert low.phi(w(20)) == high.phi(w(20))
+
 
 class TestWuFormula:
     def test_against_cartan_on_roots(self):
@@ -777,6 +786,24 @@ class TestPrimitives:
                 r = m.primitives(n, kernel_limit=12)
                 assert r.kernel_checked and r.verified, (space, n)
                 assert r.dimension == m.expected_dimension(n)
+
+    def test_kernel_primitives_match_the_matrix_kernel_through_12(self):
+        # oracle: the kernel of the transpose of the matrix whose rows are
+        # the reduced coproducts of the slice monomials, columns in sorted order
+        for space in ("bso", "bspin", "bspinc"):
+            m = model(space, 20)
+            for n in range(2, 13):
+                basis = list(m.slice_monomials(n))
+                images = [m.delta_reduced(frozenset({mono})) for mono in basis]
+                col = {pair: j for j, pair in enumerate(sorted(set().union(*images)))}
+                rows = [sum(1 << col[pair] for pair in img) for img in images]
+                want = F2Matrix(len(basis), len(col), rows).transpose().kernel_basis()
+                got = [sum(1 << basis.index(mono) for mono in p) for p in m.kernel_primitives(n)]
+                assert len(got) == len(want) == m.expected_dimension(n), (space, n)
+                # one space: got is independent, and stacking both adds no rank
+                assert F2Matrix(len(got), len(basis), got).rank() == len(got)
+                stacked = [v.bits for v in want] + got
+                assert F2Matrix(len(stacked), len(basis), stacked).rank() == len(want), (space, n)
 
     def test_squares_of_primitives_are_primitive(self):
         m = model("bso", 20)

@@ -9,7 +9,9 @@ from steenrod.cli import PRESETS
 from steenrod.f2 import (
     LIMIT,
     DegreeCapError,
+    F2Basis,
     F2Error,
+    F2Index,
     F2Matrix,
     F2Span,
     F2Vector,
@@ -173,6 +175,73 @@ class TestF2Span:
                 b = rng.getrandbits(n - 1) | (1 << (n - 1))
                 assert _solve_oracle(columns, n, b) is None
                 assert span.coords(b) is None
+
+
+    def test_relations_are_the_dependencies(self):
+        rng = random.Random(64)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            columns = [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))]
+            relations = F2Span(columns).relations
+            rank = F2Matrix(len(columns), n, columns).rank()
+            assert len(relations) == len(columns) - rank
+            for rel in relations:
+                assert rel and _sum_of(columns, rel) == 0
+            # one per dependent vector: each ends at that vector
+            assert len({rel.bit_length() for rel in relations}) == len(relations)
+
+
+class TestF2Basis:
+    def test_add_keeps_exactly_the_rank_many_rows(self):
+        rng = random.Random(65)
+        for _ in range(150):
+            n = rng.randint(1, 16)
+            rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 2 * n))]
+            rows += [rng.choice(rows) ^ rng.choice(rows) for _ in range(3)] if rows else []
+            basis = F2Basis()
+            added = sum(basis.add(r) for r in rows)
+            assert added == len(basis) == F2Matrix(len(rows), n, rows).rank()
+
+    def test_reduce_is_zero_exactly_on_the_span(self):
+        rng = random.Random(66)
+        for _ in range(150):
+            n = rng.randint(1, 16)
+            rows = [rng.getrandbits(n) for _ in range(rng.randint(0, n))]
+            basis = F2Basis()
+            for r in rows:
+                basis.add(r)
+            for _ in range(8):
+                v = rng.choice([rng.getrandbits(n), _sum_of(rows, rng.getrandbits(len(rows)))])
+                assert (basis.reduce(v) == 0) == (_solve_oracle(rows, n, v) is not None)
+
+    def test_growing_a_copy_leaves_the_original(self):
+        rng = random.Random(67)
+        for _ in range(50):
+            n = rng.randint(2, 16)
+            basis = F2Basis()
+            for _ in range(rng.randint(0, n // 2)):
+                basis.add(rng.getrandbits(n))
+            probes = [rng.getrandbits(n) for _ in range(8)]
+            before = len(basis), [basis.reduce(v) for v in probes]
+            grown = basis.copy()
+            for _ in range(n):
+                grown.add(rng.getrandbits(n))
+            assert (len(basis), [basis.reduce(v) for v in probes]) == before
+
+
+class TestF2Index:
+    def test_columns_in_first_seen_order(self):
+        index = F2Index()
+        assert index.bits(["b", "a"]) == 0b11
+        assert index.bits(["c"]) == 0b100
+        assert index.bits(["a", "c"]) == index.bits(["c", "a"]) == 0b110
+        assert index.bits([]) == 0
+
+    def test_an_unseen_key_lies_outside_every_earlier_span(self):
+        index = F2Index()
+        span = F2Span([index.bits("ab"), index.bits("b")])
+        assert span.coords(index.bits("a")) == 0b11
+        assert span.coords(index.bits("az")) is None
 
 
 class TestPolynomials:

@@ -285,6 +285,21 @@ class TestSplitCriterion:
         assert not cert.split_guaranteed
 
 
+class TestMargolisInducedMap:
+    @pytest.mark.parametrize("algebra", ["A1", "E1"])
+    def test_identity_is_injective_and_zero_fails_at_the_first_homology(self, algebra):
+        nonzero = 0
+        for name in catalog(algebra):
+            m = standard_piece(algebra, name).suspend(2)
+            assert identity_map(m).margolis_induced_injective("q0") == (True, None), name
+            homology = brute_margolis(m, "q0")
+            first = min((d for d, h in homology.items() if h and d <= m.reliable_max()), default=None)
+            want = (True, None) if first is None else (False, first)
+            assert zero_map(m, m).margolis_induced_injective("q0") == want, name
+            nonzero += first is not None
+        assert nonzero  # the zero map is caught on some piece
+
+
 class TestEightFoldFeasibility:
     def test_synthetic_sum_is_feasible(self):
         m = standard_piece("A1", "A1")
