@@ -301,25 +301,6 @@ class FiberBundleData:
         """Degree-i component of the total class of the vertical bundle."""
         return self.w_tau.homogeneous_part(i)
 
-    def inverse_vertical_class(self, cap: int) -> F2Poly:
-        """The formal inverse of the vertical class through degree cap."""
-        ring = self.total.ring
-        c = self.w_tau + ring.one()  # positive-degree part
-        inv = ring.one()
-        power = ring.one()
-        while True:
-            power = F2Poly(
-                ring,
-                frozenset(
-                    m
-                    for m in (power * c).monomials
-                    if ring.monomial_degree(m) <= cap
-                ),
-            )
-            if power.is_zero():
-                return inv
-            inv = inv + power
-
 
 @lru_cache(maxsize=None)
 def cp2_bundle() -> FiberBundleData:
@@ -601,10 +582,12 @@ class LegResult:
     detected: bool
 
 
-def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: frozenset[int]) -> F2Poly:
-    """The charclass polynomial wpoly with parts[i] substituted for each
-    w_i (zero where absent)."""
+def substitute_vertical(b: FiberBundleData, wpoly: frozenset[int]) -> F2Poly:
+    """The charclass polynomial wpoly with the degree-i component of the
+    vertical class substituted for each w_i (zero past the fiber dimension)."""
     from .charclass import _unpack
+    ring = b.total.ring
+    parts = {i: b.vertical_class_part(i) for i in range(1, b.fiber_dim + 1)}
     acc = ring.zero()
     for mono in map(_unpack, wpoly):
         term = ring.one()
@@ -618,29 +601,12 @@ def _substitute(ring: WeightedPolyRing, parts: dict[int, F2Poly], wpoly: frozens
     return acc
 
 
-def substitute_vertical(b: FiberBundleData, wpoly: frozenset[int]) -> F2Poly:
-    """Substitute the vertical-class components for the w generators."""
-    parts = {i: b.vertical_class_part(i) for i in range(1, b.fiber_dim + 1)}
-    return _substitute(b.total.ring, parts, wpoly)
-
-
-def primitive_transfer_check(
-    n_max: int = 32, use_inverse_class: bool = False
-) -> list[LegResult]:
+def primitive_transfer_check(n_max: int = 32) -> list[LegResult]:
     """For each admissible degree, push the spin-c primitive through both
     transfer legs and record whether at least one leg sees it."""
     from .charclass import model
     mdl = model("bspinc", max(n_max, 34))
     cp2, hp2 = cp2_bundle(), hp2_bundle()
-    if use_inverse_class:
-        cp2_sub = {
-            i: cp2.inverse_vertical_class(n_max).homogeneous_part(i)
-            for i in range(1, n_max + 1)
-        }
-        hp2_sub = {
-            i: hp2.inverse_vertical_class(n_max).homogeneous_part(i)
-            for i in range(1, n_max + 1)
-        }
     results = []
     for n in range(4, n_max + 1):
         if any(n == 2**k + 1 or n == 2**k - 1 for k in range(1, 8)):
@@ -651,14 +617,10 @@ def primitive_transfer_check(
         formula, poly = named
         values = []
         for b in (cp2, hp2):
-            if use_inverse_class:
-                image = _substitute(b.total.ring, cp2_sub if b.name == "cp2" else hp2_sub, poly)
-            else:
-                image = substitute_vertical(b, poly)
             if n < b.fiber_dim:
                 values.append(b.base.ring.zero())
             else:
-                values.append(b.fiber_integrate(image))
+                values.append(b.fiber_integrate(substitute_vertical(b, poly)))
         detected = any(not v.is_zero() for v in values)
         results.append(LegResult(n, formula, str(values[0]), str(values[1]), detected))
     return results

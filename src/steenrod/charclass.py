@@ -32,12 +32,15 @@ Hopf algebra over F2 (a primitive that is decomposable is the square of a
 primitive, so dim P_n = dim P_{n/2} + [some primitive hits the degree-n
 generator]); the generator indicator is read off in closed form from the
 coproduct coefficient of w_{n/2} (x) w_{n/2}, which the tests cross-check by
-scanning that coefficient over every basis monomial.  Squares of primitives
-are primitive by Frobenius; w2 and w4 are checked through the reduced
-coproduct and a two-row sum s_{m,m} through phi(s_m) = 0.  Odd power sums are
-not checked: s_m is primitive upstream in H*BO (Milnor and Stasheff,
-Characteristic Classes), and phi is assumed to be a Hopf map.  Everything is
-cross-checked against a literal reduced-coproduct kernel in low degrees.
+scanning that coefficient over every basis monomial.  Each named candidate's
+certificate is named where the candidate is built (_build_candidate) and
+evaluated when the table runs (_certified): w2 and w4 and their powers
+through the reduced coproduct of w2 or w4, a two-row sum s_{m,m} through
+phi(s_m) = 0 for odd m, and a square of a primitive by its root's
+certificate (Frobenius).  Odd power sums are not checked: s_m is primitive
+upstream in H*BO (Milnor and Stasheff, Characteristic Classes), and phi is
+assumed to be a Hopf map.  Everything is cross-checked against a literal
+reduced-coproduct kernel in low degrees.
 
 Polynomials are frozensets of packed monomials: the exponent of w_i sits in
 bits 8(i-1)..8i-1 of one Python int, so a product is an addition, a Frobenius
@@ -88,6 +91,13 @@ from .f2 import F2Basis, F2Index, F2Span
 ModPoly = frozenset[int]
 # the sparse form of a monomial, sorted ((index, exponent), ...)
 WMono = tuple[tuple[int, int], ...]
+
+# a candidate's primitivity certificate, named where the candidate is built:
+# ("coproduct", g), ("two_row", m) or ("upstream",); see QuotientModel._certified
+Certificate = tuple
+# a named candidate: (formula, polynomial, certificate)
+Candidate = tuple[str, ModPoly, Certificate]
+UPSTREAM: Certificate = ("upstream",)
 
 ONE = 0
 _PACK_LIMIT = 256
@@ -357,7 +367,7 @@ class QuotientModel:
         self.ideal_generator: int | None = g
         self.reductions: dict[int, ModPoly] = {}
         self._phi_cache: dict[int, ModPoly] = {}
-        self._candidate_cache: dict[int, tuple[str, ModPoly] | None] = {}
+        self._candidate_cache: dict[int, Candidate | None] = {}  # see _build_candidate
         self._power_sum_cache: dict[int, ModPoly] = {}  # phi(s_n) by n, see power_sum
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
@@ -657,50 +667,61 @@ class QuotientModel:
 
     def named_candidate(self, n: int) -> tuple[str, ModPoly] | None:
         """The closed-form primitive for degree n, or None in empty degrees."""
+        built = self._candidate(n)
+        return None if built is None else built[:2]
+
+    def _candidate(self, n: int) -> Candidate | None:
         if n not in self._candidate_cache:
             self._candidate_cache[n] = self._build_candidate(n)
         return self._candidate_cache[n]
 
-    def _build_candidate(self, n: int) -> tuple[str, ModPoly] | None:
+    def _square_of(self, n: int) -> Candidate:
+        """The square of degree n/2's candidate: primitive by Frobenius when
+        its root is, so it carries the root's certificate."""
+        name, poly, cert = self._candidate(n // 2)
+        return f"({name})^2", poly_square(poly), cert
+
+    def _build_candidate(self, n: int) -> Candidate | None:
+        """Degree n's family, named once: the formula, the polynomial and
+        the certificate that _certified evaluates."""
         if self.space == "bso":
             if n < 2:
                 return None
             if n == 2:
-                return "w2", self.phi(frozenset({_gen(2)}))
+                return "w2", self.phi(frozenset({_gen(2)})), ("coproduct", 2)
             if n % 2:
-                return f"s{n}", self.power_sum(n)
-            name, poly = self.named_candidate(n // 2)
-            return f"({name})^2", poly_square(poly)
+                return f"s{n}", self.power_sum(n), UPSTREAM
+            return self._square_of(n)
         if self.space == "bspin":
             if n % 2:
                 if alpha(n) == 2 or n < 7:
                     return None  # degrees 2^s + 1 carry no primitive
-                return f"s{n}", self.power_sum(n)
+                return f"s{n}", self.power_sum(n), UPSTREAM
             if n < 4:
                 return None
             if alpha(n) == 1:
-                return f"w4^{n // 4}", self.phi(poly_pow(frozenset({_gen(4)}), n // 4))
+                w4_power = self.phi(poly_pow(frozenset({_gen(4)}), n // 4))
+                return f"w4^{n // 4}", w4_power, ("coproduct", 4)
             if alpha(n) == 2:
-                m = n
-                while m % 2 == 0:
-                    m //= 2
+                m = n // (n & -n)
                 exp = n // (2 * m)
-                return f"(s{m},{m})^{exp}", poly_pow(self.two_row(m), exp)
-            name, poly = self.named_candidate(n // 2)
-            return f"({name})^2", poly_square(poly)
+                return f"(s{m},{m})^{exp}", poly_pow(self.two_row(m), exp), ("two_row", m)
+            return self._square_of(n)
         if self.space == "bspinc":
             if n < 2 or (n % 2 and alpha(n) == 2):
                 return None  # 2^k + 1
             if alpha(n) >= 3:
-                return f"s{n}", self.power_sum(n)
+                return f"s{n}", self.power_sum(n), UPSTREAM
             if alpha(n) == 2:
+                # s_{m,m} with m = 2^c q is (s_{q,q})^(2^c) mod 2
                 m = n // 2
-                return f"s{m},{m}", self.two_row(m)
-            return f"w2^{n // 2}", self.phi(poly_pow(frozenset({_gen(2)}), n // 2))
+                return f"s{m},{m}", self.two_row(m), ("two_row", m // (m & -m))
+            w2_power = self.phi(poly_pow(frozenset({_gen(2)}), n // 2))
+            return f"w2^{n // 2}", w2_power, ("coproduct", 2)
         # bo: one primitive per degree, the power sum
         if n < 1:
             return None
-        return f"s{n}", self.power_sum(n)
+        return f"s{n}", self.power_sum(n), UPSTREAM
 
     def expected_dimension(self, n: int) -> int:
         if self.space == "bo":
@@ -714,46 +735,22 @@ class QuotientModel:
 
     # -- primitivity certificates ------------------------------------------------
 
-    def _two_row_certified(self, m: int) -> bool:
-        """s_{m,m} has reduced coproduct s_m (x) s_m upstream; it becomes
-        primitive in the model exactly when phi(s_m) = 0."""
-        return not self.power_sum(m)
+    def _certified(self, cert: Certificate) -> bool:
+        """Evaluate the certificate _build_candidate named.
 
-    def _candidate_certified(self, n: int) -> bool:
-        """Structural primitivity of the named candidate: squares of
-        primitives are primitive (Frobenius), so strip squares down to the
-        base class and certify that."""
-        k = n
-        while k % 2 == 0 and not self._base_case_degree(k):
-            k //= 2
-        return self._base_primitive(k)
-
-    def _base_case_degree(self, k: int) -> bool:
-        if self.space == "bso":
-            return k == 2 or k % 2 == 1
-        if self.space == "bspin":
-            return k == 4 or k % 2 == 1 or alpha(k) == 2 and (k // 2) % 2 == 1
-        if self.space == "bspinc":
-            return k == 2 or k % 2 == 1 or alpha(k) == 2 and (k // 2) % 2 == 1
-        return True
-
-    def _base_primitive(self, k: int) -> bool:
-        """Certify the bottom of a square chain.
-
-        w2 (bso, bspinc) and w4 (bspin) are checked through the reduced
-        coproduct, and a two-row sum through phi(s_m) = 0.  An odd power sum
-        is not checked here: s_k is primitive upstream in H*BO (Milnor and
-        Stasheff, Characteristic Classes), and phi is assumed to be a Hopf
-        map onto the model.
+        ("coproduct", g): phi(w_g) has zero reduced coproduct (w2 in bso and
+        bspinc, w4 in bspin).  ("two_row", m): s_{m,m} has reduced coproduct
+        s_m (x) s_m upstream, so it is primitive in the model exactly when
+        phi(s_m) = 0.  ("upstream",): a power sum s_m, not checked here:
+        s_m is primitive upstream in H*BO (Milnor and Stasheff,
+        Characteristic Classes), and phi is assumed to be a Hopf map onto
+        the model.
         """
-        g = {"bso": 2, "bspin": 4, "bspinc": 2}.get(self.space)
-        if k == g:
-            return not self.delta_reduced(self.phi(frozenset({_gen(g)})))
-        if self.space in ("bo", "bso") or k % 2 == 1:
-            return True
-        if alpha(k) == 2:
-            return self._two_row_certified(k // 2)
-        return False
+        if cert[0] == "coproduct":
+            return not self.delta_reduced(self.phi(frozenset({_gen(cert[1])})))
+        if cert[0] == "two_row":
+            return not self.power_sum(cert[1])
+        return True
 
     # -- the report ----------------------------------------------------------------
 
@@ -766,19 +763,14 @@ class QuotientModel:
         if n > self.cap:
             raise ModelError(f"degree {n} exceeds cap {self.cap}")
         dim = self.primitive_dimension(n)
-        named = self.named_candidate(n)
+        named = self._candidate(n)
         expected = self.expected_dimension(n)
         if named is None:
             verified = dim == 0 and expected == 0
             formula, poly = "0", frozenset()
         else:
-            formula, poly = named
-            verified = (
-                dim == 1
-                and expected == 1
-                and bool(poly)
-                and self._candidate_certified(n)
-            )
+            formula, poly, cert = named
+            verified = dim == 1 and expected == 1 and bool(poly) and self._certified(cert)
             if verified and self.generator_indicator(n):
                 # a fresh generator-level primitive must actually hit w_n
                 verified = _gen(n) in poly
@@ -788,10 +780,8 @@ class QuotientModel:
             kernel_checked = True
             if len(kernel) != dim:
                 verified = False
-            elif dim == 1 and named is not None:
-                span = kernel[0]
-                if span != named[1]:
-                    verified = False
+            elif dim == 1 and named is not None and kernel[0] != poly:
+                verified = False
         return PrimitiveReport(self.space, n, dim, formula, poly, verified, kernel_checked)
 
     def kernel_primitives(self, n: int) -> list[ModPoly]:

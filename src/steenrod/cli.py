@@ -195,22 +195,7 @@ def cmd_margolis(args) -> str:
 
 def cmd_split_check(args) -> str:
     from . import modules
-    a1 = modules.standard_piece("A1", "A1")
-    if args.case == "identity":
-        cert = modules.check_split_criterion(modules.identity_map(a1))
-    elif args.case == "joker":
-        j2 = modules.standard_piece("A1", "J").suspend(2)
-        fmap = None
-        for mats in modules._hom_space(j2, a1):
-            cand = modules.ModuleMap(j2, a1, tuple(mats))
-            if cand.is_injective():
-                fmap = cand
-                break
-        cert = modules.check_split_criterion(fmap)
-    else:
-        cert = modules.check_split_criterion(
-            modules.zero_map(modules.standard_piece("A1", "Z2"), a1)
-        )
+    cert = modules.check_split_criterion(modules.split_case(args.case))
     doc = {
         "hypotheses_met": cert.hypotheses_met,
         "f_injective": cert.f_injective,

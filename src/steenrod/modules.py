@@ -843,6 +843,22 @@ def check_split_criterion(f: ModuleMap) -> SplitCertificate:
     return SplitCertificate(hypotheses, injective, q0_ok, witness)
 
 
+def split_case(name: str) -> ModuleMap:
+    """A built-in split-criterion case, a map into A(1): "identity" (split),
+    "joker" (the first injective map from the joker suspended by 2, which
+    fails on Q_0-Margolis homology in degree 4) or "zero" (from Z2)."""
+    a1 = standard_piece("A1", "A1")
+    if name == "identity":
+        return identity_map(a1)
+    if name == "joker":
+        j2 = standard_piece("A1", "J").suspend(2)
+        maps = (ModuleMap(j2, a1, tuple(mats)) for mats in _hom_space(j2, a1))
+        return next(f for f in maps if f.is_injective())
+    if name == "zero":
+        return zero_map(standard_piece("A1", "Z2"), a1)
+    raise ValueError(f"unknown split case {name!r}; choose from identity, joker, zero")
+
+
 # ---------------------------------------------------------------------------
 # periodic free-plus-pieces feasibility
 # ---------------------------------------------------------------------------

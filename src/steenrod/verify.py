@@ -6,8 +6,10 @@ counts keep a `provisional` entry fixed at 0 only because the JSON schema
 requires the key and the byte-stable text line ends in `0 provisional`
 (truncation fringes are flagged by the module commands, not by a suite).
 Suites are pure and deterministic, so reports are byte-stable for a fixed
-cap.  Each suite imports the modules it runs, so a command that runs one
-suite loads no other suite's modules.  The default caps are chosen so the
+cap.  A suite listed in MIN_CAPS decides its rows only from that cap on, and
+run_suites refuses a smaller one before any suite runs.  Each suite imports
+the modules it runs, so a command that runs one suite loads no other
+suite's modules.  The default caps are chosen so the
 whole battery completes in seconds to a few minutes on commodity hardware:
 Hopf-axiom suites stop at degree 12, module and series suites at 40, the
 primitives table at 64 and the primitive-transfer sweep at 32.
@@ -265,18 +267,10 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
         ok = r.status == "unique" and r.pieces == want and r.iso is not None
         checks.append(Check(f"restriction of {name}", ok, f"{r.status}: {r.solutions[:2]}"))
 
-    a1 = modules.standard_piece("A1", "A1")
-    cert = modules.check_split_criterion(modules.identity_map(a1))
+    cert = modules.check_split_criterion(modules.split_case("identity"))
     checks.append(Check("identity map certified split", cert.split_guaranteed))
 
-    j2 = modules.standard_piece("A1", "J").suspend(2)
-    fmap = None
-    for mats in modules._hom_space(j2, a1):
-        cand = modules.ModuleMap(j2, a1, tuple(mats))
-        if cand.is_injective():
-            fmap = cand
-            break
-    cert = modules.check_split_criterion(fmap)
+    cert = modules.check_split_criterion(modules.split_case("joker"))
     checks.append(
         Check(
             "suspended joker inclusion rejected at the margolis stage",
@@ -284,8 +278,8 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
         )
     )
 
-    zmap = modules.zero_map(modules.standard_piece("A1", "Z2"), a1)
-    checks.append(Check("zero map rejected", not modules.check_split_criterion(zmap).f_injective))
+    cert = modules.check_split_criterion(modules.split_case("zero"))
+    checks.append(Check("zero map rejected", not cert.f_injective))
 
     m = modules.from_presentation(bundles.bpsp3_presentation(), "A1", (0, max_degree))
     checks.append(
@@ -383,8 +377,6 @@ def suite_power_sums(max_degree: int = 3) -> list[Check]:
 
 def suite_indecomposables(max_degree: int = 32) -> list[Check]:
     from . import charclass
-    if max_degree < 7:  # the checks below read degrees 3, 4 and 7
-        raise ValueError(f"suite 'indecomposables' needs a cap of at least 7, got {max_degree}")
     table = charclass.spinc_homology_indecomposables(max_degree)
     checks = [
         _eq("degree 3", table.dims[3], 0),
@@ -447,19 +439,32 @@ EXPECTED_FINDINGS = {
 }
 
 
+# the smallest cap at which a suite decides each of its rows; below it a
+# window cannot hold a row's witness, and run_suites refuses the cap
+MIN_CAPS = {
+    "indecomposables": 7,  # the rows read degrees 3, 4 and 7
+    "a1-modules": 7,  # the strict placement finding's degree-4 witness, below the 3-degree fringe
+    "e1-modules": 3,  # a smaller window has no degree below the fringe
+    "primitive-transfer": 6,  # the degree-6 finding
+}
+
+
 def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteReport]:
     """Run suites in name order; caps come from the argument, then the
-    STEENROD_CAP_<SUITE> environment variable, then the documented default."""
-    reports = []
+    STEENROD_CAP_<SUITE> environment variable, then the documented default.
+    Every cap is checked against MIN_CAPS before any suite runs."""
+    runs = []
     for name in sorted(names):
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        fn, default_cap = SUITES[name]
         cap = max_degree
         if cap is None:
             env = os.environ.get("STEENROD_CAP_" + name.upper().replace("-", "_"))
-            cap = int(env) if env else default_cap
+            cap = int(env) if env else SUITES[name][1]
         if cap < 0:
             raise ValueError(f"cap for suite {name!r} must be >= 0, got {cap}")
-        reports.append(SuiteReport(name, tuple(fn(cap))))
-    return reports
+        least = MIN_CAPS.get(name, 0)
+        if cap < least:
+            raise ValueError(f"suite {name!r} needs a cap of at least {least}, got {cap}")
+        runs.append((name, cap))
+    return [SuiteReport(name, tuple(SUITES[name][0](cap))) for name, cap in runs]

@@ -143,3 +143,19 @@ def test_no_pasted_elimination_outside_f2():
     for name in ("charclass.py", "dual.py", "modules.py", "bundles.py"):
         for n, line in enumerate((SRC / name).read_text().splitlines(), 1):
             assert not pasted.search(line), f"{name}:{n} {line.strip()}"
+
+
+def test_no_module_reads_a_private_name_of_modules():
+    # the split-criterion cases are built by modules.split_case, so the
+    # front ends need none of its hom-space machinery
+    private = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "modules.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "modules"
+        and node.attr.startswith("_")
+    ]
+    assert private == []

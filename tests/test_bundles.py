@@ -233,11 +233,3 @@ class TestPrimitiveTransfer:
         degrees = {r.degree for r in primitive_transfer_check(16)}
         for k in (3, 5, 7, 9, 15, 17):
             assert k not in degrees
-
-    def test_inverse_class_mode_runs(self):
-        direct = {r.degree: r.detected for r in primitive_transfer_check(12)}
-        inverse = {
-            r.degree: r.detected
-            for r in primitive_transfer_check(12, use_inverse_class=True)
-        }
-        assert set(direct) == set(inverse)

@@ -852,6 +852,41 @@ class TestPrimitives:
         assert not m.primitives(34).verified
         assert m.primitives(32).verified and m.primitives(36).verified
 
+    @pytest.mark.parametrize(
+        "space, g, lost",
+        [
+            ("bso", 2, [2, 4, 8, 16, 32]),
+            ("bspin", 4, [4, 8, 16, 32]),
+            ("bspinc", 2, [2, 4, 8, 16, 32]),
+        ],
+    )
+    def test_a_cross_term_in_delta_w_g_fails_the_coproduct_certificate(
+        self, space, g, lost, monkeypatch
+    ):
+        # w_g and its powers w_g^(2^k) are certified through the reduced
+        # coproduct of w_g; a cross term w_{g/2} (x) w_{g/2} in Delta(w_g)
+        # makes exactly those degrees lose their verified flag
+        half = mono_from([g // 2])
+        honest = QuotientModel.delta_generator
+
+        def corrupted(self, j):
+            delta = honest(self, j)
+            return delta ^ {(half, half)} if j == g else delta
+
+        monkeypatch.setattr(QuotientModel, "delta_generator", corrupted)
+        m = QuotientModel(space, 40, series_check=0)
+        assert [n for n in range(2, 41) if not m.primitives(n).verified] == lost
+
+    def test_a_nonzero_phi_of_s3_fails_the_even_two_row_certificate(self):
+        # in bspinc, s_{m,m} with m = 3 * 2^c is (s_{3,3})^(2^c) mod 2, so
+        # degrees 6, 12, 24 and 48 all rest on phi(s3) = 0
+        m = QuotientModel("bspinc", 64, series_check=0)
+        for n in range(2, 65):
+            m.named_candidate(n)  # built before the corruption
+        m.power_sum(64)
+        m._power_sum_cache[3] = w(3)
+        assert [n for n in range(2, 65) if not m.primitives(n).verified] == [6, 12, 24, 48]
+
 
 class TestPowerSumVanishing:
     def test_k_up_to_3(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from steenrod import verify
 from steenrod.cli import REPORT_SCHEMA, build_parser, main
 
 # stdout digests of the verify reports, recorded with the benchmark
@@ -160,6 +161,8 @@ class TestPrimitivesCommand:
     # SHA-256 of `steenrod primitives --space S --max 64 --format json`,
     # recorded before the packed-monomial kernels replaced the sparse ones
     CAP_64_DIGESTS = {
+        "bo": "18d0126245c3873a0c4186648db2e6dd44c817f5e45e8141995c4ffefe0e365a",
+        "bso": "b92f01830beabb1b96e77e380db2ed8ffeec47e6bacf5df36d5acbc20e87925c",
         "bspin": "fe233669faffc263d23de7da96091a5547dd631244c01099a219c8f28051c338",
         "bspinc": "11623e6b79d80325ed12b9b27366ecb06309b56576a2f9d0d02f823af028945f",
     }
@@ -303,6 +306,43 @@ class TestVerifyCommand:
         monkeypatch.setenv("STEENROD_CAP_HOPF", "-3")
         code, out, err = run(["verify", "--suite", "hopf"])
         assert code == 2 and out == "" and "must be >= 0" in err
+
+    def test_every_cap_is_checked_before_any_suite_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setitem(verify.SUITES, "hopf", (lambda cap: ran.append(cap) or [], 12))
+        monkeypatch.setenv("STEENROD_CAP_PRIMITIVE_TRANSFER", "5")
+        code, out, err = run(["verify", "--suite", "hopf", "--suite", "primitive-transfer"])
+        assert code == 2 and out == "" and ran == []
+        assert err == "error: suite 'primitive-transfer' needs a cap of at least 6, got 5\n"
+
+
+def _sweep():
+    for name in sorted(verify.SUITES):
+        least = verify.MIN_CAPS.get(name, 0)
+        for cap in sorted({0, 1, 2, 4, 8, least, least - 1}):
+            yield name, cap
+
+
+class TestCapSweep:
+    """Every suite, at every swept cap, either decides each row or refuses
+    the cap: a cap that cannot hold an expected finding's witness must not
+    turn the finding into a pass, drop its row, or fail as a computation."""
+
+    @pytest.mark.parametrize("name, cap", list(_sweep()))
+    def test_a_suite_decides_at_its_cap_or_refuses_it(self, name, cap):
+        least = verify.MIN_CAPS.get(name, 0)
+        code, out, err = run(["verify", "--suite", name, "--max", str(cap), "--format", "json"])
+        if cap < least:
+            want = "must be >= 0" if cap < 0 else f"needs a cap of at least {least}, got {cap}"
+            assert code == 2 and out == "" and want in err
+            return
+        assert code in (0, 1) and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        (suite,) = doc["suites"]
+        status = {c["id"]: c["status"] for c in suite["checks"]}
+        for finding in sorted(f for s, f in verify.EXPECTED_FINDINGS if s == name):
+            assert status.get(finding) == "fail", (finding, status.get(finding))
 
 
 class TestReportStability:
