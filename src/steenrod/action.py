@@ -24,7 +24,7 @@ and safe under concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing
 
@@ -237,6 +237,14 @@ class Check:
 def _eq(check_id: str, got, want) -> Check:
     ok = got == want
     return Check(check_id, ok, "" if ok else f"got {got}, want {want}")
+
+
+def first_failure(check_id: str, witnesses: Iterable[str]) -> Check:
+    """Fails with the first witness the search yields, passes when it yields
+    none; nothing past the first is computed."""
+    for witness in witnesses:
+        return Check(check_id, False, witness)
+    return Check(check_id, True)
 
 
 def check_presentation(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq
+from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq, first_failure
 from .f2 import F2Index, F2Poly, F2Span, WeightedPolyRing
 
 
@@ -63,7 +63,7 @@ def derive_presentation(
     ambient: SqAlgebraPresentation,
     generators: Sequence[tuple[str, F2Poly]],
     ideal: Sequence[F2Poly] = (),
-) -> tuple[SqAlgebraPresentation, dict[str, F2Poly]]:
+) -> SqAlgebraPresentation:
     """Build the presentation of a subquotient ring of an ambient model.
 
     Each named generator is given by its ambient polynomial; the optional
@@ -73,7 +73,7 @@ def derive_presentation(
     action table and proves closure.
     """
     ring = WeightedPolyRing(tuple((name, poly.degree()) for name, poly in generators))
-    images = dict(generators)
+    images = [poly for _, poly in generators]
     powers: dict = {}
     solvers = {}
 
@@ -82,7 +82,7 @@ def derive_presentation(
         if degree not in solvers:
             targets = list(ring.monomials_of_degree(degree))
             columns = [
-                F2Poly(ring, frozenset({t})).substitute(ambient.ring, list(images.values()), powers)
+                F2Poly(ring, frozenset({t})).substitute(ambient.ring, images, powers)
                 for t in targets
             ]
             multiples = [
@@ -104,8 +104,7 @@ def derive_presentation(
         declared[name] = {}
         for k in range(deg, 0, -1):  # Sq^deg first: each monomial is squared once
             declared[name][k] = express(ambient.sq(k, poly), deg + k)
-    pres = SqAlgebraPresentation.build(ring, declared)
-    return pres, images
+    return SqAlgebraPresentation.build(ring, declared)
 
 
 def rank_one_model(names: Sequence[str]) -> SqAlgebraPresentation:
@@ -174,27 +173,25 @@ def restriction_model(swap_s_convention: bool = False) -> RestrictionModel:
 def bpsp3_presentation() -> SqAlgebraPresentation:
     """F2[t2, t3, t8, t12] with the action derived from the model."""
     m = restriction_model()
-    pres, _ = derive_presentation(
+    return derive_presentation(
         m.pres, [("t2", m.t2), ("t3", m.t3), ("t8", m.t8), ("t12", m.t12)]
     )
-    return pres
 
 
 @lru_cache(maxsize=None)
 def hp2_total_presentation() -> SqAlgebraPresentation:
     """F2[u2, u3, u4, u8] with the action derived from the model."""
     m = restriction_model()
-    pres, _ = derive_presentation(
+    return derive_presentation(
         m.pres, [("u2", m.t2), ("u3", m.t3), ("u4", m.u4), ("u8", m.u8)]
     )
-    return pres
 
 
 @lru_cache(maxsize=None)
 def bu3_presentation() -> SqAlgebraPresentation:
     """F2[c2, c4, c6] from three Chern roots."""
     roots = chern_root_model(3)
-    pres, _ = derive_presentation(
+    return derive_presentation(
         roots,
         [
             ("c2", elementary_symmetric(roots, 1)),
@@ -202,7 +199,6 @@ def bu3_presentation() -> SqAlgebraPresentation:
             ("c6", elementary_symmetric(roots, 3)),
         ],
     )
-    return pres
 
 
 @lru_cache(maxsize=None)
@@ -210,23 +206,21 @@ def bsu3_presentation() -> SqAlgebraPresentation:
     """F2[y4, y6]: the Chern model with the first class killed."""
     roots = chern_root_model(3)
     e1 = elementary_symmetric(roots, 1)
-    pres, _ = derive_presentation(
+    return derive_presentation(
         roots,
         [("y4", elementary_symmetric(roots, 2)), ("y6", elementary_symmetric(roots, 3))],
         ideal=[e1],
     )
-    return pres
 
 
 @lru_cache(maxsize=None)
 def cp2_total_presentation() -> SqAlgebraPresentation:
     """F2[x2, x4] from two Chern roots (the determinant-one subgroup)."""
     roots = chern_root_model(2)
-    pres, _ = derive_presentation(
+    return derive_presentation(
         roots,
         [("x2", elementary_symmetric(roots, 1)), ("x4", elementary_symmetric(roots, 2))],
     )
-    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -460,61 +454,49 @@ def cp2_transfer_report(n_max: int = 10) -> list[Check]:
     checks.append(_eq("pi_!(x4) = 1", pi(x4), R.one()))
     checks.append(_eq("pi_!(x4^2) = y4", pi(x4 * x4), y4))
 
-    # recurrences
-    def xp(p: F2Poly, e: int) -> F2Poly:
-        return p ** e
+    def recurrence_failures():
+        for n in range(3, 2 * n_max + 1):
+            lhs = pi(x2 ** n)
+            rhs = pi(x2 ** (n - 2)) * y4 + pi(x2 ** (n - 3)) * y6
+            if lhs != rhs:
+                yield f"x2^{n}"
+        for n in range(3, n_max + 1):
+            lhs4 = pi(x4 ** n)
+            rhs4 = pi(x4 ** (n - 1)) * y4 + pi(x4 ** (n - 3)) * y6 * y6
+            if lhs4 != rhs4:
+                yield f"x4^{n}"
 
-    ok = True
-    witness = ""
-    for n in range(3, 2 * n_max + 1):
-        lhs = pi(xp(x2, n))
-        rhs = pi(xp(x2, n - 2)) * y4 + pi(xp(x2, n - 3)) * y6
-        if lhs != rhs:
-            ok, witness = False, f"x2^{n}"
-            break
-    for n in range(3, n_max + 1):
-        lhs4 = pi(xp(x4, n))
-        rhs4 = pi(xp(x4, n - 1)) * y4 + pi(xp(x4, n - 3)) * y6 * y6
-        if lhs4 != rhs4:
-            ok, witness = False, f"x4^{n}"
-            break
-    checks.append(Check("transfer recurrences", ok, witness))
-
-    # closed forms modulo y6
     def mod_y6(p: F2Poly) -> F2Poly:
         return p.substitute(R, [y4, R.zero()])
 
-    ok = True
-    witness = ""
-    for n in range(1, n_max + 1):
-        if mod_y6(pi(xp(x2, 2 * n))) != y4 ** (n - 1):
-            ok, witness = False, f"x2^{2*n}"
-            break
-        if not mod_y6(pi(xp(x2, 2 * n + 1))).is_zero():
-            ok, witness = False, f"x2^{2*n+1}"
-            break
-        if mod_y6(pi(xp(x4, n))) != y4 ** (n - 1):
-            ok, witness = False, f"x4^{n}"
-            break
-    checks.append(Check("closed forms modulo y6", ok, witness))
+    def closed_form_failures():
+        for n in range(1, n_max + 1):
+            if mod_y6(pi(x2 ** (2 * n))) != y4 ** (n - 1):
+                yield f"x2^{2*n}"
+            if not mod_y6(pi(x2 ** (2 * n + 1))).is_zero():
+                yield f"x2^{2*n+1}"
+            if mod_y6(pi(x4 ** n)) != y4 ** (n - 1):
+                yield f"x4^{n}"
 
     # factorization through the pullback of y6
-    ok = True
-    witness = ""
-    for n in range(1, 4):
-        for k in range(0, 5):
-            lhs = pi(xp(x2, n + k) * xp(x4, n))
-            if lhs != y6 ** n * pi(xp(x2, k)):
-                ok, witness = False, f"x2^{n+k} x4^{n}"
-                break
-    checks.append(Check("pullback factor extraction", ok, witness))
+    def factor_failures():
+        for n in range(1, 4):
+            for k in range(0, 5):
+                lhs = pi(x2 ** (n + k) * x4 ** n)
+                if lhs != y6 ** n * pi(x2 ** k):
+                    yield f"x2^{n+k} x4^{n}"
+
+    checks += [
+        first_failure("transfer recurrences", recurrence_failures()),
+        first_failure("closed forms modulo y6", closed_form_failures()),
+        first_failure("pullback factor extraction", factor_failures()),
+    ]
     return checks
 
 
 def hp2_transfer_report(a_max: int = 3, d_max: int = 4, samples: int = 200) -> list[Check]:
     """The quaternionic preset: the closed form of the transfer modulo t12
     on the monomial family, plus the module property on random pairs."""
-    checks = []
     b = hp2_bundle()
     R, S = b.base.ring, b.total.ring
     t2, t3, t8, t12 = (R.gen(n) for n in ("t2", "t3", "t8", "t12"))
@@ -523,27 +505,26 @@ def hp2_transfer_report(a_max: int = 3, d_max: int = 4, samples: int = 200) -> l
     def mod_t12(p: F2Poly) -> F2Poly:
         return p.substitute(R, [t2, t3, t8, R.zero()])
 
-    ok = True
-    witness = ""
-    for a in range(a_max + 1):
-        for bb in range(a_max + 1):
-            for c in range(d_max + 1):
-                for d in range(d_max + 1):
-                    mono = u3 ** a * u2 ** bb * u4 ** c * u8 ** d
-                    got = mod_t12(b.fiber_integrate(mono))
-                    if c % 2 == 0 and c > 0 and d == 0:
-                        want = t3 ** a * t2 ** bb * t8 ** (c // 2 - 1)
-                    elif c == 0 and d > 0:
-                        want = t3 ** a * t2 ** bb * t8 ** (d - 1)
-                    else:
-                        want = R.zero()
-                    if got != mod_t12(want):
-                        ok = False
-                        witness = f"u3^{a} u2^{bb} u4^{c} u8^{d}: got {got}"
-                        break
-    checks.append(Check("closed form modulo t12", ok, witness))
-    checks.append(module_property_check(b, samples))
-    return checks
+    def closed_form_failures():
+        for a in range(a_max + 1):
+            for bb in range(a_max + 1):
+                for c in range(d_max + 1):
+                    for d in range(d_max + 1):
+                        mono = u3 ** a * u2 ** bb * u4 ** c * u8 ** d
+                        got = mod_t12(b.fiber_integrate(mono))
+                        if c % 2 == 0 and c > 0 and d == 0:
+                            want = t3 ** a * t2 ** bb * t8 ** (c // 2 - 1)
+                        elif c == 0 and d > 0:
+                            want = t3 ** a * t2 ** bb * t8 ** (d - 1)
+                        else:
+                            want = R.zero()
+                        if got != mod_t12(want):
+                            yield f"u3^{a} u2^{bb} u4^{c} u8^{d}: got {got}"
+
+    return [
+        first_failure("closed form modulo t12", closed_form_failures()),
+        module_property_check(b, samples),
+    ]
 
 
 def module_property_check(b: FiberBundleData, samples: int) -> Check:

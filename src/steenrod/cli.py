@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.fn(args)
-    except (ValueError, KeyError, CliError) as exc:
+    except (ValueError, CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # computation failure

@@ -868,7 +868,6 @@ def split_case(name: str) -> ModuleMap:
 class PeriodicFeasibility:
     feasible: bool
     counts: dict | None
-    free_generators: tuple[int, ...] | None
     note: str = ""
 
 
@@ -916,7 +915,7 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
         j = rem_q0.get(8 * i + 6, 0)
         ii = rem_q0.get(8 * i, 0) - z
         if min(z, k, j, ii) < 0:
-            return PeriodicFeasibility(False, None, None, f"negative count in block {i}")
+            return PeriodicFeasibility(False, None, f"negative count in block {i}")
         for (name, susp), count in zip(placements, (z, ii, j, k)):
             if count:
                 counts[(name, susp)] = count
@@ -932,7 +931,6 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
     if leftover_q0 or leftover_q1:
         return PeriodicFeasibility(
             False,
-            None,
             None,
             f"margolis series not matched (q0 left at {leftover_q0},"
             f" q1 left at {leftover_q1})",
@@ -951,9 +949,9 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
         for d0, cnt in free.items():
             val -= cnt * a1.dim(d - d0)
         if val < 0:
-            return PeriodicFeasibility(False, None, None, f"dimension deficit at degree {d}")
+            return PeriodicFeasibility(False, None, f"dimension deficit at degree {d}")
         if val:
             free[d] = val
     # only degrees with full A(1) support below the reliable top are certain;
     # trailing degrees could need pieces we cannot see, so this is feasibility
-    return PeriodicFeasibility(True, dict(counts), tuple(sorted(free.items())))
+    return PeriodicFeasibility(True, dict(counts))

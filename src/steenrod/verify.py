@@ -1,10 +1,13 @@
 """Named verification suites: each re-derives one family of computations.
 
 A suite returns a list of action.Check rows, each of which passes or fails;
-a failing row carries a witness.  No suite emits a third status: the report
-counts keep a `provisional` entry fixed at 0 only because the JSON schema
-requires the key and the byte-stable text line ends in `0 provisional`
-(truncation fringes are flagged by the module commands, not by a suite).
+a failing row carries a witness.  A row that searches for a counterexample
+yields its witnesses to action.first_failure, so a failing row names the
+first counterexample its search meets and nothing past it is computed.
+No suite emits a third status: the report counts keep a `provisional`
+entry fixed at 0 only because the JSON schema requires the key and the
+byte-stable text line ends in `0 provisional` (truncation fringes are
+flagged by the module commands, not by a suite).
 Suites are pure and deterministic, so reports are byte-stable for a fixed
 cap.  A suite listed in MIN_CAPS decides its rows only from that cap on, and
 run_suites refuses a smaller one before any suite runs.  Each suite imports
@@ -29,7 +32,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .action import Check, _eq
+from .action import Check, _eq, first_failure
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,46 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
     from . import algebra, dual
     from .algebra import SteenrodElement, admissible_basis
     Sq = SteenrodElement.sq
-    checks = [
+    words = [w for d in range(max_degree + 1) for w in admissible_basis(d)]
+
+    def coassociativity_failures():
+        for w in words:
+            x = SteenrodElement.from_words([w])
+            delta = x.coproduct()
+            left = {}
+            right = {}
+            for (a, b) in delta.pairs:
+                for (a1, a2) in algebra.coproduct_word(a):
+                    key = (a1, a2, b)
+                    left[key] = left.get(key, 0) ^ 1
+                for (b1, b2) in algebra.coproduct_word(b):
+                    key = (a, b1, b2)
+                    right[key] = right.get(key, 0) ^ 1
+            if {k for k, v in left.items() if v} != {k for k, v in right.items() if v}:
+                yield str(x)
+
+    def algebra_map_failures():
+        pool = [w for d in range(max_degree // 2 + 1) for w in admissible_basis(d)]
+        for a in pool:
+            for b in pool:
+                if sum(a) + sum(b) <= max_degree:
+                    ea, eb = SteenrodElement.from_words([a]), SteenrodElement.from_words([b])
+                    if (ea * eb).coproduct() != ea.coproduct() * eb.coproduct():
+                        yield f"{ea} (x) {eb}"
+
+    def antipode_failures():
+        for w in words:
+            x = SteenrodElement.from_words([w])
+            folded = x.coproduct().apply_left(
+                lambda a: SteenrodElement.from_words([a]).antipode()
+            ).multiply_out()
+            want = SteenrodElement.one() if not w else SteenrodElement.zero()
+            if folded != want:
+                yield str(x)
+
+    elements = (SteenrodElement.from_words([w]) for w in words)
+    through = f"through degree {max_degree}"
+    return [
         _eq("Sq1 Sq2 = Sq3", Sq(1, 2), Sq(3)),
         _eq("Sq2 Sq2 = Sq3 Sq1", Sq(2, 2), Sq(3, 1)),
         _eq("Sq2 Sq1 Sq2 = Sq4 Sq1 + Sq5", Sq(2, 1, 2), Sq(4, 1) + Sq(5)),
@@ -67,55 +109,14 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
             len(dual.basis_of(dual.SubHopfAlgebra("A", 1))),
             8,
         ),
+        first_failure(f"coassociativity {through}", coassociativity_failures()),
+        first_failure(f"coproduct is an algebra map {through}", algebra_map_failures()),
+        first_failure(f"antipode axiom {through}", antipode_failures()),
+        first_failure(
+            f"antipode is an involution {through}",
+            (str(x) for x in elements if x.antipode().antipode() != x),
+        ),
     ]
-    words = [w for d in range(max_degree + 1) for w in admissible_basis(d)]
-    coassoc = algebra_map = antipode_axiom = involution = True
-    witness = ""
-    for w in words:
-        x = SteenrodElement.from_words([w])
-        delta = x.coproduct()
-        left = {}
-        right = {}
-        for (a, b) in delta.pairs:
-            for (a1, a2) in algebra.coproduct_word(a):
-                key = (a1, a2, b)
-                left[key] = left.get(key, 0) ^ 1
-            for (b1, b2) in algebra.coproduct_word(b):
-                key = (a, b1, b2)
-                right[key] = right.get(key, 0) ^ 1
-        if {k for k, v in left.items() if v} != {k for k, v in right.items() if v}:
-            coassoc, witness = False, str(x)
-            break
-    checks.append(Check(f"coassociativity through degree {max_degree}", coassoc, witness))
-
-    pool = [w for d in range(max_degree // 2 + 1) for w in admissible_basis(d)]
-    witness = ""
-    for a in pool:
-        for b in pool:
-            if sum(a) + sum(b) > max_degree:
-                continue
-            ea, eb = SteenrodElement.from_words([a]), SteenrodElement.from_words([b])
-            if (ea * eb).coproduct() != ea.coproduct() * eb.coproduct():
-                algebra_map, witness = False, f"{ea} (x) {eb}"
-                break
-    checks.append(Check(f"coproduct is an algebra map through degree {max_degree}", algebra_map, witness))
-
-    witness = ""
-    for w in words:
-        x = SteenrodElement.from_words([w])
-        folded = x.coproduct().apply_left(
-            lambda a: SteenrodElement.from_words([a]).antipode()
-        ).multiply_out()
-        want = SteenrodElement.one() if not w else SteenrodElement.zero()
-        if folded != want:
-            antipode_axiom, witness = False, str(x)
-            break
-        if x.antipode().antipode() != x:
-            involution, witness = False, str(x)
-            break
-    checks.append(Check(f"antipode axiom through degree {max_degree}", antipode_axiom, witness))
-    checks.append(Check(f"antipode is an involution through degree {max_degree}", involution, witness))
-    return checks
 
 
 def suite_pairing(max_degree: int = 12) -> list[Check]:
@@ -123,44 +124,50 @@ def suite_pairing(max_degree: int = 12) -> list[Check]:
     from .algebra import SteenrodElement, admissible_basis
     Sq = SteenrodElement.sq
     xi = dual.DualElement.xi
-    checks = []
-    want = dual.DualTensor(frozenset({((0, 1), ()), ((2,), (1,)), ((), (0, 1))}))
-    checks.append(_eq("coproduct of xi_2", dual.dual_coproduct(xi(2)), want))
-
-    ok, witness = True, ""
-    for n in range(1, 7):
-        acc = dual.DualElement.zero()
-        for i in range(n + 1):
-            acc = acc + (xi(i) ** (1 << (n - i))) * dual.zeta(n - i)
-        if not acc.is_zero():
-            ok, witness = False, f"n={n}"
-            break
-    checks.append(Check("conjugate recursion identity n <= 6", ok, witness))
-
-    ok, witness = True, ""
-    for n in range(max_degree + 1):
-        monos, words, matrix = dual.pairing_matrix(n)
-        if matrix.rank() != len(words):
-            ok, witness = False, f"degree {n} not invertible"
-            break
-        for i in range(len(monos)):
-            if matrix.entry(i, i) != 1 or any(matrix.entry(i, j) for j in range(i)):
-                ok, witness = False, f"degree {n} not unitriangular"
-                break
-    checks.append(Check(f"pairing matrices unitriangular through degree {max_degree}", ok, witness))
-
-    ok, witness = True, ""
-    for n in range(21):
-        if len(dual.xi_monomials(n)) != len(admissible_basis(n)):
-            ok, witness = False, f"degree {n}"
-            break
-    checks.append(Check("basis counts agree through degree 20", ok, witness))
-
     q = dual.milnor_primitive
-    checks.append(_eq("Sq(0,1) = Sq3 + Sq2 Sq1", dual.milnor_to_admissible((0, 1)), Sq(3) + Sq(2, 1)))
-    ok = all((q(i) * q(i)).is_zero() for i in range(3))
-    checks.append(Check("milnor primitives square to zero", ok))
-    checks.append(
+
+    def conjugate_failures():
+        for n in range(1, 7):
+            acc = dual.DualElement.zero()
+            for i in range(n + 1):
+                acc = acc + (xi(i) ** (1 << (n - i))) * dual.zeta(n - i)
+            if not acc.is_zero():
+                yield f"n={n}"
+
+    def unitriangular_failures():
+        for n in range(max_degree + 1):
+            monos, words, matrix = dual.pairing_matrix(n)
+            if matrix.rank() != len(words):
+                yield f"degree {n} not invertible"
+            for i in range(len(monos)):
+                if matrix.entry(i, i) != 1 or any(matrix.entry(i, j) for j in range(i)):
+                    yield f"degree {n} not unitriangular"
+
+    def count_failures():
+        for n in range(21):
+            if len(dual.xi_monomials(n)) != len(admissible_basis(n)):
+                yield f"degree {n}"
+
+    def round_trip_failures():
+        for n in range(13):
+            for w in admissible_basis(n):
+                x = SteenrodElement.from_words([w])
+                back = SteenrodElement.zero()
+                for seq in dual.admissible_to_milnor(x):
+                    back = back + dual.milnor_to_admissible(seq)
+                if back != x:
+                    yield str(x)
+
+    want = dual.DualTensor(frozenset({((0, 1), ()), ((2,), (1,)), ((), (0, 1))}))
+    return [
+        _eq("coproduct of xi_2", dual.dual_coproduct(xi(2)), want),
+        first_failure("conjugate recursion identity n <= 6", conjugate_failures()),
+        first_failure(
+            f"pairing matrices unitriangular through degree {max_degree}", unitriangular_failures()
+        ),
+        first_failure("basis counts agree through degree 20", count_failures()),
+        _eq("Sq(0,1) = Sq3 + Sq2 Sq1", dual.milnor_to_admissible((0, 1)), Sq(3) + Sq(2, 1)),
+        Check("milnor primitives square to zero", all((q(i) * q(i)).is_zero() for i in range(3))),
         Check(
             "milnor primitives commute",
             all(
@@ -168,21 +175,9 @@ def suite_pairing(max_degree: int = 12) -> list[Check]:
                 for i in range(3)
                 for j in range(3)
             ),
-        )
-    )
-
-    ok, witness = True, ""
-    for n in range(13):
-        for w in admissible_basis(n):
-            x = SteenrodElement.from_words([w])
-            back = SteenrodElement.zero()
-            for seq in dual.admissible_to_milnor(x):
-                back = back + dual.milnor_to_admissible(seq)
-            if back != x:
-                ok, witness = False, str(x)
-                break
-    checks.append(Check("basis conversion round-trip through degree 12", ok, witness))
-    return checks
+        ),
+        first_failure("basis conversion round-trip through degree 12", round_trip_failures()),
+    ]
 
 
 def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
@@ -207,8 +202,6 @@ def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
         gen_monos = [next(iter(g.monomials)) for g in gens]
         degrees = [dual.xi_degree(m) for m in gen_monos]
 
-        ok, witness = True, ""
-
         def products(i, acc, deg):
             yield acc
             for j in range(i, len(gen_monos)):
@@ -219,12 +212,12 @@ def suite_dual_quotients(max_degree: int = 16) -> list[Check]:
                         deg + degrees[j],
                     )
 
-        for prod in products(0, dual.DualElement.one(), 0):
-            if not dual.verify_cotensor_member(prod, h):
-                ok, witness = False, str(prod)
-                break
+        members = products(0, dual.DualElement.one(), 0)
         checks.append(
-            Check(f"{name}: generator products lie in the cotensor through degree {max_degree}", ok, witness)
+            first_failure(
+                f"{name}: generator products lie in the cotensor through degree {max_degree}",
+                (str(p) for p in members if not dual.verify_cotensor_member(p, h)),
+            )
         )
     return checks
 
@@ -300,17 +293,19 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
 def suite_e1_modules(max_degree: int = 40) -> list[Check]:
     from . import bundles, modules
     from .f2 import WeightedPolyRing, series_of_ring
-    checks = []
     base86 = series_of_ring(WeightedPolyRing.make(("a", 8), ("b", 6)), 60)
     base8 = series_of_ring(WeightedPolyRing.make(("a", 8)), 60)
     ring46 = series_of_ring(WeightedPolyRing.make(("y4", 4), ("y6", 6)), 60)
-    ok, witness = True, ""
-    for d in range(61):
-        two_cell = (base86[d - 4] if d >= 4 else 0) + (base86[d - 6] if d >= 6 else 0)
-        if ring46[d] != base8[d] + two_cell:
-            ok, witness = False, f"degree {d}"
-            break
-    checks.append(Check("bookkeeping decomposition series through degree 60", ok, witness))
+
+    def bookkeeping_failures():
+        for d in range(61):
+            two_cell = (base86[d - 4] if d >= 4 else 0) + (base86[d - 6] if d >= 6 else 0)
+            if ring46[d] != base8[d] + two_cell:
+                yield f"degree {d}"
+
+    checks = [
+        first_failure("bookkeeping decomposition series through degree 60", bookkeeping_failures())
+    ]
 
     m = modules.from_presentation(bundles.bsu3_presentation(), "E1", (0, max_degree))
     r = modules.stable_type_solve(m)
@@ -339,13 +334,13 @@ def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check
     checks = []
     for space in ("bso", "bspin", "bspinc"):
         mdl = charclass.model(space, max(max_degree, 34))
-        ok, witness = True, ""
-        for n in range(2, max_degree + 1):
-            r = mdl.primitives(n, kernel_limit=kernel_limit)
-            if not r.verified:
-                ok, witness = False, f"degree {n}: dim {r.dimension}, {r.formula}"
-                break
-        checks.append(Check(f"{space}: table verified through degree {max_degree}", ok, witness))
+        rows = (mdl.primitives(n, kernel_limit=kernel_limit) for n in range(2, max_degree + 1))
+        checks.append(
+            first_failure(
+                f"{space}: table verified through degree {max_degree}",
+                (f"degree {r.degree}: dim {r.dimension}, {r.formula}" for r in rows if not r.verified),
+            )
+        )
     checks.append(
         _eq(
             "s17 under naive substitution",
@@ -456,7 +451,7 @@ def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteRep
     runs = []
     for name in sorted(names):
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+            raise ValueError(f"unknown suite {name!r}")
         cap = max_degree
         if cap is None:
             env = os.environ.get("STEENROD_CAP_" + name.upper().replace("-", "_"))

@@ -4,10 +4,12 @@ from hypothesis import strategies as st
 
 from steenrod.action import (
     AlgebraMap,
+    Check,
     PresentationError,
     SqAlgebraPresentation,
     TotalSquare,
     check_presentation,
+    first_failure,
 )
 from steenrod.cli import PRESETS
 from steenrod.f2 import FIELD, LIMIT, F2Poly, WeightedPolyRing
@@ -299,6 +301,22 @@ class TestChecker:
         report = check_presentation(bad, 8)
         assert not report.ok
         assert report.witness
+
+
+class TestFirstFailure:
+    def test_fails_with_the_first_witness_and_pulls_no_second(self):
+        pulled = []
+
+        def search():
+            for witness in ("first", "second"):
+                pulled.append(witness)
+                yield witness
+
+        assert first_failure("row", search()) == Check("row", False, "first")
+        assert pulled == ["first"]
+
+    def test_passes_when_the_search_yields_nothing(self):
+        assert first_failure("row", iter(())) == Check("row", True)
 
 
 class TestAlgebraMap:

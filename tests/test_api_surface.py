@@ -159,3 +159,44 @@ def test_no_module_reads_a_private_name_of_modules():
         and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def flag_and_break_searches(sources: dict[str, str]) -> list[str]:
+    """module:line name of each function that builds a Check and contains a
+    break: a search that picks its own witness instead of yielding it to
+    action.first_failure."""
+    out = []
+    for name, text in sorted(sources.items()):
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            builds_check = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Check"
+                for n in nodes
+            )
+            if builds_check and any(isinstance(n, ast.Break) for n in nodes):
+                out.append(f"{name}:{fn.lineno} {fn.name}")
+    return out
+
+
+def test_every_searched_row_goes_through_first_failure():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert flag_and_break_searches(sources) == []
+
+
+def test_the_guard_sees_a_flag_and_break_loop():
+    pasted = (
+        "def suite(n):\n"
+        "    ok, witness = True, ''\n"
+        "    for d in range(n):\n"
+        "        if d == 3:\n"
+        "            ok, witness = False, str(d)\n"
+        "            break\n"
+        "    return [Check('row', ok, witness)]\n"
+    )
+    searched = (
+        "def suite(n):\n"
+        "    return [first_failure('row', (str(d) for d in range(n) if d == 3))]\n"
+    )
+    assert flag_and_break_searches({"a.py": pasted, "b.py": searched}) == ["a.py:1 suite"]

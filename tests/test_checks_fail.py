@@ -1,0 +1,108 @@
+"""Searched check rows fail on corrupted code, naming their first counterexample.
+
+Each entry corrupts one function of `src/`, runs one suite in process, and
+expects each named row to fail with the witness its search meets first.
+"""
+
+import pytest
+
+from steenrod import bundles, dual, verify
+from steenrod.algebra import SteenrodElement
+
+
+def chi_of_sq1_is_zero(monkeypatch):
+    antipode = SteenrodElement.antipode
+    sq1 = SteenrodElement.sq(1)
+    monkeypatch.setattr(
+        SteenrodElement,
+        "antipode",
+        lambda x: SteenrodElement.zero() if x == sq1 else antipode(x),
+    )
+
+
+def milnor_coordinates_lost_in_degrees_3_and_5(monkeypatch):
+    to_milnor = dual.admissible_to_milnor
+    monkeypatch.setattr(
+        dual,
+        "admissible_to_milnor",
+        lambda x: frozenset() if any(sum(w) in (3, 5) for w in x.words) else to_milnor(x),
+    )
+
+
+def pairing_matrices_transposed_in_degrees_3_and_5(monkeypatch):
+    pairing_matrix = dual.pairing_matrix
+
+    def corrupted(n):
+        monos, words, matrix = pairing_matrix(n)
+        return monos, words, matrix.transpose() if n in (3, 5) else matrix
+
+    monkeypatch.setattr(dual, "pairing_matrix", corrupted)
+
+
+def transfer_off_by_one(name, degrees):
+    """Adds 1 to the transfer of the named bundle on homogeneous inputs of
+    the given degrees."""
+
+    def corrupt(monkeypatch):
+        integrate = bundles.FiberBundleData.fiber_integrate
+
+        def corrupted(b, f):
+            got = integrate(b, f)
+            if b.name == name and f.is_homogeneous() and f.degree() in degrees:
+                return got + b.base.ring.one()
+            return got
+
+        monkeypatch.setattr(bundles.FiberBundleData, "fiber_integrate", corrupted)
+
+    return corrupt
+
+
+# (suite, corruption, {check id: the first witness its search meets})
+ENTRIES = [
+    pytest.param(
+        "hopf",
+        chi_of_sq1_is_zero,
+        {
+            "antipode axiom through degree 12": "Sq[1]",
+            "antipode is an involution through degree 12": "Sq[1]",
+        },
+        id="hopf-chi-of-sq1-is-zero",
+    ),
+    pytest.param(
+        "pairing",
+        milnor_coordinates_lost_in_degrees_3_and_5,
+        {"basis conversion round-trip through degree 12": "Sq[3]"},
+        id="pairing-milnor-coordinates-lost",
+    ),
+    pytest.param(
+        "pairing",
+        pairing_matrices_transposed_in_degrees_3_and_5,
+        {"pairing matrices unitriangular through degree 12": "degree 3 not unitriangular"},
+        id="pairing-matrices-transposed",
+    ),
+    pytest.param(
+        "cp2-transfer",
+        transfer_off_by_one("cp2", (6, 12)),
+        {
+            "transfer recurrences": "x2^3",
+            "pullback factor extraction": "x2^1 x4^1",
+        },
+        id="cp2-transfer-off-by-one",
+    ),
+    pytest.param(
+        "hp2-transfer",
+        transfer_off_by_one("hp2", (8, 16)),
+        {"closed form modulo t12": "u3^0 u2^0 u4^0 u8^1: got 0"},
+        id="hp2-transfer-off-by-one",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, corrupt, want", ENTRIES)
+def test_a_corrupted_search_names_its_first_counterexample(suite, corrupt, want, monkeypatch):
+    corrupt(monkeypatch)
+    run, cap = verify.SUITES[suite]
+    rows = {c.check_id: c for c in run(cap)}
+    assert {i: (rows[i].status, rows[i].witness) for i in want} == {
+        i: ("fail", w) for i, w in want.items()
+    }

@@ -315,6 +315,15 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and ran == []
         assert err == "error: suite 'primitive-transfer' needs a cap of at least 6, got 5\n"
 
+    def test_a_key_error_inside_a_suite_is_a_computation_failure(self, monkeypatch):
+        def broken(cap):
+            raise KeyError("missing table entry")
+
+        monkeypatch.setitem(verify.SUITES, "hopf", (broken, 12))
+        code, out, err = run(["verify", "--suite", "hopf"])
+        assert code == 1 and out == ""
+        assert err == "computation failed: 'missing table entry'\n"
+
 
 def _sweep():
     for name in sorted(verify.SUITES):

@@ -1,5 +1,7 @@
 """End-to-end regression for the suite battery and its expected findings."""
 
+import pytest
+
 from steenrod import bundles, verify
 from steenrod.action import Check
 
@@ -61,3 +63,8 @@ def test_a_bundle_check_reaches_the_report_as_it_is(monkeypatch):
     ]
     assert report.counts == {"pass": 1, "fail": 1, "provisional": 0}
     assert report.ok is False
+
+
+def test_an_unknown_suite_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'hopff'"):
+        verify.run_suites(["hopff"])
