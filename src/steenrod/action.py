@@ -24,9 +24,12 @@ and safe under concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing
+
+if TYPE_CHECKING:
+    from .algebra import SteenrodElement
 
 Components = list[frozenset[int]]  # entry k: the packed monomials of Sq^k
 
@@ -205,12 +208,16 @@ class SqAlgebraPresentation:
                 acc ^= c
         return F2Poly(self.ring, frozenset(acc))
 
-    def q0(self, f: F2Poly) -> F2Poly:
-        return self.sq(1, f)
-
-    def q1(self, f: F2Poly) -> F2Poly:
-        """The degree-3 primitive Sq^3 + Sq^2 Sq^1 = Sq^1 Sq^2 + Sq^2 Sq^1."""
-        return self.sq(1, self.sq(2, f)) + self.sq(2, self.sq(1, f))
+    def act(self, element: SteenrodElement, f: F2Poly) -> F2Poly:
+        """A Steenrod algebra element applied to f: each admissible word
+        through sq, its last letter first."""
+        acc: set[int] = set()
+        for word in element.words:
+            g = f
+            for k in reversed(word):
+                g = self.sq(k, g)
+            acc ^= g.monomials
+        return F2Poly(self.ring, frozenset(acc))
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,9 @@ class F2Vector:
 class F2Matrix:
     """An immutable matrix over F2 with int-bitmask rows.
 
-    Row ``i`` has bit ``j`` set iff entry ``(i, j)`` is 1.  Elimination always
-    chooses the lowest-index pivot column first, so rank profiles, solutions
-    and kernels are deterministic.
+    Row ``i`` has bit ``j`` set iff entry ``(i, j)`` is 1.  The rank reads an
+    F2Basis of the rows; solutions and kernels read an F2Span of the columns,
+    highest index first, so they are deterministic.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "_echelon")
@@ -146,59 +146,37 @@ class F2Matrix:
             rows.append(acc)
         return F2Matrix(self.nrows, other.ncols, rows)
 
-    def _reduced(self):
-        """Row echelon data: (pivot column -> reduced row) in pivot order."""
-        if self._echelon is not None:
-            return self._echelon
-        basis = F2Basis()
-        pivots = basis._pivots
-        for row in self.rows:
-            row = basis.reduce(row)
-            if row:
-                col = row.bit_length() - 1
-                # keep fully reduced form: clear this column from earlier rows
-                for c, r in list(pivots.items()):
-                    if (r >> col) & 1:
-                        pivots[c] = r ^ row
-                pivots[col] = row
-        object.__setattr__(self, "_echelon", pivots)
-        return pivots
+    def _columns(self) -> "F2Span":
+        """The span of the columns, fed last column first and built once, so
+        its pivots are the columns no higher-index column spans; bit j of a
+        mask it returns stands for column ncols - 1 - j."""
+        if self._echelon is None:
+            object.__setattr__(self, "_echelon", F2Span(self.transpose().rows[::-1]))
+        return self._echelon
+
+    def _vector(self, mask: int) -> F2Vector:
+        """The column mask of a span combination, bit order reversed."""
+        return F2Vector(self.ncols, int(f"{mask:0{self.ncols}b}"[::-1], 2))
 
     def rank(self) -> int:
-        return len(self._reduced())
+        basis = F2Basis()
+        return sum(basis.add(row) for row in self.rows)
 
     def solve(self, b: F2Vector) -> F2Vector | None:
         """Any x with Ax = b, or None when the system is inconsistent.
 
-        Deterministic: elimination works on the augmented rows in order and
-        free variables are set to zero.
+        Deterministic: x combines only the pivot columns, so every free
+        variable is zero.
         """
         if b.length != self.nrows:
             raise ShapeError("rhs length must equal row count")
-        # augmented rows: bit 0 holds b, coefficient column j sits at bit j + 1
-        aug = [(row << 1) | ((b.bits >> i) & 1) for i, row in enumerate(self.rows)]
-        pivots = F2Matrix(self.nrows, self.ncols + 1, aug)._reduced()
-        if 0 in pivots:
-            return None  # 0 = 1
-        x = 0
-        for col, row in pivots.items():
-            if row & 1:
-                x |= 1 << (col - 1)
-        return F2Vector(self.ncols, x)
+        mask = self._columns().coords(b.bits)
+        return None if mask is None else self._vector(mask)
 
     def kernel_basis(self) -> list[F2Vector]:
-        """Basis of the right kernel, deterministic ordering."""
-        pivots = self._reduced()
-        pivot_cols = sorted(pivots)
-        free_cols = [j for j in range(self.ncols) if j not in pivots]
-        basis = []
-        for f in free_cols:
-            bits = 1 << f
-            for c in pivot_cols:
-                if (pivots[c] >> f) & 1:
-                    bits |= 1 << c
-            basis.append(F2Vector(self.ncols, bits))
-        return basis
+        """Basis of the right kernel: for each free column, ascending, the
+        vector that sums it with pivot columns of higher index."""
+        return [self._vector(r) for r in reversed(self._columns().relations)]
 
     def __eq__(self, other):
         return (

@@ -1,18 +1,20 @@
 """Finite graded modules over A(1) and E(1).
 
-A(1) is generated by Sq^1 and Sq^2; E(1) is exterior on Q_0 = Sq^1 and
-Q_1 = Sq^3 + Sq^2 Sq^1.  A module is a degree window, a dimension per degree,
-and one matrix per algebra generator between adjacent slices.  The module
-relations (Sq^1 Sq^1 = 0 and Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1, respectively
-Q_i^2 = 0 and Q_0 Q_1 = Q_1 Q_0) are validated wherever the composites stay
-inside the window.
+All that depends on the algebra is its ALGEBRAS entry.  A(1) is generated by
+Sq^1 and Sq^2, E(1) by the Milnor primitives Q_0 = Sq(1) and Q_1 = Sq(0, 1);
+the relations (Sq^1 Sq^1 = 0 and Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1, respectively
+Q_i^2 = 0 and Q_0 Q_1 = Q_1 Q_0), both Margolis operators and the relators
+of the catalog pieces are sums of generator words, each acting last letter
+first.  A module is a degree window, a dimension per degree, and one matrix
+per generator between adjacent slices; the relations are validated wherever
+the composites stay inside the window.
 
-The standard small pieces are built mechanically inside the ambient Steenrod
-algebra rather than hard-coded:
+The catalog pieces are built mechanically inside the ambient Steenrod
+algebra, each its part from a bottom degree up modulo its relators:
 
-    Z2                        one class
+    Z2                        one class: modulo both generators
     A(1), E(1)                the free rank-one modules
-    I, L                      augmentation ideals
+    I, L                      augmentation ideals: from degree 1 up
     J = A(1)/A(1)Sq^3         the joker
     K = A(1)/A(1)(Sq^1, Sq^2 Sq^3)
     C = E(1)/E(1)Sq^1
@@ -34,24 +36,80 @@ Margolis homology (Adams-Margolis) is a standard fact the solver relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Sequence
 
 from .action import SqAlgebraPresentation
 from .algebra import SteenrodElement
-from .dual import SubHopfAlgebra, basis_of, milnor_primitive
+from .dual import SubHopfAlgebra, basis_of, milnor_to_admissible
 from .f2 import F2Basis, F2Index, F2Matrix, F2Poly, F2Span
 
 EDGE_MARGIN = 3  # Q_1 has degree 3; conclusions this close to the top are provisional
 
-ALGEBRA_OPS = {
-    "A1": (("sq1", 1), ("sq2", 2)),
-    "E1": (("q0", 1), ("q1", 3)),
+Word = tuple[str, ...]  # generator names; a word acts last letter first
+
+
+def _words(text: str) -> tuple[Word, ...]:
+    """The words of a sum written as in ALGEBRAS: "sq1 sq2 + sq2 sq1"."""
+    return tuple(tuple(term.split()) for term in text.split("+"))
+
+
+@dataclass(frozen=True, eq=False)
+class Algebra:
+    """A(1) or E(1): everything the module code needs to know about it."""
+
+    hopf: tuple[str, int]  # the sub-Hopf algebra, as dual.SubHopfAlgebra takes it
+    ops: dict[str, int]  # generator -> degree, in matrix order
+    milnor: dict[str, tuple[int, ...]]  # generator -> its Milnor basis element
+    relations: tuple[str, ...]  # sums of words that act as zero
+    margolis: dict[str, str]  # "q0", "q1" -> the operator as a sum of words
+    # the catalog in order: piece -> (bottom degree, relators), the algebra
+    # from the bottom degree up modulo the left ideal of the relators
+    pieces: dict[str, tuple[int, tuple[str, ...]]]
+
+    def element(self, text: str) -> SteenrodElement:
+        """A sum of generator words as an element of the Steenrod algebra."""
+        total = SteenrodElement.zero()
+        for word in _words(text):
+            total = total + reduce(mul, (milnor_to_admissible(self.milnor[op]) for op in word))
+        return total
+
+
+ALGEBRAS = {
+    "A1": Algebra(
+        hopf=("A", 1),
+        ops={"sq1": 1, "sq2": 2},
+        milnor={"sq1": (1,), "sq2": (2,)},
+        relations=("sq1 sq1", "sq2 sq2 + sq1 sq2 sq1"),
+        margolis={"q0": "sq1", "q1": "sq1 sq2 + sq2 sq1"},
+        pieces={
+            "Z2": (0, ("sq1", "sq2")),
+            "I": (1, ()),
+            "J": (0, ("sq1 sq2",)),  # Sq^3
+            "K": (0, ("sq1", "sq2 sq1 sq2")),  # Sq^1, Sq^2 Sq^3
+            "A1": (0, ()),
+        },
+    ),
+    "E1": Algebra(
+        hopf=("E", 1),
+        ops={"q0": 1, "q1": 3},
+        milnor={"q0": (1,), "q1": (0, 1)},
+        relations=("q0 q0", "q1 q1", "q0 q1 + q1 q0"),
+        margolis={"q0": "q0", "q1": "q1"},
+        pieces={"Z2": (0, ("q0", "q1")), "L": (1, ()), "C": (0, ("q0",)), "E1": (0, ())},
+    ),
 }
 
 
 class ModuleError(Exception):
     pass
+
+
+def _spec(algebra: str) -> Algebra:
+    if algebra not in ALGEBRAS:
+        raise ModuleError(f"unknown algebra {algebra!r}")
+    return ALGEBRAS[algebra]
 
 
 @dataclass(frozen=True)
@@ -70,12 +128,10 @@ class FiniteModule:
     )
 
     def __post_init__(self):
-        if self.algebra not in ALGEBRA_OPS:
-            raise ModuleError(f"unknown algebra {self.algebra!r}")
-        expected = tuple(op for op, _ in ALGEBRA_OPS[self.algebra])
+        expected = tuple(_spec(self.algebra).ops)
         if tuple(op for op, _ in self.ops) != expected:
             raise ModuleError(f"{self.algebra} needs ops {expected}")
-        for (op, mats), (_, shift) in zip(self.ops, ALGEBRA_OPS[self.algebra]):
+        for (op, mats), shift in zip(self.ops, self.spec.ops.values()):
             if len(mats) != len(self.dims):
                 raise ModuleError(f"{op}: need one matrix per degree")
             for i, m in enumerate(mats):
@@ -87,6 +143,10 @@ class FiniteModule:
 
     def _near_top(self, offset: int) -> bool:
         return offset >= len(self.dims)
+
+    @property
+    def spec(self) -> Algebra:
+        return ALGEBRAS[self.algebra]
 
     # -- shape ----------------------------------------------------------------
 
@@ -102,7 +162,7 @@ class FiniteModule:
         return sum(self.dims)
 
     def op_matrix(self, op: str, degree: int) -> F2Matrix:
-        shift = dict(ALGEBRA_OPS[self.algebra])[op]
+        shift = self.spec.ops[op]
         i = degree - self.dmin
         if 0 <= i < len(self.dims):
             return dict(self.ops)[op][i]
@@ -115,7 +175,7 @@ class FiniteModule:
 
     @staticmethod
     def build(algebra, dmin, dims, mats_by_op, truncated=False, name=""):
-        ops = tuple((op, tuple(mats_by_op[op])) for op, _ in ALGEBRA_OPS[algebra])
+        ops = tuple((op, tuple(mats_by_op[op])) for op in _spec(algebra).ops)
         return FiniteModule(algebra, dmin, tuple(dims), ops, truncated, name)
 
     def suspend(self, s: int) -> "FiniteModule":
@@ -129,7 +189,7 @@ class FiniteModule:
         dmax = max(self.dmax, other.dmax)
         dims = tuple(self.dim(d) + other.dim(d) for d in range(dmin, dmax + 1))
         mats_by_op = {}
-        for op, shift in ALGEBRA_OPS[self.algebra]:
+        for op in self.spec.ops:
             mats = []
             for d in range(dmin, dmax + 1):
                 a = self.op_matrix(op, d)
@@ -144,56 +204,37 @@ class FiniteModule:
 
     # -- relations --------------------------------------------------------------
 
+    def _word_sum(self, words: Sequence[Word], d: int) -> F2Matrix:
+        """The matrix from degree d of a sum of generator words."""
+        rows = None
+        for word in words:
+            m, e = F2Matrix.identity(self.dim(d)), d
+            for op in reversed(word):
+                m, e = self.op_matrix(op, e).mat_mul(m), e + self.spec.ops[op]
+            rows = m.rows if rows is None else [a ^ b for a, b in zip(rows, m.rows)]
+        return F2Matrix(m.nrows, m.ncols, rows)
+
     def validate(self) -> None:
         """Check the defining relations wherever composites stay in window."""
         top = self.dmax if not self.truncated else self.dmax - 4
+        relations = [(text, _words(text)) for text in self.spec.relations]
         for d in range(self.dmin, top + 1):
-            if self.algebra == "A1":
-                sq1, sq2 = (lambda deg: self.op_matrix("sq1", deg)), (
-                    lambda deg: self.op_matrix("sq2", deg)
-                )
-                if any(sq1(d + 1).mat_mul(sq1(d)).rows):
-                    raise ModuleError(f"Sq^1 Sq^1 != 0 at degree {d}")
-                lhs = sq2(d + 2).mat_mul(sq2(d))
-                rhs = sq1(d + 3).mat_mul(sq2(d + 1)).mat_mul(sq1(d))
-                if lhs != rhs:
-                    raise ModuleError(f"Sq^2 Sq^2 != Sq^1 Sq^2 Sq^1 at degree {d}")
-            else:
-                q0, q1 = (lambda deg: self.op_matrix("q0", deg)), (
-                    lambda deg: self.op_matrix("q1", deg)
-                )
-                if any(q0(d + 1).mat_mul(q0(d)).rows):
-                    raise ModuleError(f"Q_0^2 != 0 at degree {d}")
-                if any(q1(d + 3).mat_mul(q1(d)).rows):
-                    raise ModuleError(f"Q_1^2 != 0 at degree {d}")
-                lhs = q1(d + 1).mat_mul(q0(d))
-                rhs = q0(d + 3).mat_mul(q1(d))
-                if lhs != rhs:
-                    raise ModuleError(f"Q_0 Q_1 != Q_1 Q_0 at degree {d}")
+            for text, words in relations:
+                if any(self._word_sum(words, d).rows):
+                    raise ModuleError(f"{text} != 0 at degree {d}")
 
     # -- Margolis homology --------------------------------------------------------
 
     def margolis_operator(self, which: str) -> tuple[int, dict[int, F2Matrix]]:
         """The differential (Q_0 or Q_1) as matrices, with its degree shift."""
-        if self.algebra == "E1":
-            op = {"q0": "q0", "q1": "q1"}[which]
-            shift = dict(ALGEBRA_OPS["E1"])[op]
-            return shift, {d: self.op_matrix(op, d) for d in range(self.dmin, self.dmax + 1)}
-        if which == "q0":
-            return 1, {d: self.op_matrix("sq1", d) for d in range(self.dmin, self.dmax + 1)}
-        # Q_1 = Sq^1 Sq^2 + Sq^2 Sq^1 on an A(1)-module
-        mats = {}
-        for d in range(self.dmin, self.dmax + 1):
-            a = self.op_matrix("sq1", d + 2).mat_mul(self.op_matrix("sq2", d))
-            b = self.op_matrix("sq2", d + 1).mat_mul(self.op_matrix("sq1", d))
-            rows = [x ^ y for x, y in zip(a.rows, b.rows)]
-            mats[d] = F2Matrix(a.nrows, a.ncols, rows)
-        return 3, mats
+        if which not in self.spec.margolis:
+            raise ModuleError(f"unknown Margolis operator {which!r}; choose q0 or q1")
+        words = _words(self.spec.margolis[which])
+        shift = sum(self.spec.ops[op] for op in words[0])
+        return shift, {d: self._word_sum(words, d) for d in range(self.dmin, self.dmax + 1)}
 
     def margolis_homology(self, which: str) -> dict[int, tuple[int, bool]]:
         """Degree -> (dim ker/im, reliable flag), computed once; returns a copy."""
-        if which not in ("q0", "q1"):
-            raise ModuleError("which must be 'q0' or 'q1'")
         if which not in self._margolis:
             shift, mats = self.margolis_operator(which)
             out = {}
@@ -212,7 +253,7 @@ class FiniteModule:
             for i in range(self.dim(d)):
                 lines.append(f'  "n{d}_{i}" [label="{d}"];')
         styles = {1: "solid", 2: "dashed", 3: "dashed"}
-        for op, shift in ALGEBRA_OPS[self.algebra]:
+        for op, shift in self.spec.ops.items():
             for d in range(self.dmin, self.dmax + 1):
                 m = self.op_matrix(op, d)
                 for j in range(m.ncols):
@@ -242,11 +283,7 @@ def _module_from_subquotient(
     The carrier must be closed under the algebra action modulo the ideal, and
     the ideal must be a submodule of the carrier span.
     """
-    if algebra == "A1":
-        acts = [("sq1", SteenrodElement.sq(1)), ("sq2", SteenrodElement.sq(2))]
-    else:
-        acts = [("q0", milnor_primitive(0)), ("q1", milnor_primitive(1))]
-
+    spec = _spec(algebra)
     by_degree: dict[int, list[SteenrodElement]] = {}
     for e in carrier:
         by_degree.setdefault(e.degree(), []).append(e)
@@ -285,8 +322,8 @@ def _module_from_subquotient(
         return sol & ((1 << len(basis_elems)) - 1)
 
     mats_by_op = {}
-    for op, act in acts:
-        shift = act.degree()
+    for op, shift in spec.ops.items():
+        act = spec.element(op)
         mats_by_op[op] = [
             F2Matrix(
                 len(reps[d]),
@@ -315,14 +352,14 @@ def _trim(m: FiniteModule) -> FiniteModule:
     dims = tuple(m.dim(d) for d in range(lo, hi + 1))
     mats_by_op = {
         op: [m.op_matrix(op, d) for d in range(lo, hi + 1)]
-        for op, _ in ALGEBRA_OPS[m.algebra]
+        for op in m.spec.ops
     }
     return FiniteModule.build(m.algebra, lo, dims, mats_by_op, m.truncated, m.name)
 
 
 def zero_module(algebra: str) -> FiniteModule:
     return FiniteModule.build(
-        algebra, 0, (0,), {op: [F2Matrix.zero(0, 0)] for op, _ in ALGEBRA_OPS[algebra]},
+        algebra, 0, (0,), {op: [F2Matrix.zero(0, 0)] for op in _spec(algebra).ops},
         name="0",
     )
 
@@ -340,49 +377,24 @@ def _left_ideal_span(generators: list[SteenrodElement], ambient: Sequence[Steenr
 
 @lru_cache(maxsize=None)
 def standard_piece(algebra: str, family: str) -> FiniteModule:
-    """The catalog modules, built from their definitions in the ambient algebra.
+    """A catalog piece, built from its ALGEBRAS entry in the ambient algebra:
+    the part from the bottom degree up, modulo the left ideal of the relators.
 
     A(1) catalog: Z2, I (augmentation ideal), J (the joker), K, A1.
     E(1) catalog: Z2, L (augmentation ideal), C = E(1)/E(1)Sq^1, E1.
     """
-    if algebra == "A1":
-        amb = list(basis_of(SubHopfAlgebra("A", 1)))
-        if family == "Z2":
-            positive = [e for e in amb if e.degree() > 0]
-            return _module_from_subquotient("A1", amb, positive, name="Z2")
-        if family == "A1":
-            return _module_from_subquotient("A1", amb, name="A1")
-        if family == "I":
-            return _module_from_subquotient(
-                "A1", [e for e in amb if e.degree() > 0], name="I"
-            )
-        if family == "J":
-            ideal = _left_ideal_span([SteenrodElement.sq(3)], amb)
-            return _module_from_subquotient("A1", amb, ideal, name="J")
-        if family == "K":
-            ideal = _left_ideal_span(
-                [SteenrodElement.sq(1), SteenrodElement.sq(2) * SteenrodElement.sq(3)], amb
-            )
-            return _module_from_subquotient("A1", amb, ideal, name="K")
-    else:
-        amb = list(basis_of(SubHopfAlgebra("E", 1)))
-        if family == "Z2":
-            positive = [e for e in amb if e.degree() > 0]
-            return _module_from_subquotient("E1", amb, positive, name="Z2")
-        if family == "E1":
-            return _module_from_subquotient("E1", amb, name="E1")
-        if family == "L":
-            return _module_from_subquotient(
-                "E1", [e for e in amb if e.degree() > 0], name="L"
-            )
-        if family == "C":
-            ideal = _left_ideal_span([milnor_primitive(0)], amb)
-            return _module_from_subquotient("E1", amb, ideal, name="C")
-    raise ModuleError(f"unknown piece {family!r} over {algebra}")
+    spec = _spec(algebra)
+    if family not in spec.pieces:
+        raise ModuleError(f"unknown piece {family!r} over {algebra}")
+    bottom, relators = spec.pieces[family]
+    amb = list(basis_of(SubHopfAlgebra(*spec.hopf)))
+    ideal = _left_ideal_span([spec.element(r) for r in relators], amb)
+    carrier = [e for e in amb if e.degree() >= bottom]
+    return _module_from_subquotient(algebra, carrier, ideal, name=family)
 
 
 def catalog(algebra: str) -> tuple[str, ...]:
-    return ("Z2", "I", "J", "K", "A1") if algebra == "A1" else ("Z2", "L", "C", "E1")
+    return tuple(_spec(algebra).pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +426,16 @@ def from_presentation(
             bits |= 1 << index[d][m]
         return bits
 
-    if algebra == "A1":
-        actions = {"sq1": (1, pres.q0), "sq2": (2, lambda f: pres.sq(2, f))}
-    else:
-        actions = {"q0": (1, pres.q0), "q1": (3, pres.q1)}
-
+    spec = _spec(algebra)
     mats_by_op = {}
-    for op, (shift, fn) in actions.items():
+    for op, shift in spec.ops.items():
+        act = spec.element(op)
         mats = []
         for d in range(dmin, dmax + 1):
             src = monos[d]
             if d + shift <= dmax:
                 images = [
-                    poly_coords(fn(F2Poly(pres.ring, frozenset({m}))), d + shift)
+                    poly_coords(pres.act(act, F2Poly(pres.ring, frozenset({m}))), d + shift)
                     for m in src
                 ]
                 mats.append(F2Matrix(len(src), len(monos[d + shift]), images).transpose())
@@ -434,20 +443,15 @@ def from_presentation(
                 mats.append(F2Matrix.zero(0, len(src)))
         mats_by_op[op] = mats
 
-    mod = FiniteModule.build(algebra, dmin, dims, mats_by_op, truncated=True)
-    return mod
+    return FiniteModule.build(algebra, dmin, dims, mats_by_op, truncated=True)
 
 
 def restrict_to_e1(m: FiniteModule) -> FiniteModule:
-    """Restriction of scalars along E(1) -> A(1): Q_0 = Sq^1 and
-    Q_1 = Sq^1 Sq^2 + Sq^2 Sq^1 on the same underlying graded space."""
+    """Restriction of scalars along E(1) -> A(1): each generator of E(1)
+    acts as the Margolis operator of its name, on the same graded space."""
     if m.algebra != "A1":
         raise ModuleError("can only restrict an A(1)-module")
-    _, q1_mats = m.margolis_operator("q1")
-    mats_by_op = {
-        "q0": [m.op_matrix("sq1", d) for d in range(m.dmin, m.dmax + 1)],
-        "q1": [q1_mats[d] for d in range(m.dmin, m.dmax + 1)],
-    }
+    mats_by_op = {op: list(m.margolis_operator(op)[1].values()) for op in ALGEBRAS["E1"].ops}
     out = FiniteModule.build(
         "E1", m.dmin, m.dims, mats_by_op, truncated=m.truncated, name=m.name
     )
@@ -487,7 +491,7 @@ class ModuleMap:
 
     def check_commutes(self, top: int | None = None) -> bool:
         top = self.source.reliable_max() if top is None else top
-        for op, shift in ALGEBRA_OPS[self.source.algebra]:
+        for op, shift in self.source.spec.ops.items():
             for d in range(self.source.dmin, top - shift + 1):
                 lhs = self.mat(d + shift).mat_mul(self.source.op_matrix(op, d))
                 rhs = self.target.op_matrix(op, d).mat_mul(self.mat(d))
@@ -685,7 +689,7 @@ def _hom_space(piece: FiniteModule, target: FiniteModule) -> list[tuple[F2Matrix
         return offsets[d] + i * piece.dim(d) + j
 
     rows = []
-    for op, shift in ALGEBRA_OPS[piece.algebra]:
+    for op, shift in piece.spec.ops.items():
         for d in degrees:
             sp = piece.op_matrix(op, d)  # piece_d -> piece_{d+shift}
             st = target.op_matrix(op, d)  # target_d -> target_{d+shift}

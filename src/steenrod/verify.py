@@ -167,13 +167,17 @@ def suite_pairing(max_degree: int = 12) -> list[Check]:
         ),
         first_failure("basis counts agree through degree 20", count_failures()),
         _eq("Sq(0,1) = Sq3 + Sq2 Sq1", dual.milnor_to_admissible((0, 1)), Sq(3) + Sq(2, 1)),
-        Check("milnor primitives square to zero", all((q(i) * q(i)).is_zero() for i in range(3))),
-        Check(
+        first_failure(
+            "milnor primitives square to zero",
+            (f"Q{i}" for i in range(3) if not (q(i) * q(i)).is_zero()),
+        ),
+        first_failure(
             "milnor primitives commute",
-            all(
-                (q(i) * q(j) + q(j) * q(i)).is_zero()
+            (
+                f"Q{i} Q{j}"
                 for i in range(3)
-                for j in range(3)
+                for j in range(i + 1, 3)
+                if not (q(i) * q(j) + q(j) * q(i)).is_zero()
             ),
         ),
         first_failure("basis conversion round-trip through degree 12", round_trip_failures()),
@@ -242,12 +246,13 @@ def suite_hp2_transfer(max_degree: int = 4) -> list[Check]:
 
 def suite_a1_modules(max_degree: int = 40) -> list[Check]:
     from . import bundles, modules
-    from .f2 import WeightedPolyRing, geometric_series_product, series_of_ring
-    checks = []
+    from .f2 import WeightedPolyRing, geometric_series_product
     ring = WeightedPolyRing.make(("t2", 2), ("t3", 3), ("t8", 8), ("t12", 12))
-    lhs = series_of_ring(ring, 60)
-    rhs = geometric_series_product([2, 3, 8, 12], 60)
-    checks.append(_eq("dimension series of the t-ring through degree 60", lhs, rhs))
+    series = geometric_series_product([2, 3, 8, 12], 60)
+    counts = [len(ring.monomials_of_degree(d)) for d in range(61)]
+    misses = (f"degree {d}: series {series[d]}, {n} monomials"
+              for d, n in enumerate(counts) if series[d] != n)
+    checks = [first_failure("dimension series of the t-ring through degree 60", misses)]
 
     expectations = {
         "A1": (("E1", 0), ("E1", 2)),
@@ -261,18 +266,19 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
         checks.append(Check(f"restriction of {name}", ok, f"{r.status}: {r.solutions[:2]}"))
 
     cert = modules.check_split_criterion(modules.split_case("identity"))
-    checks.append(Check("identity map certified split", cert.split_guaranteed))
+    checks.append(Check("identity map certified split", cert.split_guaranteed, str(cert)))
 
     cert = modules.check_split_criterion(modules.split_case("joker"))
     checks.append(
         Check(
             "suspended joker inclusion rejected at the margolis stage",
             cert.f_injective and not cert.q0_margolis_injective and cert.witness_degree == 4,
+            str(cert),
         )
     )
 
     cert = modules.check_split_criterion(modules.split_case("zero"))
-    checks.append(Check("zero map rejected", not cert.f_injective))
+    checks.append(Check("zero map rejected", not cert.f_injective, str(cert)))
 
     m = modules.from_presentation(bundles.bpsp3_presentation(), "A1", (0, max_degree))
     checks.append(
@@ -320,12 +326,9 @@ def suite_e1_modules(max_degree: int = 40) -> list[Check]:
             r.status,
         )
     )
-    both_zero = all(
-        not any(m.op_matrix(op, d).rows)
-        for op in ("q0", "q1")
-        for d in range(0, m.reliable_max())
-    )
-    checks.append(Check("both differentials vanish identically", both_zero))
+    nonzero = (f"{op} at degree {d}" for op in ("q0", "q1")
+               for d in range(0, m.reliable_max()) if any(m.op_matrix(op, d).rows))
+    checks.append(first_failure("both differentials vanish identically", nonzero))
     return checks
 
 

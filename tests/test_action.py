@@ -179,7 +179,11 @@ class TestPackedGuard:
 
         monkeypatch.setattr(p._square, "components", unreachable)
         big = p.ring.from_monomials([(LIMIT // 2, 0), (1, 1)])
-        for op in (lambda f: p.sq(1, f), p.total_sq, p.q1):
+        for op in (
+            lambda f: p.sq(1, f),
+            p.total_sq,
+            lambda f: p.sq(1, p.sq(2, f)) + p.sq(2, p.sq(1, f)),  # Q_1
+        ):
             with pytest.raises(ValueError):
                 op(big)
         assert p.sq(0, big) == big

@@ -200,3 +200,67 @@ def test_the_guard_sees_a_flag_and_break_loop():
         "    return [first_failure('row', (str(d) for d in range(n) if d == 3))]\n"
     )
     assert flag_and_break_searches({"a.py": pasted, "b.py": searched}) == ["a.py:1 suite"]
+
+
+TABLE_READERS = (
+    "validate",
+    "margolis_operator",
+    "_module_from_subquotient",
+    "standard_piece",
+    "from_presentation",
+)
+
+
+def algebra_name_forks(text: str) -> list[str]:
+    """function:line of each comparison with "A1" or "E1" in a function that
+    reads modules.ALGEBRAS instead: the algebra is decided by the table."""
+    out = []
+    for fn in ast.walk(ast.parse(text)):
+        if isinstance(fn, ast.FunctionDef) and fn.name in TABLE_READERS:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in ("A1", "E1")
+                    for c in (node.left, *node.comparators)
+                ):
+                    out.append(f"{fn.name}:{node.lineno}")
+    return out
+
+
+def matrix_own_eliminations(text: str) -> list[str]:
+    """method:line of each F2Matrix method that reads a basis's pivots or
+    reduces rows itself: its eliminations are F2Basis.add and F2Span."""
+    tree = ast.parse(text)
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "F2Matrix")
+    return [
+        f"{fn.name}:{node.lineno}"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("_pivots", "reduce")
+    ]
+
+
+def test_no_algebra_name_fork_under_the_module_layer():
+    assert algebra_name_forks((SRC / "modules.py").read_text()) == []
+
+
+def test_f2_matrix_runs_no_elimination_of_its_own():
+    assert matrix_own_eliminations((SRC / "f2.py").read_text()) == []
+
+
+def test_the_guards_see_a_fork_and_a_pasted_reduction():
+    forked = (
+        "def standard_piece(algebra, family):\n"
+        "    if algebra == 'A1':\n"
+        "        return 1\n"
+        "    return 'E1' != family\n"
+    )
+    assert sorted(algebra_name_forks(forked)) == ["standard_piece:2", "standard_piece:4"]
+    pasted = (
+        "class F2Matrix:\n"
+        "    def rank(self):\n"
+        "        basis = F2Basis()\n"
+        "        rows = [basis.reduce(r) for r in self.rows]\n"
+        "        return len(basis._pivots)\n"
+    )
+    assert sorted(matrix_own_eliminations(pasted)) == ["rank:4", "rank:5"]

@@ -1,12 +1,13 @@
-"""Searched check rows fail on corrupted code, naming their first counterexample.
+"""Check rows fail on corrupted code, naming their first counterexample.
 
 Each entry corrupts one function of `src/`, runs one suite in process, and
-expects each named row to fail with the witness its search meets first.
+expects each named row to fail with the witness its search meets first, or
+with the certificate it read.
 """
 
 import pytest
 
-from steenrod import bundles, dual, verify
+from steenrod import bundles, dual, f2, modules, verify
 from steenrod.algebra import SteenrodElement
 
 
@@ -37,6 +38,9 @@ def pairing_matrices_transposed_in_degrees_3_and_5(monkeypatch):
         return monos, words, matrix.transpose() if n in (3, 5) else matrix
 
     monkeypatch.setattr(dual, "pairing_matrix", corrupted)
+    # the Milnor primitives are rebuilt from the corrupted matrices, and the
+    # cached ones are neither read nor overwritten
+    monkeypatch.setattr(dual, "milnor_primitive", dual.milnor_primitive.__wrapped__)
 
 
 def transfer_off_by_one(name, degrees):
@@ -55,6 +59,32 @@ def transfer_off_by_one(name, degrees):
         monkeypatch.setattr(bundles.FiberBundleData, "fiber_integrate", corrupted)
 
     return corrupt
+
+
+def odd_classes_in_the_evenly_graded_ring(monkeypatch):
+    monkeypatch.setattr(bundles, "bsu3_presentation", bundles.bpsp3_presentation)
+
+
+def margolis_injectivity_fails_at_the_bottom(monkeypatch):
+    monkeypatch.setattr(
+        modules.ModuleMap,
+        "margolis_induced_injective",
+        lambda f, which: (False, f.source.dmin),
+    )
+
+
+def every_map_injective(monkeypatch):
+    monkeypatch.setattr(modules.ModuleMap, "is_injective", lambda f: True)
+
+
+def ring_series_off_by_one_in_degree_5(monkeypatch):
+    series_of_ring = f2.series_of_ring
+
+    def corrupted(ring, max_degree):
+        coefficients = series_of_ring(ring, max_degree).coefficients
+        return f2.PoincareSeries(tuple(c + (d == 5) for d, c in enumerate(coefficients)))
+
+    monkeypatch.setattr(f2, "series_of_ring", corrupted)
 
 
 # (suite, corruption, {check id: the first witness its search meets})
@@ -77,7 +107,11 @@ ENTRIES = [
     pytest.param(
         "pairing",
         pairing_matrices_transposed_in_degrees_3_and_5,
-        {"pairing matrices unitriangular through degree 12": "degree 3 not unitriangular"},
+        {
+            "pairing matrices unitriangular through degree 12": "degree 3 not unitriangular",
+            "milnor primitives square to zero": "Q1",
+            "milnor primitives commute": "Q0 Q1",
+        },
         id="pairing-matrices-transposed",
     ),
     pytest.param(
@@ -94,6 +128,39 @@ ENTRIES = [
         transfer_off_by_one("hp2", (8, 16)),
         {"closed form modulo t12": "u3^0 u2^0 u4^0 u8^1: got 0"},
         id="hp2-transfer-off-by-one",
+    ),
+    pytest.param(
+        "e1-modules",
+        odd_classes_in_the_evenly_graded_ring,
+        {"both differentials vanish identically": "q0 at degree 2"},
+        id="e1-modules-odd-classes",
+    ),
+    pytest.param(
+        "a1-modules",
+        margolis_injectivity_fails_at_the_bottom,
+        {
+            "identity map certified split": "SplitCertificate(hypotheses_met=True,"
+            " f_injective=True, q0_margolis_injective=False, witness_degree=0)",
+            "suspended joker inclusion rejected at the margolis stage": "SplitCertificate("
+            "hypotheses_met=True, f_injective=True, q0_margolis_injective=False,"
+            " witness_degree=2)",
+        },
+        id="a1-modules-margolis-injectivity-fails",
+    ),
+    pytest.param(
+        "a1-modules",
+        every_map_injective,
+        {
+            "zero map rejected": "SplitCertificate(hypotheses_met=True,"
+            " f_injective=True, q0_margolis_injective=False, witness_degree=0)"
+        },
+        id="a1-modules-every-map-injective",
+    ),
+    pytest.param(
+        "a1-modules",
+        ring_series_off_by_one_in_degree_5,
+        {"dimension series of the t-ring through degree 60": "degree 5: series 2, 1 monomials"},
+        id="a1-modules-ring-series-off-by-one",
     ),
 ]
 

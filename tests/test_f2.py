@@ -98,6 +98,67 @@ class TestLinearAlgebra:
         assert prod.entry(0, 1) == 1
 
 
+def echelon_oracle(rows):
+    """The former F2Matrix._reduced: pivot column -> fully reduced row, each
+    pivot the top bit of its row, rows eliminated in order."""
+    pivots = {}
+    for row in rows:
+        for col in sorted(pivots, reverse=True):
+            if (row >> col) & 1:
+                row ^= pivots[col]
+        if row:
+            col = row.bit_length() - 1
+            # keep fully reduced form: clear this column from earlier rows
+            for c, r in list(pivots.items()):
+                if (r >> col) & 1:
+                    pivots[c] = r ^ row
+            pivots[col] = row
+    return pivots
+
+
+def solve_oracle(matrix, b):
+    """The former F2Matrix.solve: eliminate the augmented rows, b at bit 0,
+    and read x off the pivots with every free variable zero."""
+    aug = [(row << 1) | ((b.bits >> i) & 1) for i, row in enumerate(matrix.rows)]
+    pivots = echelon_oracle(aug)
+    if 0 in pivots:
+        return None  # 0 = 1
+    x = 0
+    for col, row in pivots.items():
+        if row & 1:
+            x |= 1 << (col - 1)
+    return F2Vector(matrix.ncols, x)
+
+
+def kernel_oracle(matrix):
+    """The former F2Matrix.kernel_basis: one vector per free column, ascending."""
+    pivots = echelon_oracle(matrix.rows)
+    basis = []
+    for f in (j for j in range(matrix.ncols) if j not in pivots):
+        bits = 1 << f
+        for c in sorted(pivots):
+            if (pivots[c] >> f) & 1:
+                bits |= 1 << c
+        basis.append(F2Vector(matrix.ncols, bits))
+    return basis
+
+
+class TestAgainstTheFormerEchelonForm:
+    def test_rank_solutions_and_kernels_are_unchanged(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+            if nrows > 2 and rng.random() < 0.5:
+                rows[2] = rows[0] ^ rows[1]
+            m = F2Matrix(nrows, ncols, rows)
+            assert m.rank() == len(echelon_oracle(rows))
+            assert m.kernel_basis() == kernel_oracle(m)
+            for _ in range(3):
+                b = F2Vector(nrows, rng.getrandbits(nrows))
+                assert m.solve(b) == solve_oracle(m, b)
+
+
 RING = WeightedPolyRing.make(("x1", 1), ("x2", 1))
 
 

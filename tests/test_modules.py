@@ -4,9 +4,10 @@ import pytest
 
 from steenrod.action import SqAlgebraPresentation, check_presentation
 from steenrod.algebra import SteenrodElement
-from steenrod.dual import SubHopfAlgebra, basis_of
-from steenrod.f2 import WeightedPolyRing
+from steenrod.dual import SubHopfAlgebra, basis_of, milnor_primitive
+from steenrod.f2 import F2Matrix, WeightedPolyRing
 from steenrod.modules import (
+    ALGEBRAS,
     FiniteModule,
     ModuleError,
     catalog,
@@ -137,6 +138,60 @@ class TestTemplates:
             ))
         with pytest.raises(ModuleError):
             _module_from_subquotient("A1", carrier)
+
+
+class TestAlgebraTable:
+    @pytest.mark.parametrize("algebra", ["A1", "E1"])
+    def test_words_name_the_ambient_elements(self, algebra):
+        spec = ALGEBRAS[algebra]
+        for relation in spec.relations:
+            assert spec.element(relation).is_zero(), relation
+        for i, which in enumerate(("q0", "q1")):
+            assert spec.element(spec.margolis[which]) == milnor_primitive(i)
+
+    def test_quotient_relators_are_the_named_elements(self):
+        sq = SteenrodElement.sq
+        pieces = ALGEBRAS["A1"].pieces
+        assert [ALGEBRAS["A1"].element(r) for r in pieces["J"][1]] == [sq(3)]
+        assert [ALGEBRAS["A1"].element(r) for r in pieces["K"][1]] == [sq(1), sq(2) * sq(3)]
+        assert [ALGEBRAS["E1"].element(r) for r in ALGEBRAS["E1"].pieces["C"][1]] == [
+            milnor_primitive(0)
+        ]
+
+    @pytest.mark.parametrize("algebra", ["A1", "E1"])
+    def test_an_unknown_margolis_operator_is_a_module_error(self, algebra):
+        with pytest.raises(ModuleError, match="q2"):
+            standard_piece(algebra, "Z2").margolis_operator("q2")
+
+    def test_validate_names_each_broken_relation(self):
+        one, zero, out = F2Matrix.identity(1), F2Matrix.zero(1, 1), F2Matrix.zero(0, 1)
+        broken = [
+            # degrees 0, 1, 2: Sq^1 maps 0 onto 1 and 1 onto 2
+            ("A1", (1, 1, 1), {"sq1": [one, one, out], "sq2": [zero, out, out]}, "sq1 sq1"),
+            # degrees 0, 2, 4: Sq^2 maps 0 onto 2 and 2 onto 4, Sq^1 is zero
+            (
+                "A1",
+                (1, 0, 1, 0, 1),
+                {
+                    "sq1": [F2Matrix.zero(0, 1), F2Matrix.zero(1, 0)] * 2 + [out],
+                    "sq2": [one, F2Matrix.zero(0, 0), one, F2Matrix.zero(0, 0), out],
+                },
+                r"sq2 sq2 \+ sq1 sq2 sq1",
+            ),
+            # degrees 0, 1, 3, 4: Q_0 Q_1 reaches degree 4 from 0, Q_1 Q_0 does not
+            (
+                "E1",
+                (1, 1, 0, 1, 1),
+                {
+                    "q0": [one, out, F2Matrix.zero(1, 0), one, out],
+                    "q1": [one, zero, F2Matrix.zero(0, 0), out, out],
+                },
+                r"q0 q1 \+ q1 q0",
+            ),
+        ]
+        for algebra, dims, mats, relation in broken:
+            with pytest.raises(ModuleError, match=f"^{relation} != 0 at degree 0$"):
+                FiniteModule.build(algebra, 0, dims, mats).validate()
 
 
 class TestRestriction:
