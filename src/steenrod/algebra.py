@@ -306,52 +306,6 @@ def dim(degree: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generation by the classes Sq^(2^k)
-# ---------------------------------------------------------------------------
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@lru_cache(maxsize=None)
-def express_in_two_power_generators(n: int) -> frozenset[tuple[int, ...]]:
-    """Sq^n as a mod-2 sum of products of the generators Sq^(2^k).
-
-    Each returned tuple lists 2-power exponents left to right, so
-    (1, 2) means Sq^1 Sq^2.  Built by the descent
-
-        Sq^n = Sq^(n-2^k) Sq^(2^k)
-               + sum_{c>0} C(2^k-c-1, n-2^k-2c) Sq^(n-c) Sq^c
-
-    with 2^k the largest power of two below n; both factors of every
-    correction term have smaller index, so the recursion terminates.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _is_power_of_two(n):
-        return frozenset({(n,)})
-    b = 1 << (n.bit_length() - 1)
-    a = n - b
-    acc: set[tuple[int, ...]] = set()
-
-    def accumulate_product(left: int, right: int):
-        for lw in express_in_two_power_generators(left):
-            for rw in express_in_two_power_generators(right):
-                word = lw + rw
-                if word in acc:
-                    acc.discard(word)
-                else:
-                    acc.add(word)
-
-    accumulate_product(a, b)
-    for c in range(1, (n - 1) // 2 + 1):
-        if n - c >= 1 and binom_mod2(b - c - 1, a - 2 * c):
-            accumulate_product(n - c, c)
-    return frozenset(acc)
-
-
-# ---------------------------------------------------------------------------
 # text grammar
 # ---------------------------------------------------------------------------
 

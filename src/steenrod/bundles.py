@@ -149,20 +149,20 @@ class RestrictionModel:
 
 
 @lru_cache(maxsize=None)
-def restriction_model(swap_s_convention: bool = False) -> RestrictionModel:
-    """Build the named classes; the s-convention toggle swaps which rank-one
-    class enters s1 versus s2."""
+def restriction_model() -> RestrictionModel:
+    """Build the named classes.  Which quartic is s1 is a convention: t8,
+    t12, u4 = s1 + s2, u8 = s1 s2 and the adjoint identity are symmetric in
+    s1 and s2."""
     pres = rank_one_model(("x1", "x2", "y1", "y2"))
     R = pres.ring
     x1, x2, y1, y2 = (R.gen(n) for n in ("x1", "x2", "y1", "y2"))
     t2 = x1 * x1 + x1 * x2 + x2 * x2
     t3 = x1 * x2 * (x1 + x2)
-    ya, yb = (y1, y2) if swap_s_convention else (y2, y1)
 
     def quartic(y: F2Poly) -> F2Poly:
         return t3 * y + t2 * y * y + y ** 4
 
-    s1, s2 = quartic(ya), quartic(yb)
+    s1, s2 = quartic(y2), quartic(y1)
     s3 = quartic(y1 + y2)
     t8 = s1 * s1 + s1 * s2 + s2 * s2
     t12 = s1 * s2 * (s1 + s2)

@@ -22,8 +22,8 @@ produces w_e + rho_e or proves there is nothing to reduce.  The model is then
 validated: the kernel of the reduction map phi is Steenrod-stable up to the
 cap (phi(Sq^i w_e) equals Sq^i rho_e under the action Wu's formula induces on
 the model, checked without squaring any relation in the unreduced ring) and
-the dimension series agrees with an elimination-computed quotient through a
-configurable validation degree (at most the cap), the ideal slices being
+the dimension series agrees with an elimination-computed quotient through
+degree 20 (or the cap, if lower), the ideal slices being
 built from the cyclic module A.g and products with the w_j.  Every total
 square the model takes is computed only through the cap.
 
@@ -47,32 +47,36 @@ bits 8(i-1)..8i-1 of one Python int, so a product is an addition, a Frobenius
 square a left shift and w_1 the low byte.  A field never carries while every
 packed monomial has degree below 256 (_PACK_LIMIT): the exponent of w_i in a
 degree-d monomial is at most d // i <= 255.  Every packed path enforces that
-bound (a WRing top or a power-sum index of 256 or more raises ValueError).
+bound (a WRing top, and so a model cap, of 256 or more raises ValueError).
 The sparse form ((i, e), ...) of WMono is read only at the print boundary,
 by poly_str and the bundle substitutions.  The total square is
 action.TotalSquare, the Frobenius-block/Cartan engine that serves the
 declared presentations too, fed the packed Wu table.
 
-The Newton layer works mod 2 and mod 4, never over the integers, and a model
-runs it in its own ring.  s_n mod 2 comes from the Newton recursion mod 2,
-s_n = sum_{i<n} w_i s_{n-i} + n w_n (even n collapse to squares by
-Frobenius).  phi is a ring map, so phi(s_n) = sum_{i<n} phi(w_i)
-phi(s_{n-i}) + n phi(w_n): the model runs the recursion on the generator
-images (w_i if allowed, rho_i if excluded, 0 for w_1 once it is killed) and
-never builds s_n upstream to reduce it.  The two-row sum s_{n,n} = (a - b)/2,
-with a = s_n^2 and b = s_2n coefficientwise, is wanted mod 2, so only
-(a - b) mod 4 matters.  Lemma: a mod 4 depends only on s_n mod 2.  Writing s_n = sum c_m m, the
-coefficient of a monomial in s_n^2 collects diagonal terms c_m^2, which are
-1 mod 4 for odd c_m and 0 for even c_m, and cross terms 2 c_m c_m' (m != m'),
-which are 2 mod 4 exactly when both are odd.  So a = D + 2X mod 4, with D the
-squares {2m} and X the cross sums m + m' counted mod 2, both over the
-support of s_n mod 2.  Running s_2n through the recursion mod 4 gives
-b = b_0 + 2 b_1; a - b is even exactly when b_0 = D, and then
-s_{n,n} = X + b_1 mod 2.  A model takes both in the ring without the
-generators phi sends to zero (w_1 once it is killed; w_2, w_3, w_5 and w_9 in
-bspin; w_3 and w_5 in bspinc) and reduces the result by phi: setting
-generators to zero is a ring map of Z[w_1, w_2, ...] onto a torsion-free ring,
-so it commutes with the halving, and phi factors through it mod 2.
+The Newton layer works mod 2 and mod 4, never over the integers, and lives
+in the model: each QuotientModel runs it in its own ring, with per-model
+memos filled from degree 1 up, and no other copy exists.  The upstream form,
+in H*BO itself, is the bo model's (phi is the identity there and nothing is
+killed); with w_1 dropped it is the bso model's.  s_n mod 2 comes from the
+Newton recursion mod 2, s_n = sum_{i<n} w_i s_{n-i} + n w_n (even n collapse
+to squares by Frobenius).  phi is a ring map, so phi(s_n) = sum_{i<n}
+phi(w_i) phi(s_{n-i}) + n phi(w_n): the model runs the recursion on the
+generator images (w_i if allowed, rho_i if excluded, 0 for w_1 once it is
+killed) and never builds s_n upstream to reduce it.  The two-row sum
+s_{n,n} = (a - b)/2, with a = s_n^2 and b = s_2n coefficientwise, is wanted
+mod 2, so only (a - b) mod 4 matters.  Lemma: a mod 4 depends only on s_n
+mod 2.  Writing s_n = sum c_m m, the coefficient of a monomial in s_n^2
+collects diagonal terms c_m^2, which are 1 mod 4 for odd c_m and 0 for even
+c_m, and cross terms 2 c_m c_m' (m != m'), which are 2 mod 4 exactly when
+both are odd.  So a = D + 2X mod 4, with D the squares {2m} and X the cross
+sums m + m' counted mod 2, both over the support of s_n mod 2.  Running s_2n
+through the recursion mod 4 gives b = b_0 + 2 b_1; a - b is even exactly
+when b_0 = D, and then s_{n,n} = X + b_1 mod 2.  A model takes both in the
+ring without the generators phi sends to zero (w_1 once it is killed; w_2,
+w_3, w_5 and w_9 in bspin; w_3 and w_5 in bspinc) and reduces the result by
+phi: setting generators to zero is a ring map of Z[w_1, w_2, ...] onto a
+torsion-free ring, so it commutes with the halving, and phi factors through
+it mod 2.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator
 
-from .action import TotalSquare
+from .action import Check, TotalSquare, _eq, first_failure
 from .algebra import admissible_basis, binom_mod2
 from .f2 import F2Basis, F2Index, F2Span
 
@@ -156,80 +160,6 @@ def poly_str(p: ModPoly) -> str:
         else:
             terms.append("*".join(f"w{i}" if e == 1 else f"w{i}^{e}" for i, e in m))
     return " + ".join(terms)
-
-
-# ---------------------------------------------------------------------------
-# Newton identities
-# ---------------------------------------------------------------------------
-
-
-def _check_index(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n >= _PACK_LIMIT:
-        raise ValueError(f"s_{n} passes the packed degree limit {_PACK_LIMIT - 1}")
-
-
-@lru_cache(maxsize=None)
-def power_sum_mod2(n: int) -> ModPoly:
-    """s_n mod 2 in the classes w_i by the Newton recursion
-    s_n = sum_{i<n} w_i s_{n-i} + n w_n; even n are squares by Frobenius."""
-    _check_index(n)
-    if n % 2 == 0 and n > 1:
-        return poly_square(power_sum_mod2(n // 2))
-    acc: set[int] = {_gen(n)} if n % 2 else set()  # n w_n
-    for i in range(1, n):
-        wi = _gen(i)
-        acc ^= {k + wi for k in power_sum_mod2(n - i)}
-    return frozenset(acc)
-
-
-@lru_cache(maxsize=None)
-def _power_sum_mod4(n: int, killed: frozenset[int] = frozenset()) -> tuple[ModPoly, ModPoly]:
-    """s_n mod 4 as its two bit planes (the monomials whose coefficient has
-    bit 0, and bit 1, set), by the Newton recursion
-    s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n, in the ring
-    with the generators w_i, i in killed, set to zero."""
-    _check_index(n)
-    c = 0 if n in killed else (n if n % 2 else -n) % 4
-    lo = {_gen(n)} if c & 1 else set()
-    hi = {_gen(n)} if c & 2 else set()
-    for i in range(1, n):
-        if i in killed:
-            continue
-        wi = _gen(i)
-        tlo, thi = _power_sum_mod4(n - i, killed)
-        tlo = {k + wi for k in tlo}
-        thi = {k + wi for k in thi}
-        if i % 2 == 0:
-            thi ^= tlo  # -c = c + 2c, and 2c mod 4 is bit 0 moved up
-        hi ^= thi ^ (lo & tlo)  # the carry out of bit 0
-        lo ^= tlo
-    return frozenset(lo), frozenset(hi)
-
-
-@lru_cache(maxsize=None)
-def two_row_power_sum(n: int, killed: frozenset[int] = frozenset()) -> ModPoly:
-    """s_{n,n} = (s_n^2 - s_{2n})/2 mod 2, from s_n mod 2 and s_2n mod 4, in
-    the ring with the generators w_i, i in killed, set to zero.
-
-    Even n are the square of s_{n/2,n/2} by Frobenius.  For odd n the
-    coefficient (a - b)/2 is read off mod 2 as the module docstring derives;
-    an odd a - b anywhere would be an internal failure of the Newton layer.
-    """
-    if n % 2 == 0:
-        return poly_square(two_row_power_sum(n // 2, killed))
-    # s_2n first: its degree bound also covers every product in s_n^2, and
-    # its recursion leaves s_n mod 4 cached
-    b_odd, b_two = _power_sum_mod4(2 * n, killed)
-    s_n = _power_sum_mod4(n, killed)[0]
-    odd = b_odd ^ poly_square(s_n)  # where a - b is odd
-    if odd:
-        raise ArithmeticError(f"odd coefficient in s_{n},{n} at {_unpack(min(odd))}")
-    out = set(b_two)
-    for k1, k2 in combinations(s_n, 2):
-        out ^= {k1 + k2}
-    return frozenset(out)
 
 
 def alpha(n: int) -> int:
@@ -349,7 +279,7 @@ class QuotientModel:
     """One of the four coalgebras, realized as F2[allowed w_n] plus a
     reduction map phi killing the excluded generators."""
 
-    def __init__(self, space: str, cap: int = 64, series_check: int = 20):
+    def __init__(self, space: str, cap: int = 64):
         if space not in SPACES:
             raise ModelError(f"unknown space {space!r}")
         self.space = space
@@ -369,6 +299,8 @@ class QuotientModel:
         self._phi_cache: dict[int, ModPoly] = {}
         self._candidate_cache: dict[int, Candidate | None] = {}  # see _build_candidate
         self._power_sum_cache: dict[int, ModPoly] = {}  # phi(s_n) by n, see power_sum
+        self._mod4_cache: dict[int, tuple[ModPoly, ModPoly]] = {}  # s_n mod 4 by n, see _mod4
+        self._two_row_cache: dict[int, ModPoly] = {}  # phi(s_{m,m}) by m, see two_row
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         for e in sorted(excluded):
@@ -379,9 +311,9 @@ class QuotientModel:
         self._w_images = [frozenset()] + [self.phi(frozenset({_gen(i)})) for i in range(1, cap + 1)]
         self.killed = frozenset(i for i in range(1, cap + 1) if not self._w_images[i])
         self._series_validated_to = 0
-        if self.ideal_generator is not None and series_check:
+        if self.ideal_generator is not None:
             # past the cap the excluded generators are unknown to the model
-            self._validate_series(min(series_check, cap))
+            self._validate_series(min(20, cap))
 
     # -- construction helpers -------------------------------------------------
 
@@ -654,14 +586,56 @@ class QuotientModel:
             sums[k] = frozenset(acc)
         return sums[n]
 
+    def _mod4(self, n: int) -> tuple[ModPoly, ModPoly]:
+        """s_n mod 4 as its two bit planes (the monomials whose coefficient
+        has bit 0, and bit 1, set), by the Newton recursion
+        s_n = sum_{i<n} (-1)^(i-1) w_i s_{n-i} + (-1)^(n-1) n w_n in the ring
+        without the generators phi kills."""
+        sums = self._mod4_cache
+        killed = self.killed
+        for k in range(len(sums) + 1, n + 1):
+            c = 0 if k in killed else (k if k % 2 else -k) % 4
+            lo = {_gen(k)} if c & 1 else set()
+            hi = {_gen(k)} if c & 2 else set()
+            for i in range(1, k):
+                if i in killed:
+                    continue
+                wi = _gen(i)
+                tlo, thi = sums[k - i]
+                tlo = {x + wi for x in tlo}
+                thi = {x + wi for x in thi}
+                if i % 2 == 0:
+                    thi ^= tlo  # -c = c + 2c, and 2c mod 4 is bit 0 moved up
+                hi ^= thi ^ (lo & tlo)  # the carry out of bit 0
+                lo ^= tlo
+            sums[k] = frozenset(lo), frozenset(hi)
+        return sums[n]
+
     def two_row(self, m: int) -> ModPoly:
-        """phi(s_{m,m}), from the two-row sum in the ring without the
-        generators phi kills (the module docstring says why that is exact).
-        killed holds generators only through the cap, so 2m above it raises
-        ValueError."""
+        """phi(s_{m,m}), s_{m,m} = (s_m^2 - s_2m)/2 mod 2 taken in the ring
+        without the generators phi kills (the module docstring says why that
+        is exact).  Even m are squares by Frobenius; for odd m the
+        coefficient (a - b)/2 is read off mod 2 as the module docstring
+        derives, and an odd a - b anywhere would be an internal failure of
+        the Newton layer.  killed holds generators only through the cap, so
+        2m above it raises ValueError."""
         if not 1 <= 2 * m <= self.cap:
             raise ValueError(f"s_{m},{m} lies outside the degrees 1..{self.cap} of the model")
-        return self.phi(two_row_power_sum(m, self.killed))
+        cache = self._two_row_cache
+        if m not in cache:
+            if m % 2 == 0:
+                cache[m] = poly_square(self.two_row(m // 2))
+            else:
+                b_odd, b_two = self._mod4(2 * m)
+                s_m = self._mod4(m)[0]
+                odd = b_odd ^ poly_square(s_m)  # where a - b is odd
+                if odd:
+                    raise ArithmeticError(f"odd coefficient in s_{m},{m} at {_unpack(min(odd))}")
+                out = set(b_two)
+                for k1, k2 in combinations(s_m, 2):
+                    out ^= {k1 + k2}
+                cache[m] = self.phi(frozenset(out))
+        return cache[m]
 
     # -- named candidates -------------------------------------------------------
 
@@ -822,71 +796,62 @@ def model(space: str, cap: int = 64) -> QuotientModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSumVanishing:
-    k: int
-    total_square_identity: bool
-    squares_to_next: bool
-    reduces_to_zero: bool
-    in_honest_ideal: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.total_square_identity
-            and self.squares_to_next
-            and self.reduces_to_zero
-            and self.in_honest_ideal
-        )
+def _rank_one_square(m: int) -> set[int]:
+    """The degrees of the total square Sq(x^m) = (x + x^2)^m of a rank-one root."""
+    return {m + j for j in range(m + 1) if binom_mod2(m, j)}
 
 
-def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> PowerSumVanishing:
+def power_sum_vanishing_check(k: int, mdl: QuotientModel | None = None) -> list[Check]:
     """The chain that kills s_(2^k+1) in the bspin model mdl (by default the
-    cap-34 model, which holds every degree the checks read for k <= 5); an
-    s_(2^k+1) past the model's cap raises ValueError before it is built.
+    cap-34 model, which holds every degree the checks read for k <= 5), as
+    four rows; an s_(2^k+1) past the model's cap raises ValueError before it
+    is built.
 
     (a) the total square of s_(2^k+1), computed on rank-one roots, equals
         s_(2^k+1) + s_(2^k+2) + s_(2^(k+1)+1) + s_(2^(k+1)+2);
     (b) its Sq^(2^k) component alone is s_(2^(k+1)+1);
     (c) s_(2^k+1) reduces to zero in the bspin model;
-    (d) s_(2^k+1) lies in the elimination-computed ideal slice.
+    (d) s_(2^k+1), upstream (the bso model's), lies in the
+        elimination-computed ideal slice.
     """
     m = 2**k + 1
     mdl = model("bspin", 34) if mdl is None else mdl
     if m > mdl.cap:
         raise ValueError(f"s_{m} passes the cap {mdl.cap} of the bspin model")
 
-    # total square on rank-one roots: Sq(x^m) = (x + x^2)^m
-    total: dict[int, int] = {}
-    for j in range(m + 1):
-        if binom_mod2(m, j):
-            total[m + j] = total.get(m + j, 0) ^ 1
-    got = {deg for deg, c in total.items() if c}
+    got = _rank_one_square(m)
     # the four-term sum, collapsed mod 2 (at k = 0 the middle terms coincide)
-    want: set[int] = set()
-    for deg in (m, m + 1, 2 * m - 1, 2 * m):
-        want.symmetric_difference_update({deg})
-    identity = got == want
+    want = {m, m + 1} ^ {2 * m - 1, 2 * m}
 
-    nxt = 2 ** (k + 1) + 1
-    if k == 0:
-        # Sq^1(s_2) = C(2,1) s_3 = 0; the step holds in the model because
-        # s_3 itself reduces to zero there
-        squares_to_next = (m + 2**k not in got) and not mdl.power_sum(nxt)
-    else:
-        squares_to_next = (m + 2**k in got) and (m + 2**k == nxt)
+    step = m + 2**k  # 2^(k+1) + 1
 
-    reduces = not mdl.power_sum(m)
+    def step_failures() -> Iterator[str]:
+        if (step in got) != (k > 0):
+            yield f"Sq^{2**k} s_{m} {'lacks' if k else 'has'} a degree-{step} term"
+        if k == 0 and mdl.power_sum(step):
+            # Sq^1(s_2) = C(2,1) s_3 = 0; the step holds in the model
+            # because s_3 itself reduces to zero there
+            yield f"s_{step} survives in the model: {poly_str(mdl.power_sum(step))}"
 
-    # membership: s_m must lie in the span of the ideal slice basis
-    in_ideal = mdl._in_ideal(power_sum_mod2(m), m)
-    return PowerSumVanishing(k, identity, squares_to_next, reduces, in_ideal)
+    survivors = mdl.power_sum(m)
+    upstream = model("bso", mdl.cap).power_sum(m)
+    return [
+        _eq(f"total-square identity k={k}", sorted(got), sorted(want)),
+        first_failure(f"square component step k={k}", step_failures()),
+        Check(f"reduces to zero in the quotient k={k}", not survivors, poly_str(survivors)),
+        Check(
+            f"exact ideal membership k={k}",
+            mdl._in_ideal(upstream, m),
+            f"s_{m} outside the degree-{m} ideal slice",
+        ),
+    ]
 
 
-def s17_naive_substitution() -> ModPoly:
-    """s_17 with w_2 and every w_(2^k+1) set to zero, keeping the rest."""
-    killed = sum(255 * _gen(i) for i in (1, 2, 3, 5, 9, 17))  # w_1 is killed too
-    return frozenset(m for m in power_sum_mod2(17) if not m & killed)
+def s17_naive_substitution(cap: int = 34) -> ModPoly:
+    """s_17 with w_2 and every w_(2^k+1) set to zero, keeping the rest, read
+    from the bso model of that cap (its s_17 has no w_1; any cap >= 17)."""
+    killed = sum(255 * _gen(i) for i in (2, 3, 5, 9, 17))
+    return frozenset(m for m in model("bso", cap).power_sum(17) if not m & killed)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from steenrod.algebra import (
     binom_mod2,
     coproduct_word,
     dim,
-    express_in_two_power_generators,
     is_admissible,
     normalize_word,
     parse_element,
@@ -21,6 +20,43 @@ from steenrod.algebra import (
 )
 
 Sq = SteenrodElement.sq
+
+
+def _is_power_of_two(n):
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+@lru_cache(maxsize=None)
+def express_in_two_power_generators(n):
+    """Oracle: Sq^n as a mod-2 sum of products of the generators Sq^(2^k).
+
+    Each returned tuple lists 2-power exponents left to right, so
+    (1, 2) means Sq^1 Sq^2.  Built by the descent
+
+        Sq^n = Sq^(n-2^k) Sq^(2^k)
+               + sum_{c>0} C(2^k-c-1, n-2^k-2c) Sq^(n-c) Sq^c
+
+    with 2^k the largest power of two below n; both factors of every
+    correction term have smaller index, so the recursion terminates.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if _is_power_of_two(n):
+        return frozenset({(n,)})
+    b = 1 << (n.bit_length() - 1)
+    a = n - b
+    acc = set()
+
+    def accumulate_product(left, right):
+        for lw in express_in_two_power_generators(left):
+            for rw in express_in_two_power_generators(right):
+                acc.symmetric_difference_update({lw + rw})
+
+    accumulate_product(a, b)
+    for c in range(1, (n - 1) // 2 + 1):
+        if n - c >= 1 and binom_mod2(b - c - 1, a - 2 * c):
+            accumulate_product(n - c, c)
+    return frozenset(acc)
 
 
 def two_power_expression_value(expr):

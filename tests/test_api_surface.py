@@ -1,7 +1,8 @@
 """The public surface of `src/` holds only names the product uses.
 
 Every public top-level function, class and method of `steenrod` must be
-used somewhere else in the package's code, be exported in
+used somewhere else in the package's code (a reference inside its own
+definition, such as a recursive call, does not count), be exported in
 `steenrod.__all__`, or be named in a code span or block of README.md.  A name that only the tests
 call belongs in the test file that uses it, as an oracle.  The few
 exceptions are listed in ALLOWED, each with its reason.
@@ -9,6 +10,7 @@ exceptions are listed in ALLOWED, each with its reason.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import steenrod
@@ -22,32 +24,32 @@ ALLOWED = {
 
 
 def _definitions(tree: ast.Module):
-    """(name, line) of each public top-level function and class, and of
+    """(name, node) of each public top-level function and class, and of
     each public method of a top-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("_"):
-            yield node.name, node.lineno
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.lineno
+                    yield f"{node.name}.{item.name}", item
 
 
-def _uses(tree: ast.Module) -> set[str]:
-    """Every identifier the code reads: names, attributes, keyword
+def _uses(tree: ast.AST) -> Counter[str]:
+    """How often the code reads each identifier: names, attributes, keyword
     arguments and identifier-shaped string constants (for getattr)."""
-    out = set()
+    out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.keyword) and node.arg:
-            out.add(node.arg)
+            out[node.arg] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                out.add(node.value)
+                out[node.value] += 1
     return out
 
 
@@ -61,18 +63,20 @@ def _code_spans(markdown: str) -> str:
 
 def unused_public_names() -> list[str]:
     trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    used = set().union(*(_uses(t) for t in trees.values()))
+    used = sum((_uses(t) for t in trees.values()), Counter())
     readme = _code_spans(README.read_text())
     exported = set(steenrod.__all__)
     unused = []
     for path, tree in trees.items():
-        for qualname, line in _definitions(tree):
+        for qualname, node in _definitions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if name in used or name in exported or qualname in ALLOWED:
+            # a use inside the definition itself, such as a recursive call,
+            # is no use
+            if used[name] > _uses(node)[name] or name in exported or qualname in ALLOWED:
                 continue
             if re.search(rf"\b{re.escape(name)}\b", readme):
                 continue
-            unused.append(f"{path.name}:{line} {qualname}")
+            unused.append(f"{path.name}:{node.lineno} {qualname}")
     return unused
 
 
@@ -88,13 +92,18 @@ def test_the_walk_sees_a_name_nothing_uses(tmp_path, monkeypatch):
         "def used():\n    return 1\n\n\n"
         "def orphan():\n    return used()\n\n\n"
         "class K:\n    def method(self):\n        return orphan\n\n"
-        "    def lonely(self):\n        return 0\n"
+        "    def lonely(self):\n        return 0\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
     )
     (tmp_path / "README.md").write_text("`K` is the class.\n")
     monkeypatch.setattr(steenrod, "__all__", [])
     monkeypatch.setitem(globals(), "SRC", pkg)
     monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
-    assert unused_public_names() == ["a.py:10 K.method", "a.py:13 K.lonely"]
+    assert unused_public_names() == [
+        "a.py:10 K.method",
+        "a.py:13 K.lonely",
+        "a.py:17 recursive",
+    ]
 
 
 def test_a_name_only_in_readme_prose_is_unused(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from steenrod.bundles import (
     module_property_check,
     primitive_transfer_check,
     restriction_model_report,
-    restriction_model,
     substitute_vertical,
 )
 from steenrod.charclass import mono_from
@@ -202,14 +201,6 @@ class TestReports:
     def test_module_property_holds(self):
         for name in ("cp2", "hp2"):
             assert module_property_check(bundle(name), 30).ok
-
-    def test_swapped_s_convention_still_splits_the_adjoint_class(self):
-        m = restriction_model(swap_s_convention=True)
-        one = m.pres.ring.one()
-        t = one + m.t2 + m.t3
-        lhs = t ** 3 * (t + m.s1) * (t + m.s2) * (t + m.s3)
-        rhs = m.t12 * t ** 3 + m.t8 * t ** 4 + t ** 6
-        assert lhs == rhs
 
 
 class TestPrimitiveTransfer:

@@ -7,7 +7,7 @@ with the certificate it read.
 
 import pytest
 
-from steenrod import bundles, dual, f2, modules, verify
+from steenrod import bundles, charclass, dual, f2, modules, verify
 from steenrod.algebra import SteenrodElement
 
 
@@ -87,6 +87,39 @@ def ring_series_off_by_one_in_degree_5(monkeypatch):
     monkeypatch.setattr(f2, "series_of_ring", corrupted)
 
 
+def s3_survives_in_bspin(monkeypatch):
+    power_sum = charclass.QuotientModel.power_sum
+    w3 = frozenset({charclass.mono_from([3])})
+    monkeypatch.setattr(
+        charclass.QuotientModel,
+        "power_sum",
+        lambda m, n: w3 if (m.space, n) == ("bspin", 3) else power_sum(m, n),
+    )
+
+
+def c_9_8_read_as_even(monkeypatch):
+    """C(9, 8) = 9 read as even by the total square on rank-one roots, so
+    that of s_9 loses its degree-17 term."""
+    square = charclass._rank_one_square
+    monkeypatch.setattr(
+        charclass, "_rank_one_square", lambda m: square(m) - {17} if m == 9 else square(m)
+    )
+
+
+def w9_dropped_from_the_degree_9_ideal_slice(monkeypatch):
+    """The degree-9 ideal slice of the built (and series-checked) bspin
+    model, without the elements that carry w_9."""
+    charclass.model("bspin", 34)
+    ideal_slice = charclass.QuotientModel._ideal_slice
+    w9 = charclass.mono_from([9])
+
+    def corrupted(m, n):
+        basis = ideal_slice(m, n)
+        return [b for b in basis if w9 not in b] if n == 9 else basis
+
+    monkeypatch.setattr(charclass.QuotientModel, "_ideal_slice", corrupted)
+
+
 # (suite, corruption, {check id: the first witness its search meets})
 ENTRIES = [
     pytest.param(
@@ -161,6 +194,40 @@ ENTRIES = [
         ring_series_off_by_one_in_degree_5,
         {"dimension series of the t-ring through degree 60": "degree 5: series 2, 1 monomials"},
         id="a1-modules-ring-series-off-by-one",
+    ),
+    pytest.param(
+        "power-sums",
+        s3_survives_in_bspin,
+        {
+            "square component step k=0": "s_3 survives in the model: w3",
+            "reduces to zero in the quotient k=1": "w3",
+        },
+        id="power-sums-s3-survives",
+    ),
+    pytest.param(
+        "power-sums",
+        c_9_8_read_as_even,
+        {
+            "total-square identity k=3": "got [9, 10, 18], want [9, 10, 17, 18]",
+            "square component step k=3": "Sq^8 s_9 lacks a degree-17 term",
+        },
+        id="power-sums-c-9-8-even",
+    ),
+    pytest.param(
+        "power-sums",
+        w9_dropped_from_the_degree_9_ideal_slice,
+        {"exact ideal membership k=3": "s_9 outside the degree-9 ideal slice"},
+        id="power-sums-w9-dropped-from-the-ideal-slice",
+    ),
+    pytest.param(
+        "primitives",
+        s3_survives_in_bspin,
+        {
+            "power-sum vanishing chain k=0": "square component step k=0:"
+            " s_3 survives in the model: w3",
+            "power-sum vanishing chain k=1": "reduces to zero in the quotient k=1: w3",
+        },
+        id="primitives-s3-survives",
     ),
 ]
 
