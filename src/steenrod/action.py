@@ -266,27 +266,26 @@ def check_presentation(
     """
     from .algebra import binom_mod2
 
-    check_id = f"action consistent through degree {degree_max}"
-    for d in range(degree_max + 1):
-        for mono in p.ring.monomials_of_degree(d):
-            f = F2Poly(p.ring, frozenset({mono}))
-            if p.sq(d, f) != f * f:
-                return Check(check_id, False, f"Sq^{d}({f}) != square")
-            n_cap = min(d, adem_max) if adem_max is not None else d
-            for n in range(1, n_cap + 1):
-                sq_n_f = p.sq(n, f)
-                # highest m first: each monomial of sq_n_f is squared once
-                lhs = {m: p.sq(m, sq_n_f) for m in range(2 * n - 1, 0, -1)}
-                for m in range(1, 2 * n):
-                    rhs = p.ring.zero()
-                    for i in range(m // 2 + 1):
-                        if binom_mod2(n - i - 1, m - 2 * i):
-                            rhs = rhs + p.sq(m + n - i, p.sq(i, f))
-                    if lhs[m] != rhs:
-                        return Check(
-                            check_id, False, f"Adem relation Sq^{m} Sq^{n} fails on {f}"
-                        )
-    return Check(check_id, True)
+    def failures():
+        for d in range(degree_max + 1):
+            for mono in p.ring.monomials_of_degree(d):
+                f = F2Poly(p.ring, frozenset({mono}))
+                if p.sq(d, f) != f * f:
+                    yield f"Sq^{d}({f}) != square"
+                n_cap = min(d, adem_max) if adem_max is not None else d
+                for n in range(1, n_cap + 1):
+                    sq_n_f = p.sq(n, f)
+                    # highest m first: each monomial of sq_n_f is squared once
+                    lhs = {m: p.sq(m, sq_n_f) for m in range(2 * n - 1, 0, -1)}
+                    for m in range(1, 2 * n):
+                        rhs = p.ring.zero()
+                        for i in range(m // 2 + 1):
+                            if binom_mod2(n - i - 1, m - 2 * i):
+                                rhs = rhs + p.sq(m + n - i, p.sq(i, f))
+                        if lhs[m] != rhs:
+                            yield f"Adem relation Sq^{m} Sq^{n} fails on {f}"
+
+    return first_failure(f"action consistent through degree {degree_max}", failures())
 
 
 @dataclass(frozen=True)
@@ -322,13 +321,12 @@ class AlgebraMap:
         The Cartan formula makes both sides multiplicative, so generator
         equivariance extends to the whole ring.
         """
-        check_id = "Sq-equivariant on generators"
-        for i, (name, deg) in enumerate(self.source.ring.generators):
-            g = self.source.ring.gen(name)
-            for k in range(1, deg + 1):
-                lhs = self.apply(self.source.sq(k, g))
-                rhs = self.target.sq(k, self.apply(g))
-                if lhs != rhs:
-                    return Check(check_id, False, f"Sq^{k}({name}) fails to commute")
-        return Check(check_id, True)
+        def failures():
+            for name, deg in self.source.ring.generators:
+                g = self.source.ring.gen(name)
+                for k in range(1, deg + 1):
+                    if self.apply(self.source.sq(k, g)) != self.target.sq(k, self.apply(g)):
+                        yield f"Sq^{k}({name}) fails to commute"
+
+        return first_failure("Sq-equivariant on generators", failures())
 

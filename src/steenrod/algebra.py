@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .f2 import INTS, ints, parse_sum
+
 Word = tuple[int, ...]
 
 
@@ -309,31 +311,14 @@ def dim(degree: int) -> int:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_SQ_RE = re.compile(r"^Sq\[\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]$")
+_SQ_RE = re.compile(rf"^Sq\[{INTS}\]$")
 
 
 def parse_element(text: str) -> SteenrodElement:
     """Parse `Sq[i1,i2,...]` words joined by `+` and `*`; `1` is the unit."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty Steenrod expression")
-    if text == "0":
-        return SteenrodElement.zero()
-    total = SteenrodElement.zero()
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            raise ValueError("empty term in Steenrod expression")
-        factor_elt = SteenrodElement.one()
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if factor == "1":
-                continue
-            m = _SQ_RE.match(factor)
-            if not m:
-                raise ValueError(f"cannot parse {factor!r}")
-            inner = m.group(1).strip()
-            exponents = tuple(int(x) for x in inner.split(",")) if inner else ()
-            factor_elt = factor_elt * SteenrodElement.sq(*exponents)
-        total = total + factor_elt
-    return total
+
+    def word(factor: str) -> SteenrodElement | None:
+        m = _SQ_RE.match(factor)
+        return m and SteenrodElement.sq(*ints(m.group(1)))
+
+    return parse_sum(text, "Steenrod", word, SteenrodElement.zero(), SteenrodElement.one())

@@ -539,14 +539,14 @@ def module_property_check(b: FiberBundleData, samples: int) -> Check:
         chosen = [m for m in monos if rng.random() < 0.5] or [rng.choice(monos)]
         return F2Poly(ring, frozenset(chosen))
 
-    for trial in range(samples):
-        y = random_poly(b.base.ring, 12)
-        x = random_poly(b.total.ring, 16)
-        lhs = b.fiber_integrate(b.pullback.apply(y) * x)
-        rhs_parts = b.fiber_integrate(x)
-        if lhs != y * rhs_parts:
-            return Check("module property", False, f"trial {trial}")
-    return Check("module property", True)
+    def failures():
+        for trial in range(samples):
+            y = random_poly(b.base.ring, 12)
+            x = random_poly(b.total.ring, 16)
+            if b.fiber_integrate(b.pullback.apply(y) * x) != y * b.fiber_integrate(x):
+                yield f"trial {trial}"
+
+    return first_failure("module property", failures())
 
 
 # ---------------------------------------------------------------------------

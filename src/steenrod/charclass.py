@@ -82,14 +82,14 @@ it mod 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
 from .algebra import admissible_basis, binom_mod2
-from .f2 import F2Basis, F2Index, F2Span
+from .f2 import F2Basis, F2Index, F2Span, geometric_series_product, power
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]
@@ -140,14 +140,23 @@ def poly_square(a: ModPoly) -> ModPoly:
 
 
 def poly_pow(a: ModPoly, e: int) -> ModPoly:
-    result: ModPoly = frozenset({ONE})
-    base = a
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        base = poly_square(base)
-        e >>= 1
-    return result
+    return power(a, e, frozenset({ONE}), poly_mul, poly_square)
+
+
+# A sum of coproduct pairs (a, b), a (x) b, of packed monomials.
+_PAIR_ONE = frozenset({(ONE, ONE)})
+
+
+def _pair_mul(p: frozenset, q: frozenset) -> frozenset:
+    acc: set[tuple[int, int]] = set()
+    for a, b in p:
+        acc ^= {(a + c, b + d) for c, d in q}
+    return frozenset(acc)
+
+
+def _pair_square(p: frozenset) -> frozenset:
+    # Frobenius on both sides: cross terms cancel
+    return frozenset((a << 1, b << 1) for a, b in p)
 
 
 def poly_str(p: ModPoly) -> str:
@@ -310,7 +319,6 @@ class QuotientModel:
         # and the generators phi kills
         self._w_images = [frozenset()] + [self.phi(frozenset({_gen(i)})) for i in range(1, cap + 1)]
         self.killed = frozenset(i for i in range(1, cap + 1) if not self._w_images[i])
-        self._series_validated_to = 0
         if self.ideal_generator is not None:
             # past the cap the excluded generators are unknown to the model
             self._validate_series(min(20, cap))
@@ -463,16 +471,15 @@ class QuotientModel:
     def _validate_series(self, top: int) -> None:
         """Quotient dimensions from elimination must match the allowed-part
         partition counts; a mismatch aborts the model."""
+        ambient = geometric_series_product(range(2, top + 1), top)
+        model = geometric_series_product(self.generator_degrees(top), top)
         for n in range(1, top + 1):
-            ambient = _partition_count(n, tuple(range(2, n + 1)))
-            quotient = ambient - len(self._ideal_slice(n))
-            model = _partition_count(n, tuple(self.generator_degrees(n)))
-            if quotient != model:
+            quotient = ambient[n] - len(self._ideal_slice(n))
+            if quotient != model[n]:
                 raise ModelError(
-                    f"{self.space}: quotient dimension {quotient} != model {model} "
+                    f"{self.space}: quotient dimension {quotient} != model {model[n]} "
                     f"in degree {n}"
                 )
-        self._series_validated_to = top
 
     # -- slice enumeration --------------------------------------------------------
 
@@ -507,21 +514,13 @@ class QuotientModel:
 
     def delta_monomial(self, mono: int) -> frozenset[tuple[int, int]]:
         """Coproduct of a model basis monomial, in the model basis."""
-        result: frozenset[tuple[int, int]] = frozenset({(ONE, ONE)})
         fields = mono.to_bytes((mono.bit_length() + 7) // 8, "little")
-        for j, e in enumerate(fields, start=1):
-            if not e:
-                continue
-            base = self.delta_generator(j)
-            while e:
-                if e & 1:
-                    acc: set[tuple[int, int]] = set()
-                    for a, b in result:
-                        acc ^= {(a + c, b + d) for c, d in base}
-                    result = frozenset(acc)
-                e >>= 1
-                base = frozenset((a << 1, b << 1) for a, b in base)
-        return result
+        powers = (
+            power(self.delta_generator(j), e, _PAIR_ONE, _pair_mul, _pair_square)
+            for j, e in enumerate(fields, start=1)
+            if e
+        )
+        return reduce(_pair_mul, powers, _PAIR_ONE)
 
     def delta_reduced(self, p: ModPoly) -> frozenset[tuple[int, int]]:
         """Delta(x) - x (x) 1 - 1 (x) x on a model element."""
@@ -773,17 +772,6 @@ def _row_basis(span: list[ModPoly]) -> list[ModPoly]:
     """The members of span independent of the members before them."""
     index, basis = F2Index(), F2Basis()
     return [p for p in span if basis.add(index.bits(p))]
-
-
-@lru_cache(maxsize=None)
-def _partition_count(n: int, parts: tuple[int, ...]) -> int:
-    if n == 0:
-        return 1
-    if not parts or n < 0:
-        return 0
-    head = parts[0]
-    rest = parts[1:]
-    return sum(_partition_count(n - head * k, rest) for k in range(n // head + 1))
 
 
 @lru_cache(maxsize=None)

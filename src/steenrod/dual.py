@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import mul
 from typing import Iterable, Iterator
 
 from .algebra import (
@@ -31,7 +33,7 @@ from .algebra import (
     normalize_word,
     word_sort_key,
 )
-from .f2 import F2Basis, F2Index, F2Matrix, F2Vector
+from .f2 import INTS, F2Basis, F2Index, F2Matrix, F2Vector, InputError, ints, parse_sum, power
 
 XiMonomial = tuple[int, ...]
 
@@ -130,17 +132,11 @@ class DualElement:
                     acc.add(m)
         return DualElement(frozenset(acc))
 
+    def square(self) -> "DualElement":
+        return DualElement(frozenset(tuple(2 * x for x in m) for m in self.monomials))
+
     def __pow__(self, e: int) -> "DualElement":
-        result = DualElement.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = DualElement(
-                frozenset(tuple(2 * x for x in m) for m in base.monomials)
-            )
-            e >>= 1
-        return result
+        return power(self, e, DualElement.one(), DualElement.__mul__, DualElement.square)
 
     def is_zero(self) -> bool:
         return not self.monomials
@@ -218,25 +214,16 @@ class DualTensor:
         )
 
     def __pow__(self, e: int) -> "DualTensor":
-        result = DualTensor.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base.square()
-            e >>= 1
-        return result
+        return power(self, e, DualTensor.one(), DualTensor.__mul__, DualTensor.square)
 
 
 @lru_cache(maxsize=None)
 def _xi_coproduct(n: int) -> DualTensor:
     pairs = set()
     for i in range(n + 1):
-        left = DualElement.xi(n - i) ** (1 << i)
-        right = DualElement.xi(i)
-        lm = next(iter(left.monomials))
-        rm = next(iter(right.monomials))
-        pairs.add((lm, rm))
+        (left,) = DualElement.xi(n - i, 1 << i).monomials
+        (right,) = DualElement.xi(i).monomials
+        pairs.add((left, right))
     return DualTensor(frozenset(pairs))
 
 
@@ -434,38 +421,24 @@ def _span_closure(generators: list[SteenrodElement]) -> list[SteenrodElement]:
 
 
 @lru_cache(maxsize=None)
-def subalgebra_basis(kind: str, n: int) -> tuple[SteenrodElement, ...]:
+def basis_of(h: SubHopfAlgebra) -> tuple[SteenrodElement, ...]:
     """Explicit basis of A(n) (n <= 1) or E(n) (n <= 2), degree-sorted."""
-    h = SubHopfAlgebra(kind, n)
     if h.kind == "A":
         if h.n > 1:
             raise ValueError("A(n) only supported for n <= 1")
-        gens = [SteenrodElement.sq(1 << k) for k in range(h.n + 1)]
-        elts = _span_closure(gens)
+        elts = _span_closure([SteenrodElement.sq(1 << k) for k in range(h.n + 1)])
     else:
         if h.n > 2:
             raise ValueError("E(n) only supported for n <= 2")
         qs = [milnor_primitive(i) for i in range(h.n + 1)]
-        elts = [SteenrodElement.one()]
-        for size in range(1, h.n + 2):
-            for combo in _ordered_subsets(h.n + 1, size):
-                prod = SteenrodElement.one()
-                for i in combo:
-                    prod = prod * qs[i]
-                elts.append(prod)
+        elts = [
+            reduce(mul, combo, SteenrodElement.one())
+            for size in range(h.n + 2)
+            for combo in combinations(qs, size)
+        ]
     return tuple(
         sorted(elts, key=lambda e: (e.degree(), [word_sort_key(w) for w in e.sorted_words()]))
     )
-
-
-def _ordered_subsets(n: int, size: int):
-    import itertools
-
-    return itertools.combinations(range(n), size)
-
-
-def basis_of(h: SubHopfAlgebra) -> tuple[SteenrodElement, ...]:
-    return subalgebra_basis(h.kind, h.n)
 
 
 def dual_quotient_generators(h: SubHopfAlgebra, max_degree: int) -> list[DualElement]:
@@ -524,43 +497,24 @@ def verify_cotensor_member(x: DualElement, h: SubHopfAlgebra) -> bool:
 # text grammar
 # ---------------------------------------------------------------------------
 
-_XI_RE = re.compile(r"^xi\[\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]$")
+_XI_RE = re.compile(rf"^xi\[{INTS}\]$")
 _ZETA_RE = re.compile(r"^zeta\[\s*(\d+)\s*\]$")
 
 
 def parse_dual(text: str) -> DualElement:
     """Parse `xi[j1,j2,...]` and `zeta[n]` joined by `+` and `*`."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty dual expression")
-    if text == "0":
-        return DualElement.zero()
-    total = DualElement.zero()
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            raise ValueError("empty term in dual expression")
-        prod = DualElement.one()
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if factor == "1":
-                continue
-            m = _XI_RE.match(factor)
-            if m:
-                inner = m.group(1).strip()
-                exps = tuple(int(v) for v in inner.split(",")) if inner else ()
-                prod = prod * DualElement.from_monomials([exps])
-                continue
-            m = _ZETA_RE.match(factor)
-            if m:
-                prod = prod * zeta(int(m.group(1)))
-                continue
-            raise ValueError(f"cannot parse {factor!r}")
-        total = total + prod
-    return total
+
+    def factor(f: str) -> DualElement | None:
+        m = _XI_RE.match(f)
+        if m:
+            return DualElement.from_monomials([ints(m.group(1))])
+        m = _ZETA_RE.match(f)
+        return m and zeta(int(m.group(1)))
+
+    return parse_sum(text, "dual", factor, DualElement.zero(), DualElement.one())
 
 
-_SQM_RE = re.compile(r"^SqM\(\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\)$")
+_SQM_RE = re.compile(rf"^SqM\({INTS}\)$")
 _Q_RE = re.compile(r"^Q([0-2])$")
 
 
@@ -569,10 +523,8 @@ def parse_milnor_operator(text: str) -> SteenrodElement:
     text = text.strip()
     m = _SQM_RE.match(text)
     if m:
-        inner = m.group(1).strip()
-        seq = tuple(int(v) for v in inner.split(",")) if inner else ()
-        return milnor_to_admissible(seq)
+        return milnor_to_admissible(ints(m.group(1)))
     m = _Q_RE.match(text)
     if m:
         return milnor_primitive(int(m.group(1)))
-    raise ValueError(f"cannot parse Milnor operator {text!r}")
+    raise InputError(f"cannot parse Milnor operator {text!r}")

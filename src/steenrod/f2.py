@@ -8,6 +8,10 @@ duplicate monomials cancel, which is mod-2 arithmetic for free.  Exponents are
 at most 2^31 - 1: parsing, from_monomials and every product, power, square and
 substitution raise F2Error rather than let a field carry into the next.
 
+Every F2-sum of the package reads text through parse_sum (terms joined by `+`,
+factors by `*`) and takes powers through power, the one square-and-multiply;
+text outside that grammar and a negative exponent raise InputError.
+
 Everything here is immutable after construction and every operation is pure,
 so values may be shared freely between threads or processes, with two
 growable exceptions: an F2Basis takes new rows and an F2Index new keys.
@@ -19,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class F2Error(Exception):
@@ -36,6 +40,65 @@ class RingMismatchError(F2Error):
 
 class DegreeCapError(F2Error):
     """A computation was asked to exceed its declared degree bound."""
+
+
+class InputError(F2Error, ValueError):
+    """Text outside the expression grammar or a negative exponent: bad input, so a ValueError."""
+
+
+# ---------------------------------------------------------------------------
+# the expression grammar and square-and-multiply
+# ---------------------------------------------------------------------------
+
+# a comma-separated list of non-negative integers, possibly empty, as a group
+INTS = r"\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)"
+
+
+def ints(text: str) -> tuple[int, ...]:
+    """The integers of a list matched by INTS."""
+    text = text.strip()
+    return tuple(int(v) for v in text.split(",")) if text else ()
+
+
+def parse_sum(text: str, what: str, factor: Callable, zero, one):
+    """The sum of the terms in text, joined by `+`, each the product of its
+    factors, joined by `*`.  `0` alone is zero and a factor `1` is skipped;
+    factor reads any other factor, or returns None when it cannot."""
+    text = text.strip()
+    if not text:
+        raise InputError(f"empty {what} expression")
+    if text == "0":
+        return zero
+    total = zero
+    for term in text.split("+"):
+        if not term.strip():
+            raise InputError(f"empty term in {what} expression")
+        prod = one
+        for f in term.split("*"):
+            f = f.strip()
+            if f != "1":
+                value = factor(f)
+                if value is None:
+                    raise InputError(f"cannot parse {f!r}")
+                prod = prod * value
+        total = total + prod
+    return total
+
+
+def power(x, e: int, one, mul: Callable, square: Callable):
+    """x ** e by square-and-multiply.  The first factor is taken as it is and
+    x is squared only while bits of e remain, so no square is formed past
+    the one the top bit needs."""
+    if e < 0:
+        raise InputError("negative exponent")
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = square(x)
+    return one if result is None else result
 
 
 # ---------------------------------------------------------------------------
@@ -401,35 +464,16 @@ class WeightedPolyRing:
         return F2Poly(self, frozenset(acc))
 
     def parse(self, text: str) -> "F2Poly":
-        return _parse_poly(self, text)
+        """Generators, each with an optional `^e`, in the sum grammar."""
+
+        def factor(f: str) -> "F2Poly | None":
+            m = _FACTOR_RE.match(f)
+            return m and self.gen(m.group(1)) ** int(m.group(2) or 1)
+
+        return parse_sum(text, "polynomial", factor, self.zero(), self.one())
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?$")
-
-
-def _parse_poly(ring: WeightedPolyRing, text: str) -> "F2Poly":
-    text = text.strip()
-    if not text:
-        raise F2Error("empty polynomial expression")
-    if text == "0":
-        return ring.zero()
-    monomials: list[Monomial] = []
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            raise F2Error("empty term in polynomial expression")
-        exps = [0] * ring.ngens
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if factor == "1":
-                continue
-            m = _FACTOR_RE.match(factor)
-            if not m:
-                raise F2Error(f"cannot parse factor {factor!r}")
-            idx = ring.index_of(m.group(1))
-            exps[idx] += int(m.group(2)) if m.group(2) else 1
-        monomials.append(tuple(exps))
-    return ring.from_monomials(monomials)
 
 
 @dataclass(frozen=True)
@@ -460,16 +504,7 @@ class F2Poly:
         return self.ring._guarded(acc)
 
     def __pow__(self, e: int) -> "F2Poly":
-        if e < 0:
-            raise F2Error("negative exponent")
-        result, base = None, self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base.square()
-        return self.ring.one() if result is None else result
+        return power(self, e, self.ring.one(), F2Poly.__mul__, F2Poly.square)
 
     def square(self) -> "F2Poly":
         # Frobenius: squaring doubles every exponent, cross terms cancel.

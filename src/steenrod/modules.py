@@ -875,13 +875,6 @@ class PeriodicFeasibility:
     note: str = ""
 
 
-def four_piece_feasibility(module: FiniteModule) -> bool:
-    """Whether the module decomposes, over the reliable window, into copies
-    of A(1), Z2, I, J and K at unrestricted suspensions (counting level)."""
-    result = stable_type_solve(module, build_iso=False, max_solutions=2)
-    return result.status in ("unique", "ambiguous")
-
-
 def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
     """Consistency of a decomposition into a free A(1)-module plus 8i-fold
     suspensions of Z2, I@-1, J@4 and K@4.

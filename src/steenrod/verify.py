@@ -280,11 +280,14 @@ def suite_a1_modules(max_degree: int = 40) -> list[Check]:
     cert = modules.check_split_criterion(modules.split_case("zero"))
     checks.append(Check("zero map rejected", not cert.f_injective, str(cert)))
 
+    # copies of A(1), Z2, I, J and K at unrestricted suspensions, counting level
     m = modules.from_presentation(bundles.bpsp3_presentation(), "A1", (0, max_degree))
+    r = modules.stable_type_solve(m, build_iso=False, max_solutions=2)
     checks.append(
         Check(
             f"four piece types plus free cover [0, {max_degree}]",
-            modules.four_piece_feasibility(m),
+            r.status in ("unique", "ambiguous"),
+            f"{r.status}: {r.note}",
         )
     )
     # The strict placement family (trivial pieces only at 8i, the ideal at

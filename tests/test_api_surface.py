@@ -170,21 +170,31 @@ def test_no_module_reads_a_private_name_of_modules():
     assert private == []
 
 
+def _is_check(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Check"
+
+
 def flag_and_break_searches(sources: dict[str, str]) -> list[str]:
     """module:line name of each function that builds a Check and contains a
-    break: a search that picks its own witness instead of yielding it to
-    action.first_failure."""
+    break, or returns a Check from inside a loop: a search that picks its own
+    witness instead of yielding it to action.first_failure, the one function
+    allowed to."""
     out = []
     for name, text in sorted(sources.items()):
         for fn in ast.walk(ast.parse(text)):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
+            if fn.name == "first_failure":
+                continue
             nodes = list(ast.walk(fn))
-            builds_check = any(
-                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Check"
-                for n in nodes
+            breaks = any(isinstance(n, ast.Break) for n in nodes) and any(map(_is_check, nodes))
+            returns = any(
+                isinstance(n, ast.Return) and _is_check(n.value)
+                for loop in nodes
+                if isinstance(loop, (ast.For, ast.While))
+                for n in ast.walk(loop)
             )
-            if builds_check and any(isinstance(n, ast.Break) for n in nodes):
+            if breaks or returns:
                 out.append(f"{name}:{fn.lineno} {fn.name}")
     return out
 
@@ -208,7 +218,74 @@ def test_the_guard_sees_a_flag_and_break_loop():
         "def suite(n):\n"
         "    return [first_failure('row', (str(d) for d in range(n) if d == 3))]\n"
     )
-    assert flag_and_break_searches({"a.py": pasted, "b.py": searched}) == ["a.py:1 suite"]
+    returned = (
+        "def suite(n):\n"
+        "    for d in range(n):\n"
+        "        if d == 3:\n"
+        "            return Check('row', False, str(d))\n"
+        "    return Check('row', True)\n"
+        "\n\n"
+        "def first_failure(check_id, witnesses):\n"
+        "    for witness in witnesses:\n"
+        "        return Check(check_id, False, witness)\n"
+        "    return Check(check_id, True)\n"
+    )
+    sources = {"a.py": pasted, "b.py": searched, "c.py": returned}
+    assert flag_and_break_searches(sources) == ["a.py:1 suite", "c.py:1 suite"]
+
+
+def lines_outside_f2(sources: dict[str, str], pattern: str) -> list[str]:
+    """module:line of each line of a module other than f2.py that matches."""
+    return [
+        f"{name}:{n}"
+        for name, text in sorted(sources.items())
+        if name != "f2.py"
+        for n, line in enumerate(text.splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+
+
+# f2.parse_sum is the one reader of the sum-of-products grammar, and f2.power
+# the one square-and-multiply
+TERM_SPLIT = r"""split\(\s*["']\*["']\s*\)"""
+HALVING = r">>=\s*1\b"
+
+
+def test_only_f2_splits_a_term_on_star():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert lines_outside_f2(sources, TERM_SPLIT) == []
+
+
+def test_only_f2_halves_an_exponent():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert lines_outside_f2(sources, HALVING) == []
+
+
+def test_the_guard_sees_a_pasted_term_split():
+    pasted = (
+        "def parse(text):\n"
+        "    return [term.split('*') for term in text.split('+')]\n"
+        "\n\n"
+        "def words(text):\n"
+        "    return [term.split() for term in text.split('+')]\n"
+    )
+    sources = {"a.py": pasted, "f2.py": pasted}
+    assert lines_outside_f2(sources, TERM_SPLIT) == ["a.py:2"]
+
+
+def test_the_guard_sees_a_pasted_power_loop():
+    pasted = (
+        "def pow(x, e):\n"
+        "    result = 1\n"
+        "    while e:\n"
+        "        if e & 1:\n"
+        "            result *= x\n"
+        "        x *= x\n"
+        "        e >>= 1\n"
+        "    return result >> 16\n"
+    )
+    sources = {"a.py": pasted, "f2.py": pasted}
+    assert lines_outside_f2(sources, HALVING) == ["a.py:7"]
 
 
 TABLE_READERS = (

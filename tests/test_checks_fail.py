@@ -77,6 +77,17 @@ def every_map_injective(monkeypatch):
     monkeypatch.setattr(modules.ModuleMap, "is_injective", lambda f: True)
 
 
+def j_dropped_from_the_a1_catalog(monkeypatch):
+    """The catalog the solver reads when no piece list is given, with the
+    A(1) piece J left out."""
+    catalog = modules.catalog
+    monkeypatch.setattr(
+        modules,
+        "catalog",
+        lambda algebra: tuple(p for p in catalog(algebra) if (algebra, p) != ("A1", "J")),
+    )
+
+
 def ring_series_off_by_one_in_degree_5(monkeypatch):
     series_of_ring = f2.series_of_ring
 
@@ -188,6 +199,12 @@ ENTRIES = [
             " f_injective=True, q0_margolis_injective=False, witness_degree=0)"
         },
         id="a1-modules-every-map-injective",
+    ),
+    pytest.param(
+        "a1-modules",
+        j_dropped_from_the_a1_catalog,
+        {"four piece types plus free cover [0, 40]": "infeasible: not expressible in catalog"},
+        id="a1-modules-j-dropped-from-the-catalog",
     ),
     pytest.param(
         "a1-modules",

@@ -1,12 +1,17 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod.algebra import parse_element
 from steenrod.bundles import chern_root_model, rank_one_model
+from steenrod.charclass import mono_from, poly_pow
 from steenrod.cli import PRESETS
+from steenrod.dual import DualElement, dual_coproduct, parse_dual, parse_milnor_operator
 from steenrod.f2 import (
+    INTS,
     LIMIT,
     DegreeCapError,
     F2Basis,
@@ -15,11 +20,15 @@ from steenrod.f2 import (
     F2Matrix,
     F2Span,
     F2Vector,
+    InputError,
     PoincareSeries,
     RingMismatchError,
     ShapeError,
     WeightedPolyRing,
     geometric_series_product,
+    ints,
+    parse_sum,
+    power,
     series_of_ring,
 )
 
@@ -525,6 +534,80 @@ class TestCarryGuard:
         with pytest.raises(F2Error):
             R.parse("x^2").substitute(R, images)
         assert R.parse("x*y").substitute(R, images) == R.from_monomials([(LIMIT // 2, 1)])
+
+
+class TestGrammarAndPower:
+    """parse_sum and power are the one copy of each idiom: every parser and
+    every power of the package goes through them."""
+
+    @staticmethod
+    def digit(f):
+        return int(f) if f.isdigit() else None
+
+    def test_parse_sum_reads_terms_of_factors(self):
+        assert parse_sum(" 2*3 + 5 * 1 ", "int", self.digit, 0, 1) == 11
+        assert parse_sum("1 * 1 + 0", "int", self.digit, 0, 1) == 1
+        assert parse_sum(" 0 ", "int", self.digit, 0, 1) == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (" ", "empty int expression"),
+            ("2 + ", "empty term in int expression"),
+            ("2 * x", "cannot parse 'x'"),
+            ("2 ** 3", "cannot parse ''"),
+        ],
+    )
+    def test_parse_sum_refuses_text_outside_the_grammar(self, text, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            parse_sum(text, "int", self.digit, 0, 1)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (RING.parse, "x1^"),
+            (RING.parse, "x1 +"),
+            (parse_element, "Sq[1,]"),
+            (parse_dual, "xi["),
+            (parse_milnor_operator, "Q9"),
+        ],
+    )
+    def test_every_parser_raises_the_input_error(self, parse, text):
+        with pytest.raises(InputError):
+            parse(text)
+
+    def test_ints_reads_a_list_matched_by_the_pattern(self):
+        pattern = re.compile(rf"v\[{INTS}\]")
+        assert ints(pattern.fullmatch("v[ 1, 20 ,3 ]").group(1)) == (1, 20, 3)
+        assert ints(pattern.fullmatch("v[ ]").group(1)) == ()
+        assert pattern.fullmatch("v[1,]") is None
+
+    def test_power_squares_only_while_bits_remain(self):
+        squared = []
+
+        def square(x):
+            squared.append(x)
+            return x * x
+
+        assert power(3, 5, 1, int.__mul__, square) == 243
+        assert squared == [3, 9]
+        assert power(3, 0, 1, int.__mul__, square) == 1
+        assert squared == [3, 9]
+
+    @pytest.mark.parametrize(
+        "raise_power",
+        [
+            lambda: RING.gen("x1") ** -1,
+            lambda: DualElement.xi(1) ** -1,
+            lambda: dual_coproduct(DualElement.xi(1)) ** -1,
+            lambda: poly_pow(frozenset({mono_from([2])}), -1),
+        ],
+        ids=["F2Poly", "DualElement", "DualTensor", "poly_pow"],
+    )
+    def test_every_power_refuses_a_negative_exponent(self, raise_power):
+        with pytest.raises(F2Error, match="^negative exponent$") as err:
+            raise_power()
+        assert isinstance(err.value, ValueError)
 
 
 class TestSeries:
