@@ -11,11 +11,11 @@ Powers are handled through the Frobenius shortcut: the total square of x^2
 is the square of the total square of x, so g^(2^a) blocks cost a squarings
 rather than 2^a convolutions.
 
-TotalSquare, the one engine for this (charclass.WRing feeds it Wu's formula),
-works on packed monomials, one int with an exponent field per generator: a
-product is an addition and a Frobenius square a left shift.  Presentations
-hand it the monomials of their F2Poly values as they are, in the 32-bit
-fields of f2.FIELD.
+TotalSquare, the one engine for this (each charclass.QuotientModel feeds it
+the action Wu's formula induces on the model), works on packed monomials,
+one int with an exponent field per generator: a product is an addition and
+a Frobenius square a left shift.  Presentations hand it the monomials of
+their F2Poly values as they are, in the 32-bit fields of f2.FIELD.
 
 Presentations are immutable; the engine's component caches are idempotent
 and safe under concurrent readers.

@@ -499,16 +499,21 @@ def verify_cotensor_member(x: DualElement, h: SubHopfAlgebra) -> bool:
 
 _XI_RE = re.compile(rf"^xi\[{INTS}\]$")
 _ZETA_RE = re.compile(r"^zeta\[\s*(\d+)\s*\]$")
+# the largest zeta index the grammar reads: zeta_n expands to 2^(n-1)
+# xi-monomials, 32,768 at this bound
+ZETA_MAX = 16
 
 
 def parse_dual(text: str) -> DualElement:
-    """Parse `xi[j1,j2,...]` and `zeta[n]` joined by `+` and `*`."""
+    """Parse `xi[j1,j2,...]` and `zeta[n]` (n <= ZETA_MAX) joined by `+` and `*`."""
 
     def factor(f: str) -> DualElement | None:
         m = _XI_RE.match(f)
         if m:
             return DualElement.from_monomials([ints(m.group(1))])
         m = _ZETA_RE.match(f)
+        if m and int(m.group(1)) > ZETA_MAX:
+            raise InputError(f"{f!r} passes the largest zeta index {ZETA_MAX}")
         return m and zeta(int(m.group(1)))
 
     return parse_sum(text, "dual", factor, DualElement.zero(), DualElement.one())

@@ -62,13 +62,12 @@ def ints(text: str) -> tuple[int, ...]:
 
 def parse_sum(text: str, what: str, factor: Callable, zero, one):
     """The sum of the terms in text, joined by `+`, each the product of its
-    factors, joined by `*`.  `0` alone is zero and a factor `1` is skipped;
-    factor reads any other factor, or returns None when it cannot."""
+    factors, joined by `*`.  A factor `0` makes its term zero and a factor
+    `1` is skipped; factor reads any other factor, or returns None when it
+    cannot."""
     text = text.strip()
     if not text:
         raise InputError(f"empty {what} expression")
-    if text == "0":
-        return zero
     total = zero
     for term in text.split("+"):
         if not term.strip():
@@ -77,7 +76,7 @@ def parse_sum(text: str, what: str, factor: Callable, zero, one):
         for f in term.split("*"):
             f = f.strip()
             if f != "1":
-                value = factor(f)
+                value = zero if f == "0" else factor(f)
                 if value is None:
                     raise InputError(f"cannot parse {f!r}")
                 prod = prod * value

@@ -14,7 +14,6 @@ from steenrod.charclass import (
     SPACES,
     ModelError,
     QuotientModel,
-    WRing,
     _row_basis,
     _unpack,
     _wu_generator,
@@ -282,15 +281,14 @@ class TestPackedMonomials:
         assert _unpack(_pack(((1, 200),)) + _pack(((1, 55),))) == ((1, top),)
         assert _unpack(_pack(((1, 127), (2, 64))) << 1) == ((1, 254), (2, 128))
         assert _unpack(_pack(((top, 1),))) == ((top, 1),)
-        ring = WRing(kill_w1=False)
-        assert ring.top == top
+        ring = model("bo", top)
         for m in (127, 128, 200, 254):
             for i in range(top - m + 1):
                 want = w(*[1] * (m + i)) if binom_mod2(m, i) else frozenset()
                 assert ring.sq(i, w(*[1] * m)) == want, (m, i)
         for j in (200, 250, top):
             for i in range(top - j + 1):
-                assert ring.sq(i, w(j)) == _wu_generator(i, j, False), (j, i)
+                assert ring.sq(i, w(j)) == _wu_generator(i, j), (j, i)
 
     def test_power_sum_int_matches_the_sparse_recursion_through_16(self):
         for n in range(1, 17):
@@ -314,10 +312,9 @@ class TestPackedMonomials:
                 assert sparse(poly_mul(a, b)) == sparse_poly_mul(sparse(a), sparse(b))
 
     def test_degrees_past_the_limit_raise(self):
-        with pytest.raises(ValueError):
-            WRing(kill_w1=True, top=_PACK_LIMIT)
-        with pytest.raises(ValueError):
-            QuotientModel("bso", _PACK_LIMIT)
+        for space in SPACES:
+            with pytest.raises(ValueError, match="passes the packed degree limit 255"):
+                QuotientModel(space, _PACK_LIMIT)
         top = QuotientModel("bo", _PACK_LIMIT - 1)
         with pytest.raises(ValueError):
             top.power_sum(_PACK_LIMIT)
@@ -471,7 +468,7 @@ class TestWuFormula:
         nvars = 5
         ring = WeightedPolyRing(tuple((f"x{i}", 1) for i in range(nvars)))
         pres = SqAlgebraPresentation.build(ring, {})
-        wring = WRing(kill_w1=False)
+        wring = model("bo", 2 * nvars)
 
         def to_f2poly(monos):
             return ring.from_monomials(monos)
@@ -485,36 +482,56 @@ class TestWuFormula:
                 assert got_roots == want, (i, j)
 
     def test_instability(self):
-        wring = WRing(kill_w1=False)
+        wring = model("bo", 20)
         assert wring.sq(4, w(3)) == frozenset()
         assert wring.sq(3, w(3)) == w(3, 3)
 
     def test_sq1_w2(self):
-        wring = WRing(kill_w1=False)
-        assert wring.sq(1, w(2)) == w(1, 2) ^ w(3)
-        clean = WRing(kill_w1=True)
-        assert clean.sq(1, w(2)) == w(3)
+        assert model("bo", 20).sq(1, w(2)) == w(1, 2) ^ w(3)
+        assert model("bso", 20).sq(1, w(2)) == w(3)
+
+
+class TestInducedAction:
+    """The model's own action is the one H*BSO induces: phi commutes with Sq."""
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_phi_commutes_with_sq_from_bso_at_cap_24(self, space):
+        mdl, ambient = model(space, 24), model("bso", 24)
+        for d in range(13):
+            for m in ambient.slice_monomials(d):
+                for i in range(24 - d + 1):
+                    assert mdl.sq(i, mdl.phi({m})) == mdl.phi(ambient.sq(i, {m})), (m, i)
+
+    def test_a_w1_monomial_squares_to_zero_off_bo(self):
+        for space in ("bso", "bspin", "bspinc"):
+            mdl = model(space, 20)
+            for p in (w(1), w(1, 1, 3), w(1, 4)):
+                for i in range(4):
+                    assert mdl.sq(i, p) == frozenset(), (space, p, i)
+        bo = model("bo", 20)
+        assert bo.sq(1, w(1)) == w(1, 1)
+        assert bo.sq(1, w(1, 4)) == w(1, 5)  # w1^2 w4 + w1 (w1 w4 + w5)
 
 
 class TestTopDegree:
     def test_truncated_squares_match_the_unbounded_ring_through_14(self):
         top = 14
-        for kill_w1 in (False, True):
-            full, cut = WRing(kill_w1), WRing(kill_w1, top=top)
+        for space in ("bo", "bso"):
+            full, cut = model(space, _PACK_LIMIT - 1), QuotientModel(space, top)
             for d in range(1, top + 1):
                 for parts in partitions(d, least=1):
                     p = w(*parts)
                     for i in range(top - d + 1):
-                        assert cut.sq(i, p) == full.sq(i, p), (kill_w1, parts, i)
+                        assert cut.sq(i, p) == full.sq(i, p), (space, parts, i)
 
     def test_square_past_the_top_raises(self):
-        ring = WRing(kill_w1=True, top=10)
-        assert ring.sq(4, w(6)) == WRing(kill_w1=True).sq(4, w(6))
+        ring = QuotientModel("bso", 10)
+        assert ring.sq(4, w(6)) == model("bso", _PACK_LIMIT - 1).sq(4, w(6))
         for i, p in ((5, w(6)), (1, w(10)), (0, w(11)), (2, w(4) ^ w(3, 6))):
             with pytest.raises(ValueError):
                 ring.sq(i, p)
         with pytest.raises(ValueError):
-            model("bspin", 20).ring.sq(1, w(20))
+            model("bspin", 20).sq(1, w(20))
 
     def test_cap_34_reductions_match_cap_40(self):
         for space in ("bspin", "bspinc"):
@@ -556,8 +573,8 @@ class TestModels:
 
     def test_clean_drops_exactly_the_w1_monomials(self):
         p = w(1) ^ w(1, 1, 3) ^ w(2, 3) ^ w() ^ w(4, 4)
-        assert WRing(kill_w1=True).clean(p) == w(2, 3) ^ w() ^ w(4, 4)
-        assert WRing(kill_w1=False).clean(p) == p
+        assert model("bso", 20).phi(p) == w(2, 3) ^ w() ^ w(4, 4)
+        assert model("bo", 20).phi(p) == p
 
     def test_models_below_the_series_degree_validate_through_the_cap(self):
         for space in ("bspin", "bspinc"):
@@ -631,7 +648,7 @@ def squaring_ideal_slices(space):
         span = [frozenset({g})] if d == gdeg else []
         for m in range(gdeg, d):
             for b in basis_by_deg[m]:
-                span.append(mdl.ring.sq(d - m, b))
+                span.append(model("bso", 24).sq(d - m, b))
                 if d - m >= 2:
                     span.append(frozenset(mono_from([d - m]) + mm for mm in b))
         monos = sorted({mm for p in span for mm in p}, key=_unpack)
@@ -651,11 +668,12 @@ def squaring_ideal_slices(space):
 
 def squaring_stability_error(mdl):
     """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, squaring each
-    relation in the unreduced ring; the first failure's text, or None."""
+    relation in the unreduced ring H*BSO; the first failure's text, or None."""
+    ambient = model("bso", mdl.cap)
     for e, rho in sorted(mdl.reductions.items()):
         relation = w(e) ^ rho
         for i in range(1, mdl.cap - e + 1):
-            if mdl.phi(mdl.ring.sq(i, relation)):
+            if mdl.phi(ambient.sq(i, relation)):
                 return f"Sq^{i}(w_{e} + reduction) escapes the kernel in {mdl.space}"
     return None
 
@@ -785,7 +803,24 @@ class TestIdealMembership:
                     assert mdl._in_ideal(p, n) == (not mdl.phi(p)), (space, p)
 
 
+def expected_dimension(space, n):
+    """Oracle: the closed-form primitive dimension of degree n, one in every
+    degree from the first except in bspin and bspinc at 2^s + 1 (s >= 1)."""
+    first = {"bo": 1, "bso": 2, "bspin": 4, "bspinc": 2}[space]
+    empty = space in ("bspin", "bspinc") and n % 2 == 1 and bin(n).count("1") == 2
+    return 1 if n >= first and not empty else 0
+
+
 class TestPrimitives:
+    def test_the_oracle_names_exactly_the_degrees_with_a_candidate(self):
+        for space in SPACES:
+            mdl = model(space, 64)
+            for n in range(65):
+                assert expected_dimension(space, n) == (mdl.named_candidate(n) is not None), (
+                    space,
+                    n,
+                )
+
     def test_bso_degree_2(self):
         r = model("bso", 20).primitives(2, kernel_limit=10)
         assert (r.dimension, r.formula, r.verified) == (1, "w2", True)
@@ -809,7 +844,7 @@ class TestPrimitives:
             for n in range(2, 13):
                 r = m.primitives(n, kernel_limit=12)
                 assert r.kernel_checked and r.verified, (space, n)
-                assert r.dimension == m.expected_dimension(n)
+                assert r.dimension == expected_dimension(space, n)
 
     def test_kernel_primitives_match_the_matrix_kernel_through_12(self):
         # oracle: the kernel of the transpose of the matrix whose rows are
@@ -823,7 +858,7 @@ class TestPrimitives:
                 rows = [sum(1 << col[pair] for pair in img) for img in images]
                 want = F2Matrix(len(basis), len(col), rows).transpose().kernel_basis()
                 got = [sum(1 << basis.index(mono) for mono in p) for p in m.kernel_primitives(n)]
-                assert len(got) == len(want) == m.expected_dimension(n), (space, n)
+                assert len(got) == len(want) == expected_dimension(space, n), (space, n)
                 # one space: got is independent, and stacking both adds no rank
                 assert F2Matrix(len(got), len(basis), got).rank() == len(got)
                 stacked = [v.bits for v in want] + got

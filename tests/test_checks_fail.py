@@ -131,6 +131,20 @@ def w9_dropped_from_the_degree_9_ideal_slice(monkeypatch):
     monkeypatch.setattr(charclass.QuotientModel, "_ideal_slice", corrupted)
 
 
+def primitive_dimension_one_too_high(degree):
+    """Adds 1 to every model's primitive dimension in the given degree."""
+
+    def corrupt(monkeypatch):
+        primitive_dimension = charclass.QuotientModel.primitive_dimension
+        monkeypatch.setattr(
+            charclass.QuotientModel,
+            "primitive_dimension",
+            lambda m, n: primitive_dimension(m, n) + (n == degree),
+        )
+
+    return corrupt
+
+
 # (suite, corruption, {check id: the first witness its search meets})
 ENTRIES = [
     pytest.param(
@@ -245,6 +259,27 @@ ENTRIES = [
             "power-sum vanishing chain k=1": "reduces to zero in the quotient k=1: w3",
         },
         id="primitives-s3-survives",
+    ),
+    pytest.param(
+        "primitives",
+        primitive_dimension_one_too_high(5),
+        {
+            "bso: table verified through degree 64": "degree 5: dim 2, s5",
+            "bspin: table verified through degree 64": "degree 5: dim 1, 0",
+            "bspinc: table verified through degree 64": "degree 5: dim 1, 0",
+        },
+        id="primitives-dimension-one-too-high-in-degree-5",
+    ),
+    # past the kernel limit (12) only the dimension tests of the table see it
+    pytest.param(
+        "primitives",
+        primitive_dimension_one_too_high(17),
+        {
+            "bso: table verified through degree 64": "degree 17: dim 2, s17",
+            "bspin: table verified through degree 64": "degree 17: dim 1, 0",
+            "bspinc: table verified through degree 64": "degree 17: dim 1, 0",
+        },
+        id="primitives-dimension-one-too-high-in-degree-17",
     ),
 ]
 

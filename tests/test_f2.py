@@ -1,15 +1,23 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrod.algebra import parse_element
+from steenrod.algebra import SteenrodElement, parse_element
 from steenrod.bundles import chern_root_model, rank_one_model
 from steenrod.charclass import mono_from, poly_pow
-from steenrod.cli import PRESETS
-from steenrod.dual import DualElement, dual_coproduct, parse_dual, parse_milnor_operator
+from steenrod.cli import PRESETS, main
+from steenrod.dual import (
+    ZETA_MAX,
+    DualElement,
+    dual_coproduct,
+    parse_dual,
+    parse_milnor_operator,
+    zeta,
+)
 from steenrod.f2 import (
     INTS,
     LIMIT,
@@ -575,6 +583,36 @@ class TestGrammarAndPower:
     def test_every_parser_raises_the_input_error(self, parse, text):
         with pytest.raises(InputError):
             parse(text)
+
+    def test_a_zero_factor_makes_its_term_zero(self):
+        assert parse_sum("2*0*3 + 5", "int", self.digit, 0, 1) == 5
+        assert parse_element("0*Sq[1]") == parse_element("0") == SteenrodElement.zero()
+        assert parse_element("Sq[1] + 0") == parse_element("Sq[1]")
+        with pytest.raises(InputError, match="^cannot parse 'x'$"):
+            parse_sum("0*x", "int", self.digit, 0, 1)
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["adem", "Sq[1] + 0"], "Sq[1]"),
+            (["adem", "0*Sq[1]"], "0"),
+            (["transfer", "--bundle", "cp2", "--expr", "x2 + 0"], "0"),
+            (["transfer", "--bundle", "cp2", "--expr", "x4 + 0"], "1"),
+        ],
+    )
+    def test_a_zero_term_reads_on_the_command_line(self, argv, want, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == want
+
+    def test_zeta_past_the_limit_is_refused_at_once(self, capsys):
+        assert ZETA_MAX == 16
+        assert parse_dual(f"zeta[{ZETA_MAX}]") == zeta(ZETA_MAX)
+        with pytest.raises(InputError, match="largest zeta index 16"):
+            parse_dual("xi[1] + zeta[17]")
+        start = time.perf_counter()
+        assert main(["pair", "zeta[40]", "Sq[1]"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "largest zeta index" in capsys.readouterr().err
 
     def test_ints_reads_a_list_matched_by_the_pattern(self):
         pattern = re.compile(rf"v\[{INTS}\]")
