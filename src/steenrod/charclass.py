@@ -18,18 +18,18 @@ rho_e, the allowed-generator expression equivalent to w_e modulo the ideal.
 w_1 is one of them off bo, with rho_1 = 0.  The Steenrod action on a model
 (QuotientModel.sq) is the one Wu's formula induces; on bo and bso it is the
 Wu action on H*BO and H*BSO themselves, so the bso model is the ambient ring
-in which the bspin and bspinc ideals are built.  Their reductions are found
-mechanically: pure-w_e relations can only arise from Sq^I applied to the
-ideal generator (products always carry at least two factors), so scanning
-admissible words of the right degree either produces w_e + rho_e or proves
-there is nothing to reduce.  The model is then
-validated: the kernel of the reduction map phi is Steenrod-stable up to the
-cap (phi(Sq^i w_e) equals Sq^i rho_e under the action Wu's formula induces on
-the model, checked without squaring any relation in the unreduced ring) and
-the dimension series agrees with an elimination-computed quotient through
-degree 20 (or the cap, if lower), the ideal slices being
-built from the cyclic module A.g and products with the w_j.  Every total
-square the model takes is computed only through the cap.
+in which the bspin and bspinc ideals are built.  Their reductions come
+from one square each: by Wu's formula w_e, e = 2^k + 1, is a term of
+Sq^(p-1) w_p with p = (e + 1) / 2, so rho_e is phi of the rest of
+Sq^(p-1)(w_p + rho_p).  The model is then validated: the kernel of the
+reduction map phi is Steenrod-stable up to the cap (phi(Sq^(2^k) w_e)
+equals Sq^(2^k) rho_e under the action Wu's formula induces on the model,
+checked without squaring any relation in the unreduced ring; the Sq^(2^k)
+generate the Steenrod algebra) and the dimension series agrees with an
+elimination-computed quotient through degree 20 (or the cap, if lower),
+the ideal slices being built from the cyclic module A.g and products with
+the w_j.  Every total square the model takes is computed only through the
+cap.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -92,7 +92,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
-from .algebra import admissible_basis, binom_mod2
+from .algebra import binom_mod2
 from .f2 import F2Basis, F2Index, F2Span, geometric_series_product, power
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
@@ -252,17 +252,15 @@ class QuotientModel:
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         if gdeg is not None:
-            for e in sorted({gdeg} | {2**k + 1 for k in range(1, 12) if 2**k + 1 <= cap}):
+            self.reductions[gdeg] = frozenset()  # the ideal generator itself
+            for e in (2**k + 1 for k in range(1, 12) if gdeg < 2**k + 1 <= cap):
                 self.reductions[e] = self._find_reduction(e)
+        # sets self.ring, the square of the induced action (see sq)
         self._validate_reductions()
         # phi(w_i) through the cap (the Newton layer runs on these images),
         # and the generators phi kills
         self._w_images = [frozenset()] + [self.phi(frozenset({_gen(i)})) for i in range(1, cap + 1)]
         self.killed = frozenset(i for i in range(1, cap + 1) if not self._w_images[i])
-        # the Steenrod action on the model's ring: the total square of the
-        # induced Wu table, through the cap (see sq); perfbench/tracer.py
-        # reads it under this name
-        self.ring = _total_square(self._induced_wu, cap)
         if gdeg is not None:
             # past the cap the excluded generators are unknown to the model
             self._validate_series(min(20, cap))
@@ -277,30 +275,19 @@ class QuotientModel:
         return [i for i in range(1, top + 1) if self.is_allowed(i)]
 
     def _find_reduction(self, e: int) -> ModPoly:
-        """The allowed-generator expression of w_e modulo the ideal.
+        """The allowed-generator expression of w_e modulo the ideal, for
+        e = 2^k + 1 above the ideal generator's degree.
 
-        Pure w_e can only appear in Sq^I applied to the ideal generator
-        (every product has at least two factors), so scan admissible words,
-        squaring in H*BSO (the bso model); the reductions known so far all
-        have degree below e, and every other monomial of degree e is a
-        product of classes below e.
+        With p = (e + 1) // 2, every coefficient of Wu's formula for
+        Sq^(p-1) w_p is C(t, t) = 1, w_e among its terms, and w_p + rho_p
+        lies in the ideal (p is the generator's degree or 2^(k-1) + 1).  So
+        Sq^(p-1)(w_p + rho_p), squared in H*BSO (the bso model), is w_e plus
+        a rest of products of classes below e, and rho_e is phi of the rest.
         """
-        g = self.ideal_generator
-        assert g is not None
-        gdeg = _degree(g)
-        if e == gdeg:
-            return frozenset()
-        we = _gen(e)
-        ambient = model("bso", self.cap)
-        for word in admissible_basis(e - gdeg):
-            img = ambient.sq_word(word, frozenset({g}))
-            if we in img:
-                rest: set[int] = set()
-                for m in img - {we}:
-                    rest ^= self._phi_mono(m)
-                return frozenset(rest)
-        # nothing forces a reduction: w_e is genuinely not in the ideal span
-        raise ModelError(f"no reduction found for w_{e} in {self.space}")
+        p = (e + 1) // 2
+        img = model("bso", self.cap).sq(p - 1, self.reductions[p] | {_gen(p)})
+        # a missing w_e stays in the rest, and validation refuses it
+        return self.phi(img ^ {_gen(e)})
 
     def phi(self, p: ModPoly) -> ModPoly:
         """The reduction map onto the allowed-generator model."""
@@ -352,45 +339,55 @@ class QuotientModel:
             deg = _degree(k)
             if deg + i > self.cap:
                 raise ValueError(f"Sq^{i} of a degree-{deg} class passes the cap {self.cap}")
-            comps = self.ring.components(k, deg)
-            if i < len(comps):
-                acc ^= comps[i]
+            if i <= deg:
+                acc ^= self.ring.components(k, deg, i)[i]
         return frozenset(acc)
-
-    def sq_word(self, word: tuple[int, ...], p: ModPoly) -> ModPoly:
-        for i in reversed(word):
-            p = self.sq(i, p)
-        return p
 
     def _validate_reductions(self) -> None:
         """Every reduction must be decomposable (or zero), and ker(phi) must
-        be Steenrod-stable through the cap.  phi and the total squares are
-        ring maps, so that holds exactly when phi(Sq^i w_e) = Sq_M^i(rho_e)
-        for every excluded e and i <= cap - e, Sq_M being the total square on
-        the model with the current _induced_wu table; each equation is
-        phi(Sq^i(w_e + rho_e)) = 0, with nothing squared outside the model."""
+        be Steenrod-stable through the cap.
+
+        phi and the total squares are ring maps, so ker(phi) is the ideal
+        generated by the g_e = w_e + rho_e, and Sq_M^i(rho_e) = phi(Sq^i
+        rho_e), Sq_M being the total square on the model with the current
+        _induced_wu table.  Each equation phi(Sq^i g_e) = 0 is read as
+        phi(Sq^i w_e) = Sq_M^i(rho_e), with nothing squared outside the
+        model, and only for i = 2^k <= min(e, cap - e): the Sq^(2^k)
+        generate the Steenrod algebra (Adem, PNAS 38, 1952; Steenrod and
+        Epstein, Cohomology Operations).  For 0 < r < 2^k the Adem relation
+        Sq^(2^k + r) = Sq^r Sq^(2^k) + sum_{c>=1} C(2^k - c - 1, r - 2c)
+        Sq^(2^k + r - c) Sq^c, the Cartan formula and strong induction on i
+        then give phi(Sq^i g_e) = 0 for every i <= cap - e, through degrees
+        at most the cap.  The square built here becomes self.ring.
+        """
         for e, rho in self.reductions.items():
             for m in rho:
                 # a bare generator is a single bit at the bottom of its field
                 if m & (m - 1) == 0 and (m.bit_length() - 1) % 8 == 0:
                     raise ModelError(f"reduction of w_{e} has a generator term")
-        induced = _total_square(self._induced_wu, self.cap)
+        # perfbench/tracer.py reads the square under this name
+        self.ring = _total_square(self._induced_wu, self.cap)
         for e, rho in sorted(self.reductions.items()):
-            want = self._induced_wu(e)  # phi(Sq^i w_e); zero for i > e
-            got: list[set[int]] = [set() for _ in want]
+            top = min(e, self.cap - e)
+            if top < 1:
+                continue
+            got: dict[int, set[int]] = {1 << k: set() for k in range(top.bit_length())}
             for m in rho:
-                for k, c in enumerate(induced.components(m, e)):
-                    got[k] ^= c
-            for i in range(1, len(want)):
-                if got[i] != want[i]:
+                comps = self.ring.components(m, e, max(got))
+                for i, c in got.items():
+                    c ^= comps[i]
+            for i, c in got.items():
+                if c != self.phi(_wu_generator(i, e)):
                     raise ModelError(
                         f"Sq^{i}(w_{e} + reduction) escapes the kernel in {self.space}"
                     )
 
     def _cyclic_slice(self, n: int) -> list[ModPoly]:
         """A basis of the degree-n slice of the cyclic module A.g in H*BSO:
-        the generator g itself and Sq^(n-m) c for every basis element c of a
-        lower degree m; a basis of each degree is kept, as in _ideal_slice."""
+        the generator g itself and Sq^(2^k) c for every basis element c of
+        degree n - 2^k, since the Sq^(2^k) generate the Steenrod algebra (see
+        _validate_reductions); a basis of each degree is kept, as in
+        _ideal_slice."""
         g = self.ideal_generator
         assert g is not None
         gdeg = _degree(g)
@@ -398,7 +395,8 @@ class QuotientModel:
         basis_by_deg = self._cyclic_basis
         for d in range(len(basis_by_deg), n + 1):
             span = [frozenset({g})] if d == gdeg else []
-            span += [ambient.sq(d - m, c) for m in range(gdeg, d) for c in basis_by_deg[m]]
+            for k in range(max(d - gdeg, 0).bit_length()):
+                span += [ambient.sq(1 << k, c) for c in basis_by_deg[d - (1 << k)]]
             basis_by_deg.append(_row_basis(span))
         return basis_by_deg[n]
 

@@ -3,11 +3,12 @@ import gc
 import itertools
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
 from steenrod.action import SqAlgebraPresentation
-from steenrod.algebra import binom_mod2
+from steenrod.algebra import admissible_basis, binom_mod2
 from steenrod import charclass
 from steenrod.charclass import (
     _PACK_LIMIT,
@@ -678,6 +679,22 @@ def squaring_stability_error(mdl):
     return None
 
 
+def scanned_reduction(mdl, e):
+    """Oracle: rho_e as the model once found it, scanning the admissible
+    words of degree e - deg g applied to the ideal generator g in H*BSO for
+    the first image that carries w_e.  The rest is reduced by the model's
+    phi, which reads only the reductions below e."""
+    ambient, g = model("bso", mdl.cap), mdl.ideal_generator
+    we = mono_from([e])
+    for word in admissible_basis(e - charclass._degree(g)):
+        img = frozenset({g})
+        for i in reversed(word):
+            img = ambient.sq(i, img)
+        if we in img:
+            return mdl.phi(img - {we})
+    return None
+
+
 def stability_error(mdl):
     mdl._phi_cache.clear()
     try:
@@ -718,6 +735,67 @@ class TestValidationOracles:
                     flips += want is not None
                 mdl.reductions[e] = rho
         assert flips
+
+
+class TestSquareChain:
+    """The reductions come from one square each, stability is read on the
+    Sq^(2^k) only, and each model builds one total square."""
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_reductions_match_the_admissible_word_scan_through_cap_64(self, space):
+        mdl = model(space, 64)
+        # ascending, so each scan's phi reads reductions already matched
+        for e in sorted(set(mdl.reductions) - {1, charclass._degree(mdl.ideal_generator)}):
+            assert mdl.reductions[e] == scanned_reduction(mdl, e), (space, e)
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    @pytest.mark.parametrize("cap", [40, 64])
+    def test_flips_of_rho33_that_the_squaring_oracle_rejects_fail_the_build(self, space, cap):
+        # a bounded sweep, about 40 flips a model; the verdicts must agree
+        # word for word, as in TestValidationOracles
+        mdl = QuotientModel(space, cap)
+        rho = mdl.reductions[33]
+        monos = list(mdl.slice_monomials(33))
+        for mono in monos[:: len(monos) // 40 + 1]:
+            mdl.reductions[33] = rho ^ {mono}
+            got = stability_error(mdl)  # clears the stale phi memo first
+            assert got is not None, (space, cap, _unpack(mono))
+            assert got == squaring_stability_error(mdl), (space, cap, _unpack(mono))
+        mdl.reductions[33] = rho
+        assert stability_error(mdl) is None
+
+    @pytest.mark.parametrize("i", [1, 2, 4, 8, 16])
+    def test_a_wrong_square_of_w33_fails_its_own_row(self, i, monkeypatch):
+        # every flip of rho_33 already fails the w_17 row (Sq^16 w_17 carries
+        # w_33), so the w_33 row is reached through Wu's formula instead; no
+        # other test builds at cap 63, so no cached model sees the bad table
+        wu = charclass._wu_generator
+        bad = lambda a, j: wu(a, j) ^ (w(33 + a) if (a, j) == (i, 33) else frozenset())
+        monkeypatch.setattr(charclass, "_wu_generator", bad)
+        with pytest.raises(ModelError, match=rf"^Sq\^{i}\(w_33 \+ reduction\)"):
+            QuotientModel("bspin", 63)
+
+    def test_a_build_induces_one_wu_table_and_keeps_its_square(self, monkeypatch):
+        calls = Counter()
+        induced_wu = QuotientModel._induced_wu
+        total_square = charclass._total_square
+        squares = []
+
+        def counting(self, j):
+            calls[self, j] += 1
+            return induced_wu(self, j)
+
+        def recording(wu, top):
+            squares.append((wu.__self__, total_square(wu, top)))
+            return squares[-1][1]
+
+        monkeypatch.setattr(QuotientModel, "_induced_wu", counting)
+        monkeypatch.setattr(charclass, "_total_square", recording)
+        for space in SPACES:
+            mdl = QuotientModel(space, 48)
+            own = [square for owner, square in squares if owner is mdl]
+            assert len(own) == 1 and own[0] is mdl.ring, space
+        assert calls and max(calls.values()) == 1
 
 
 def coeff_wm_wm(mdl, mono, m):
