@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .f2 import INTS, ints, parse_sum
+from .f2 import INTS, bilinear, ints, parse_sum, tensor
 
 Word = tuple[int, ...]
 
@@ -53,7 +53,7 @@ def _adem_pair(m: int, n: int) -> frozenset[Word]:
     for i in range(m // 2 + 1):
         if binom_mod2(n - i - 1, m - 2 * i):
             word = (m + n - i, i) if i > 0 else (m + n,)
-            terms.symmetric_difference_update({word})
+            terms ^= {word}
     return frozenset(terms)
 
 
@@ -73,9 +73,21 @@ def normalize_word(word: Word) -> frozenset[Word]:
             result: set[Word] = set()
             for repl in _adem_pair(word[j], word[j + 1]):
                 rewritten = word[:j] + repl + word[j + 2 :]
-                result.symmetric_difference_update(normalize_word(rewritten))
+                result ^= normalize_word(rewritten)
             return frozenset(result)
     return frozenset({word})
+
+
+def _compose(a: Word, b: Word) -> frozenset[Word]:
+    """The product Sq^a Sq^b of two words, normalized."""
+    return normalize_word(a + b)
+
+
+_tensor_compose = tensor(_compose)
+
+
+def _word_str(w: Word) -> str:
+    return "1" if not w else "Sq[" + ",".join(map(str, w)) + "]"
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,7 @@ class SteenrodElement:
     def from_words(cls, words: Iterable[Word]) -> "SteenrodElement":
         acc: set[Word] = set()
         for w in words:
-            acc.symmetric_difference_update(normalize_word(tuple(w)))
+            acc ^= normalize_word(tuple(w))
         return cls(frozenset(acc))
 
     def __post_init__(self):
@@ -113,11 +125,7 @@ class SteenrodElement:
         return SteenrodElement(self.words ^ other.words)
 
     def __mul__(self, other: "SteenrodElement") -> "SteenrodElement":
-        acc: set[Word] = set()
-        for a in self.words:
-            for b in other.words:
-                acc.symmetric_difference_update(normalize_word(a + b))
-        return SteenrodElement(frozenset(acc))
+        return SteenrodElement(bilinear(self.words, other.words, _compose))
 
     def is_zero(self) -> bool:
         return not self.words
@@ -145,13 +153,13 @@ class SteenrodElement:
     def coproduct(self) -> "TensorElement":
         acc: set[tuple[Word, Word]] = set()
         for w in self.words:
-            acc.symmetric_difference_update(coproduct_word(w))
+            acc ^= coproduct_word(w)
         return TensorElement(frozenset(acc))
 
     def antipode(self) -> "SteenrodElement":
         acc: set[Word] = set()
         for w in self.words:
-            acc.symmetric_difference_update(_antipode_word(w))
+            acc ^= _antipode_word(w)
         return SteenrodElement(frozenset(acc))
 
     def counit(self) -> int:
@@ -163,10 +171,7 @@ class SteenrodElement:
     def __str__(self) -> str:
         if not self.words:
             return "0"
-        parts = []
-        for w in self.sorted_words():
-            parts.append("1" if not w else "Sq[" + ",".join(map(str, w)) + "]")
-        return " + ".join(parts)
+        return " + ".join(map(_word_str, self.sorted_words()))
 
     def __repr__(self):
         return f"SteenrodElement({self})"
@@ -186,19 +191,7 @@ class TensorElement:
         return TensorElement(self.pairs ^ other.pairs)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        acc: set[tuple[Word, Word]] = set()
-        for (a, b) in self.pairs:
-            for (c, d) in other.pairs:
-                left = normalize_word(a + c)
-                right = normalize_word(b + d)
-                for lw in left:
-                    for rw in right:
-                        pair = (lw, rw)
-                        if pair in acc:
-                            acc.discard(pair)
-                        else:
-                            acc.add(pair)
-        return TensorElement(frozenset(acc))
+        return TensorElement(bilinear(self.pairs, other.pairs, _tensor_compose))
 
     def is_zero(self) -> bool:
         return not self.pairs
@@ -207,30 +200,21 @@ class TensorElement:
         """Apply a word -> SteenrodElement map to the left factors."""
         acc: set[tuple[Word, Word]] = set()
         for (a, b) in self.pairs:
-            for w in f(a).words:
-                pair = (w, b)
-                if pair in acc:
-                    acc.discard(pair)
-                else:
-                    acc.add(pair)
+            acc ^= {(w, b) for w in f(a).words}
         return TensorElement(frozenset(acc))
 
     def multiply_out(self) -> SteenrodElement:
         """Image under the product map a (x) b -> ab."""
         acc: set[Word] = set()
         for (a, b) in self.pairs:
-            acc.symmetric_difference_update(normalize_word(a + b))
+            acc ^= normalize_word(a + b)
         return SteenrodElement(frozenset(acc))
 
     def __str__(self):
         if not self.pairs:
             return "0"
-
-        def side(w: Word) -> str:
-            return "1" if not w else "Sq[" + ",".join(map(str, w)) + "]"
-
         ordered = sorted(self.pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])))
-        return " + ".join(f"{side(a)} (x) {side(b)}" for a, b in ordered)
+        return " + ".join(f"{_word_str(a)} (x) {_word_str(b)}" for a, b in ordered)
 
 
 def _raw_splits(word: Word) -> Iterator[tuple[Word, Word]]:
@@ -253,13 +237,8 @@ def _raw_splits(word: Word) -> Iterator[tuple[Word, Word]]:
 def coproduct_word(word: Word) -> frozenset[tuple[Word, Word]]:
     acc: set[tuple[Word, Word]] = set()
     for l_raw, r_raw in _raw_splits(word):
-        for lw in normalize_word(l_raw):
-            for rw in normalize_word(r_raw):
-                pair = (lw, rw)
-                if pair in acc:
-                    acc.discard(pair)
-                else:
-                    acc.add(pair)
+        right = normalize_word(r_raw)
+        acc ^= {(lw, rw) for lw in normalize_word(l_raw) for rw in right}
     return frozenset(acc)
 
 
@@ -267,18 +246,16 @@ def coproduct_word(word: Word) -> frozenset[tuple[Word, Word]]:
 def _antipode_word(word: Word) -> frozenset[Word]:
     """chi on an admissible word via the connected-Hopf recursion.
 
-    From sum chi(x') x'' = 0 in positive degrees: the (x, 1) term contributes
-    chi(x) itself, every other term has a strictly lower-degree left factor.
+    From sum chi(x') x'' = 0 in positive degrees, summed over the terms of
+    coproduct_word: the x (x) 1 term contributes chi(x) itself, every other
+    term has a strictly lower-degree left factor.
     """
     if not word:
         return frozenset({()})
     acc: set[Word] = set()
-    for l_raw, r_raw in _raw_splits(word):
-        if word_degree(l_raw) == word_degree(word):
-            continue  # the chi(x)*1 term being solved for
-        for lw in normalize_word(l_raw):
-            for chi_lw in _antipode_word(lw):
-                acc.symmetric_difference_update(normalize_word(chi_lw + r_raw))
+    for left, right in coproduct_word(word):
+        if right:  # not the chi(x) (x) 1 term being solved for
+            acc ^= bilinear(_antipode_word(left), (right,), _compose)
     return frozenset(acc)
 
 

@@ -93,7 +93,7 @@ from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
 from .algebra import binom_mod2
-from .f2 import F2Basis, F2Index, F2Span, geometric_series_product, power
+from .f2 import F2Basis, F2Index, F2Span, bilinear, geometric_series_product, power, tensor
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]
@@ -148,13 +148,11 @@ def poly_pow(a: ModPoly, e: int) -> ModPoly:
 
 # A sum of coproduct pairs (a, b), a (x) b, of packed monomials.
 _PAIR_ONE = frozenset({(ONE, ONE)})
+_pair_product = tensor(lambda a, b: {a + b})
 
 
 def _pair_mul(p: frozenset, q: frozenset) -> frozenset:
-    acc: set[tuple[int, int]] = set()
-    for a, b in p:
-        acc ^= {(a + c, b + d) for c, d in q}
-    return frozenset(acc)
+    return bilinear(p, q, _pair_product)
 
 
 def _pair_square(p: frozenset) -> frozenset:

@@ -9,12 +9,13 @@ zeros stripped.  The coproduct is the algebra map determined by
 and the conjugates zeta_n = chi(xi_n) satisfy the recursion
 zeta_n = xi_n + sum_{i=1..n-1} xi_i^(2^(n-i)) zeta_{n-i}.
 
-The pairing against the admissible basis peels the highest generator off a
-monomial and pairs it against componentwise splittings of the word; the base
-case <xi_n, Sq^I> reads off the coefficient of Sq^(2^(n-1), ..., 2, 1) after
-Adem normalization.  Ordering both bases right-lexicographically makes the
-degreewise pairing matrix unitriangular, which is what funds conversion
-between the admissible and Milnor bases.
+The pairing against the admissible basis peels the highest generator xi_n off
+a monomial: <m xi_n, Sq^I> sums <m, a> over the terms a (x) b of the
+coproduct of Sq^I (algebra.coproduct_word) whose right factor b is the
+admissible word (2^(n-1), ..., 2, 1), the one word that xi_n pairs with.
+Ordering both bases right-lexicographically makes the degreewise pairing
+matrix unitriangular, which is what funds conversion between the admissible
+and Milnor bases.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -30,10 +31,13 @@ from .algebra import (
     SteenrodElement,
     Word,
     admissible_basis,
+    coproduct_word,
     normalize_word,
     word_sort_key,
 )
-from .f2 import INTS, F2Basis, F2Index, F2Matrix, F2Vector, InputError, ints, parse_sum, power
+from .f2 import (
+    INTS, F2Basis, F2Index, F2Matrix, F2Vector, InputError, bilinear, ints, parse_sum, power, tensor
+)
 
 XiMonomial = tuple[int, ...]
 
@@ -81,6 +85,14 @@ def xi_monomials(degree: int) -> tuple[XiMonomial, ...]:
     return tuple(sorted(monos, key=xi_sort_key))
 
 
+def _xi_product(a: XiMonomial, b: XiMonomial) -> set[XiMonomial]:
+    """The product of two xi-monomials, as a one-term sum."""
+    return {tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))}
+
+
+_xi_pair_product = tensor(_xi_product)
+
+
 @dataclass(frozen=True)
 class DualElement:
     """An F2-sum of xi-monomials."""
@@ -107,30 +119,14 @@ class DualElement:
     def from_monomials(cls, monos: Iterable[Iterable[int]]) -> "DualElement":
         acc: set[XiMonomial] = set()
         for m in monos:
-            m = _strip(m)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
+            acc ^= {_strip(m)}
         return cls(frozenset(acc))
 
     def __add__(self, other: "DualElement") -> "DualElement":
         return DualElement(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "DualElement") -> "DualElement":
-        acc: set[XiMonomial] = set()
-        for a in self.monomials:
-            for b in other.monomials:
-                long, short = (a, b) if len(a) >= len(b) else (b, a)
-                m = tuple(
-                    x + (short[i] if i < len(short) else 0)
-                    for i, x in enumerate(long)
-                )
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
-        return DualElement(frozenset(acc))
+        return DualElement(bilinear(self.monomials, other.monomials, _xi_product))
 
     def square(self) -> "DualElement":
         return DualElement(frozenset(tuple(2 * x for x in m) for m in self.monomials))
@@ -189,21 +185,7 @@ class DualTensor:
         return DualTensor(self.pairs ^ other.pairs)
 
     def __mul__(self, other: "DualTensor") -> "DualTensor":
-        acc: set[DualPair] = set()
-        for (a, b) in self.pairs:
-            ea = DualElement(frozenset({a}))
-            eb = DualElement(frozenset({b}))
-            for (c, d) in other.pairs:
-                left = ea * DualElement(frozenset({c}))
-                right = eb * DualElement(frozenset({d}))
-                for lm in left.monomials:
-                    for rm in right.monomials:
-                        p = (lm, rm)
-                        if p in acc:
-                            acc.discard(p)
-                        else:
-                            acc.add(p)
-        return DualTensor(frozenset(acc))
+        return DualTensor(bilinear(self.pairs, other.pairs, _xi_pair_product))
 
     def square(self) -> "DualTensor":
         return DualTensor(
@@ -268,39 +250,17 @@ def _milnor_weight_word(n: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def _pair_xi_word(n: int, word: Word) -> int:
-    """<xi_n, Sq^word> = coefficient of the weight word after normalization."""
-    if n == 0:
-        return 1 if () in normalize_word(word) else 0
-    return 1 if _milnor_weight_word(n) in normalize_word(word) else 0
-
-
-def _splits_of_degree(word: Word, target: int) -> Iterator[tuple[Word, Word]]:
-    """Componentwise splittings (J1, J2) of word with deg(J2) = target."""
-    if not word:
-        if target == 0:
-            yield ((), ())
-        return
-    head, tail = word[0], word[1:]
-    for b in range(min(head, target) + 1):
-        a = head - b
-        for left, right in _splits_of_degree(tail, target - b):
-            yield ((a,) + left if a else left, (b,) + right if b else right)
-
-
-@lru_cache(maxsize=None)
 def _pair_mono_word(mono: XiMonomial, word: Word) -> int:
     if xi_degree(mono) != sum(word):
         return 0
     if not mono:
         return 1 if () in normalize_word(word) else 0
     n = len(mono)  # highest generator appearing
-    if sum(1 for j in mono if j) == 1 and mono[-1] == 1:
-        return _pair_xi_word(n, word)
     peeled = _strip(mono[:-1] + (mono[-1] - 1,))
+    weight = _milnor_weight_word(n)
     total = 0
-    for left, right in _splits_of_degree(word, (1 << n) - 1):
-        if _pair_xi_word(n, right):
+    for left, right in coproduct_word(word):
+        if right == weight:
             total ^= _pair_mono_word(peeled, left)
     return total
 
@@ -362,12 +322,7 @@ def admissible_to_milnor(x: SteenrodElement) -> frozenset[MilnorSeq]:
         degree = sum(w)
         monos, words, matrix = pairing_matrix(degree)
         j = words.index(w)
-        for i, m in enumerate(monos):
-            if matrix.entry(i, j):
-                if m in acc:
-                    acc.discard(m)
-                else:
-                    acc.add(m)
+        acc ^= {m for i, m in enumerate(monos) if matrix.entry(i, j)}
     return frozenset(acc)
 
 
@@ -481,13 +436,8 @@ def verify_cotensor_member(x: DualElement, h: SubHopfAlgebra) -> bool:
         bdeg = b.degree()
         acc: set[XiMonomial] = set()
         for (left, right) in delta.pairs:
-            if xi_degree(left) != bdeg:
-                continue
-            if pair(DualElement(frozenset({left})), b):
-                if right in acc:
-                    acc.discard(right)
-                else:
-                    acc.add(right)
+            if xi_degree(left) == bdeg and pair(DualElement(frozenset({left})), b):
+                acc ^= {right}
         if acc:
             return False
     return True

@@ -9,7 +9,8 @@ at most 2^31 - 1: parsing, from_monomials and every product, power, square and
 substitution raise F2Error rather than let a field carry into the next.
 
 Every F2-sum of the package reads text through parse_sum (terms joined by `+`,
-factors by `*`) and takes powers through power, the one square-and-multiply;
+factors by `*`), takes powers through power, the one square-and-multiply, and
+multiplies sums of terms through bilinear, with tensor for sums of pairs;
 text outside that grammar and a negative exponent raise InputError.
 
 Everything here is immutable after construction and every operation is pure,
@@ -47,7 +48,7 @@ class InputError(F2Error, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the expression grammar and square-and-multiply
+# the expression grammar, square-and-multiply and bilinear products
 # ---------------------------------------------------------------------------
 
 # a comma-separated list of non-negative integers, possibly empty, as a group
@@ -98,6 +99,28 @@ def power(x, e: int, one, mul: Callable, square: Callable):
         if e:
             x = square(x)
     return one if result is None else result
+
+
+def bilinear(p: Iterable, q: Iterable, product: Callable) -> frozenset:
+    """The F2-sum of product(a, b), itself a set of terms, over every term a
+    of p and b of q: a term produced an even number of times cancels."""
+    acc: set = set()
+    for a in p:
+        for b in q:
+            acc ^= product(a, b)
+    return frozenset(acc)
+
+
+def tensor(product: Callable) -> Callable:
+    """The product of pair terms, factor by factor: (a, b)(c, d) is every
+    pair of a term of product(a, c) and a term of product(b, d)."""
+
+    def pair_product(x: tuple, y: tuple) -> set:
+        (a, b), (c, d) = x, y
+        right = product(b, d)
+        return {(left, r) for left in product(a, c) for r in right}
+
+    return pair_product
 
 
 # ---------------------------------------------------------------------------

@@ -65,16 +65,11 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
         for w in words:
             x = SteenrodElement.from_words([w])
             delta = x.coproduct()
-            left = {}
-            right = {}
+            left, right = set(), set()
             for (a, b) in delta.pairs:
-                for (a1, a2) in algebra.coproduct_word(a):
-                    key = (a1, a2, b)
-                    left[key] = left.get(key, 0) ^ 1
-                for (b1, b2) in algebra.coproduct_word(b):
-                    key = (a, b1, b2)
-                    right[key] = right.get(key, 0) ^ 1
-            if {k for k, v in left.items() if v} != {k for k, v in right.items() if v}:
+                left ^= {(a1, a2, b) for a1, a2 in algebra.coproduct_word(a)}
+                right ^= {(a, b1, b2) for b1, b2 in algebra.coproduct_word(b)}
+            if left != right:
                 yield str(x)
 
     def algebra_map_failures():

@@ -262,6 +262,40 @@ class TestAntipode:
             assert x.antipode().antipode() == x
 
 
+def raw_splits(word):
+    """Componentwise splittings of a word, zero entries dropped."""
+    if not word:
+        yield ((), ())
+        return
+    for left, right in raw_splits(word[1:]):
+        for a in range(word[0] + 1):
+            b = word[0] - a
+            yield ((a,) + left if a else left, (b,) + right if b else right)
+
+
+@lru_cache(maxsize=None)
+def raw_split_antipode(word):
+    """Oracle: chi as it was computed before it read coproduct_word, over raw
+    componentwise splittings normalized one side at a time."""
+    if not word:
+        return frozenset({()})
+    acc = set()
+    for l_raw, r_raw in raw_splits(word):
+        if sum(l_raw) == sum(word):
+            continue
+        for lw in normalize_word(l_raw):
+            for chi_lw in raw_split_antipode(lw):
+                acc ^= normalize_word(chi_lw + r_raw)
+    return frozenset(acc)
+
+
+class TestAntipodeAgainstTheRawSplitRecursion:
+    @pytest.mark.parametrize("degree", range(19))
+    def test_antipode_matches_the_raw_split_recursion(self, degree):
+        for w in admissible_basis(degree):
+            assert SteenrodElement.from_words([w]).antipode().words == raw_split_antipode(w), w
+
+
 def xi_monomial_count(n):
     """Oracle: partitions of n into parts 2^k - 1 (enumerated directly)."""
     parts = []

@@ -249,6 +249,8 @@ def lines_outside_f2(sources: dict[str, str], pattern: str) -> list[str]:
 # the one square-and-multiply
 TERM_SPLIT = r"""split\(\s*["']\*["']\s*\)"""
 HALVING = r">>=\s*1\b"
+# a term joins an F2-sum by ^=, and f2.bilinear is the one product of two sums
+TOGGLE = r"\.discard\(|symmetric_difference_update"
 
 
 def test_only_f2_splits_a_term_on_star():
@@ -259,6 +261,11 @@ def test_only_f2_splits_a_term_on_star():
 def test_only_f2_halves_an_exponent():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert lines_outside_f2(sources, HALVING) == []
+
+
+def test_only_f2_toggles_a_term():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert lines_outside_f2(sources, TOGGLE) == []
 
 
 def test_the_guard_sees_a_pasted_term_split():
@@ -286,6 +293,23 @@ def test_the_guard_sees_a_pasted_power_loop():
     )
     sources = {"a.py": pasted, "f2.py": pasted}
     assert lines_outside_f2(sources, HALVING) == ["a.py:7"]
+
+
+def test_the_guard_sees_a_pasted_toggle_loop():
+    pasted = (
+        "def mul(p, q):\n"
+        "    acc = set()\n"
+        "    for a in p:\n"
+        "        for b in q:\n"
+        "            if a + b in acc:\n"
+        "                acc.discard(a + b)\n"
+        "            else:\n"
+        "                acc.add(a + b)\n"
+        "    acc.symmetric_difference_update(p)\n"
+        "    return acc ^ {0}\n"
+    )
+    sources = {"a.py": pasted, "f2.py": pasted}
+    assert lines_outside_f2(sources, TOGGLE) == ["a.py:6", "a.py:9"]
 
 
 TABLE_READERS = (

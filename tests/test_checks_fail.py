@@ -5,9 +5,11 @@ expects each named row to fail with the witness its search meets first, or
 with the certificate it read.
 """
 
+from functools import lru_cache
+
 import pytest
 
-from steenrod import bundles, charclass, dual, f2, modules, verify
+from steenrod import algebra, bundles, charclass, dual, f2, modules, verify
 from steenrod.algebra import SteenrodElement
 
 
@@ -41,6 +43,46 @@ def pairing_matrices_transposed_in_degrees_3_and_5(monkeypatch):
     # the Milnor primitives are rebuilt from the corrupted matrices, and the
     # cached ones are neither read nor overwritten
     monkeypatch.setattr(dual, "milnor_primitive", dual.milnor_primitive.__wrapped__)
+
+
+def sq21_loses_its_sq1_sq2_term(monkeypatch):
+    """coproduct_word of Sq^2 Sq^1 without its term Sq^1 (x) Sq^2."""
+    coproduct_word = algebra.coproduct_word
+    monkeypatch.setattr(
+        algebra,
+        "coproduct_word",
+        lambda w: coproduct_word(w) - {((1,), (2,))} if w == (2, 1) else coproduct_word(w),
+    )
+    # the antipode recursion reads the corrupted coproduct into a cache of
+    # its own, and the shared one is neither read nor overwritten
+    antipode_word = lru_cache(maxsize=None)(algebra._antipode_word.__wrapped__)
+    monkeypatch.setattr(algebra, "_antipode_word", antipode_word)
+
+
+def dual_tensor_right_factors_times_left_factors(monkeypatch):
+    """(a, b)(c, d) read as a c (x) b c in the product of dual tensors."""
+    xi_product = dual._xi_product
+    monkeypatch.setattr(
+        dual,
+        "_xi_pair_product",
+        lambda x, y: {(lm, rm) for lm in xi_product(x[0], y[0]) for rm in xi_product(x[1], y[0])},
+    )
+    monkeypatch.setattr(dual, "_monomial_coproduct", dual._monomial_coproduct.__wrapped__)
+
+
+def pairing_flipped_in_degree_3(monkeypatch):
+    """Every <xi^E, Sq^I> with I of degree 3 flipped, recursion included."""
+    # the bases of the sub-Hopf algebras read the pairing through the cached
+    # Milnor primitives: build them from the true one first
+    for kind, n in (("A", 0), ("A", 1), ("E", 1)):
+        dual.basis_of(dual.SubHopfAlgebra(kind, n))
+    pair_mono_word = dual._pair_mono_word.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def corrupted(mono, word):
+        return pair_mono_word(mono, word) ^ (sum(word) == 3)
+
+    monkeypatch.setattr(dual, "_pair_mono_word", corrupted)
 
 
 def transfer_off_by_one(name, degrees):
@@ -157,6 +199,16 @@ ENTRIES = [
         id="hopf-chi-of-sq1-is-zero",
     ),
     pytest.param(
+        "hopf",
+        sq21_loses_its_sq1_sq2_term,
+        {
+            "coassociativity through degree 12": "Sq[2,1]",
+            "coproduct is an algebra map through degree 12": "Sq[1] (x) Sq[2,1]",
+            "antipode is an involution through degree 12": "Sq[3]",
+        },
+        id="hopf-sq21-loses-a-coproduct-term",
+    ),
+    pytest.param(
         "pairing",
         milnor_coordinates_lost_in_degrees_3_and_5,
         {"basis conversion round-trip through degree 12": "Sq[3]"},
@@ -171,6 +223,22 @@ ENTRIES = [
             "milnor primitives commute": "Q0 Q1",
         },
         id="pairing-matrices-transposed",
+    ),
+    pytest.param(
+        "pairing",
+        dual_tensor_right_factors_times_left_factors,
+        {
+            "coproduct of xi_2": "got DualTensor(pairs=frozenset({((), ()), ((0, 1), (0, 1)),"
+            " ((2,), (2,))})), want DualTensor(pairs=frozenset({((2,), (1,)), ((0, 1), ()),"
+            " ((), (0, 1))}))"
+        },
+        id="pairing-dual-tensor-product-crossed",
+    ),
+    pytest.param(
+        "dual-quotients",
+        pairing_flipped_in_degree_3,
+        {"A(1): generator products lie in the cotensor through degree 16": "xi[8,2]"},
+        id="dual-quotients-pairing-flipped-in-degree-3",
     ),
     pytest.param(
         "cp2-transfer",

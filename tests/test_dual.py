@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from steenrod.algebra import SteenrodElement, admissible_basis
+from steenrod.algebra import SteenrodElement, admissible_basis, normalize_word
 from steenrod.dual import (
     DualElement,
     DualTensor,
@@ -136,6 +138,56 @@ class TestPairing:
     def test_pairing_on_unnormalized_words(self):
         # defined after applying the Adem relations
         assert pair(xi(1) ** 3, (1, 2)) == pair(xi(1) ** 3, Sq(3))
+
+
+def splits_of_degree(word, target):
+    """Componentwise splittings (J1, J2) of word with deg(J2) = target."""
+    if not word:
+        if target == 0:
+            yield ((), ())
+        return
+    head, tail = word[0], word[1:]
+    for b in range(min(head, target) + 1):
+        a = head - b
+        for left, right in splits_of_degree(tail, target - b):
+            yield ((a,) + left if a else left, (b,) + right if b else right)
+
+
+def pair_xi_word(n, word):
+    """<xi_n, Sq^word>: the coefficient of (2^(n-1), ..., 2, 1) in the normal form."""
+    return 1 if tuple(1 << k for k in range(n - 1, -1, -1)) in normalize_word(word) else 0
+
+
+@lru_cache(maxsize=None)
+def split_pairing(mono, word):
+    """Oracle: the pairing as it was computed before it read coproduct_word,
+    peeling xi_n off against raw componentwise splittings of the word."""
+    if xi_degree(mono) != sum(word):
+        return 0
+    if not mono:
+        return 1 if () in normalize_word(word) else 0
+    n = len(mono)
+    if sum(1 for j in mono if j) == 1 and mono[-1] == 1:
+        return pair_xi_word(n, word)
+    peeled = mono[:-1] + (mono[-1] - 1,)
+    while peeled and peeled[-1] == 0:
+        peeled = peeled[:-1]
+    total = 0
+    for left, right in splits_of_degree(word, (1 << n) - 1):
+        if pair_xi_word(n, right):
+            total ^= split_pairing(peeled, left)
+    return total
+
+
+class TestPairingAgainstTheSplitRecursion:
+    @pytest.mark.parametrize("degree", range(21))
+    def test_pairing_matrix_matches_the_split_recursion(self, degree):
+        monos, words, matrix = pairing_matrix(degree)
+        assert monos == xi_monomials(degree)
+        assert words == admissible_basis(degree)
+        assert matrix.rows == tuple(
+            sum(split_pairing(m, w) << j for j, w in enumerate(words)) for m in monos
+        )
 
 
 class TestMilnorConversion:

@@ -1,18 +1,21 @@
 import random
 import re
 import time
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrod.algebra import SteenrodElement, parse_element
+from steenrod.algebra import SteenrodElement, normalize_word, parse_element
 from steenrod.bundles import chern_root_model, rank_one_model
 from steenrod.charclass import mono_from, poly_pow
 from steenrod.cli import PRESETS, main
 from steenrod.dual import (
     ZETA_MAX,
     DualElement,
+    DualTensor,
     dual_coproduct,
     parse_dual,
     parse_milnor_operator,
@@ -33,11 +36,13 @@ from steenrod.f2 import (
     RingMismatchError,
     ShapeError,
     WeightedPolyRing,
+    bilinear,
     geometric_series_product,
     ints,
     parse_sum,
     power,
     series_of_ring,
+    tensor,
 )
 
 
@@ -646,6 +651,46 @@ class TestGrammarAndPower:
         with pytest.raises(F2Error, match="^negative exponent$") as err:
             raise_power()
         assert isinstance(err.value, ValueError)
+
+
+def add(a, b):
+    return {a + b}
+
+
+class TestBilinearAndTensor:
+    """bilinear is the one product of F2-sums of terms, tensor the one product
+    of pair terms: every multiply of sums outside the packed kernels goes
+    through them."""
+
+    def test_a_term_produced_twice_cancels(self):
+        # 1 + 4 and 2 + 3 both give 5
+        assert bilinear({1, 2}, {3, 4}, add) == frozenset({4, 6})
+        assert bilinear({0, 1}, {0, 1}, add) == frozenset({0, 2})
+
+    def test_an_empty_factor_gives_zero(self):
+        assert bilinear(set(), {1, 2}, add) == frozenset()
+        assert bilinear({1, 2}, (), add) == frozenset()
+        assert bilinear({1}, {2}, lambda a, b: set()) == frozenset()
+
+    def test_tensor_pairs_every_term_of_both_factor_products(self):
+        def compose(a, b):
+            return normalize_word(a + b)
+
+        # Sq2 Sq1 Sq2 = Sq4 Sq1 + Sq5 on both sides
+        assert normalize_word((2, 1, 2)) == {(4, 1), (5,)}
+        got = tensor(compose)(((2,), (2, 1)), ((1, 2), (2,)))
+        assert got == {(a, b) for a in ((4, 1), (5,)) for b in ((4, 1), (5,))}
+        assert tensor(add)((1, 2), (3, 4)) == {(4, 6)}
+
+    def test_bilinear_over_tensor_cancels_pairs(self):
+        p = {(0, 1), (1, 0)}
+        # (x (x) 1 + 1 (x) x)^2 = x^2 (x) 1 + 1 (x) x^2: the cross pairs cancel
+        assert bilinear(p, p, tensor(add)) == frozenset({(0, 2), (2, 0)})
+
+    @pytest.mark.parametrize("e", range(6))
+    def test_a_dual_tensor_power_is_the_e_fold_product(self, e):
+        t = dual_coproduct(DualElement.xi(2) + DualElement.xi(1) ** 3)
+        assert t ** e == reduce(mul, [t] * e, DualTensor.one())
 
 
 class TestSeries:
