@@ -49,8 +49,11 @@ class TotalSquare:
     monomial at min(d + 1, top - d + 1) components is exact through the top
     (without a top, at d + 1, where instability ends every list anyway).
     Component k of a product reads only components <= k of its factors, so
-    a request through upto (Sq^k asks for k) cuts every partial product at
-    upto + 1, exactly; a longer request later rebuilds at least double that.
+    a request through upto cuts every partial product at upto + 1, exactly;
+    a longer request later rebuilds at least double that.  Hence the rule
+    for callers: ask once, for the longest square you will read.  Sq^k asks
+    through k, and SqAlgebraPresentation.squares(f, upto) reads Sq^0 f, ...,
+    Sq^upto f from one request per monomial.
     """
 
     def __init__(
@@ -90,24 +93,25 @@ class TotalSquare:
         cut, comps = self._monos.get(mono, (0, []))
         if cut < want:
             cut = min(max(want, 2 * cut), size)
-            comps = [frozenset({0})]
-            mask = (1 << self.field) - 1
-            for j in range((mono.bit_length() + self.field - 1) // self.field):
-                e = mono >> (self.field * j) & mask
-                for a in range(e.bit_length()):
-                    if e >> a & 1:
-                        block = self._block(j, a)
-                        n = min(len(comps) + len(block) - 1, cut)
-                        out: list[set[int]] = [set() for _ in range(n)]
-                        for x, cx in enumerate(comps):
-                            if not cx:
-                                continue
-                            for y, cy in enumerate(block[: n - x]):
-                                if cy:
-                                    o = out[x + y]
-                                    for u in cx:
-                                        o ^= {u + v for v in cy}
-                        comps = [frozenset(c) for c in out]
+            bits, blocks = mono, []  # bit a of field j: the block of g_j^(2^a)
+            while bits:
+                b = (bits & -bits).bit_length() - 1
+                blocks.append(self._block(*divmod(b, self.field)))
+                bits &= bits - 1
+            prod = blocks[0][:cut] if blocks else [{0}]  # the first block as it is
+            for block in blocks[1:]:
+                n = min(len(prod) + len(block) - 1, cut)
+                out: list[set[int]] = [set() for _ in range(n)]
+                for x, cx in enumerate(prod):
+                    if not cx:
+                        continue
+                    for y, cy in enumerate(block[: n - x]):
+                        if cy:
+                            o = out[x + y]
+                            for u in cx:
+                                o ^= {u + v for v in cy}
+                prod = out
+            comps = [frozenset(c) for c in prod]
             self._monos[mono] = (cut, comps)
         return comps
 
@@ -184,7 +188,22 @@ class SqAlgebraPresentation:
                 raise ValueError(f"degree {deg} passes the packed limit {LIMIT // 2 - 1}")
         return out
 
+    def _sums(self, f: F2Poly, lo: int, upto: int) -> list[set[int]]:
+        """Packed Sq^lo f, ..., Sq^upto f, from one components call through
+        upto per monomial of degree lo or more."""
+        monos = self._monomials(f)  # checked before the list is made
+        acc: list[set[int]] = [set() for _ in range(lo, upto + 1)]
+        for mono, deg in monos:
+            if lo <= deg:
+                for a, c in zip(acc, self._square.components(mono, deg, upto)[lo:]):
+                    a ^= c
+        return acc
+
     # -- public action --------------------------------------------------------
+
+    def squares(self, f: F2Poly, upto: int) -> list[F2Poly]:
+        """Sq^0 f, Sq^1 f, ..., Sq^upto f, from one cut list per monomial."""
+        return [F2Poly(self.ring, frozenset(a)) for a in self._sums(f, 0, upto)]
 
     def sq(self, k: int, f: F2Poly) -> F2Poly:
         """Sq^k applied to a polynomial of this ring."""
@@ -192,21 +211,11 @@ class SqAlgebraPresentation:
             raise PresentationError("Sq index must be >= 0")
         if f.ring != self.ring:
             raise PresentationError("polynomial lives in the wrong ring")
-        if k == 0:
-            return f
-        acc: set[int] = set()
-        for mono, deg in self._monomials(f):
-            if k <= deg:
-                acc ^= self._square.components(mono, deg, k)[k]
-        return F2Poly(self.ring, frozenset(acc))
+        return f if k == 0 else F2Poly(self.ring, frozenset(self._sums(f, k, k)[0]))
 
     def total_sq(self, f: F2Poly) -> F2Poly:
         """The finite sum (1 + Sq^1 + Sq^2 + ...) applied to f."""
-        acc: set[int] = set()
-        for mono, deg in self._monomials(f):
-            for c in self._square.components(mono, deg):
-                acc ^= c
-        return F2Poly(self.ring, frozenset(acc))
+        return sum(self.squares(f, f.degree()), self.ring.zero())
 
     def act(self, element: SteenrodElement, f: F2Poly) -> F2Poly:
         """A Steenrod algebra element applied to f: each admissible word
@@ -270,19 +279,19 @@ def check_presentation(
         for d in range(degree_max + 1):
             for mono in p.ring.monomials_of_degree(d):
                 f = F2Poly(p.ring, frozenset({mono}))
-                if p.sq(d, f) != f * f:
-                    yield f"Sq^{d}({f}) != square"
                 n_cap = min(d, adem_max) if adem_max is not None else d
+                # sq[i][k] = Sq^k Sq^i f, through the longest either side reads
+                sq = [p.squares(f, max(d, 3 * n_cap - 1))]
+                sq += [p.squares(sq[0][i], 3 * n_cap - 1) for i in range(1, n_cap + 1)]
+                if sq[0][d] != f * f:
+                    yield f"Sq^{d}({f}) != square"
                 for n in range(1, n_cap + 1):
-                    sq_n_f = p.sq(n, f)
-                    # highest m first: each monomial of sq_n_f is squared once
-                    lhs = {m: p.sq(m, sq_n_f) for m in range(2 * n - 1, 0, -1)}
                     for m in range(1, 2 * n):
                         rhs = p.ring.zero()
                         for i in range(m // 2 + 1):
                             if binom_mod2(n - i - 1, m - 2 * i):
-                                rhs = rhs + p.sq(m + n - i, p.sq(i, f))
-                        if lhs[m] != rhs:
+                                rhs = rhs + sq[i][m + n - i]
+                        if sq[n][m] != rhs:
                             yield f"Adem relation Sq^{m} Sq^{n} fails on {f}"
 
     return first_failure(f"action consistent through degree {degree_max}", failures())
@@ -324,8 +333,9 @@ class AlgebraMap:
         def failures():
             for name, deg in self.source.ring.generators:
                 g = self.source.ring.gen(name)
-                for k in range(1, deg + 1):
-                    if self.apply(self.source.sq(k, g)) != self.target.sq(k, self.apply(g)):
+                there = self.target.squares(self.apply(g), deg)
+                for k, here in enumerate(self.source.squares(g, deg)[1:], start=1):
+                    if self.apply(here) != there[k]:
                         yield f"Sq^{k}({name}) fails to commute"
 
         return first_failure("Sq-equivariant on generators", failures())

@@ -58,6 +58,10 @@ def xi_sort_key(mono: XiMonomial):
     return (len(mono), tuple(reversed(mono)))
 
 
+def _xi_str(mono: XiMonomial) -> str:
+    return "1" if not mono else "xi[" + ",".join(map(str, mono)) + "]"
+
+
 @lru_cache(maxsize=None)
 def xi_monomials(degree: int) -> tuple[XiMonomial, ...]:
     """All exponent tuples of the given degree, canonically ordered."""
@@ -149,12 +153,7 @@ class DualElement:
         return degs.pop()
 
     def __str__(self) -> str:
-        if not self.monomials:
-            return "0"
-        parts = []
-        for m in sorted(self.monomials, key=xi_sort_key):
-            parts.append("1" if not m else "xi[" + ",".join(map(str, m)) + "]")
-        return " + ".join(parts)
+        return " + ".join(map(_xi_str, sorted(self.monomials, key=xi_sort_key))) or "0"
 
     def __repr__(self):
         return f"DualElement({self})"
@@ -197,6 +196,10 @@ class DualTensor:
 
     def __pow__(self, e: int) -> "DualTensor":
         return power(self, e, DualTensor.one(), DualTensor.__mul__, DualTensor.square)
+
+    def __str__(self) -> str:
+        ordered = sorted(self.pairs, key=lambda p: (xi_sort_key(p[0]), xi_sort_key(p[1])))
+        return " + ".join(f"{_xi_str(a)} (x) {_xi_str(b)}" for a, b in ordered) or "0"
 
 
 @lru_cache(maxsize=None)

@@ -162,11 +162,11 @@ class FiniteModule:
         return sum(self.dims)
 
     def op_matrix(self, op: str, degree: int) -> F2Matrix:
-        shift = self.spec.ops[op]
         i = degree - self.dmin
-        if 0 <= i < len(self.dims):
-            return dict(self.ops)[op][i]
-        return F2Matrix.zero(self.dim(degree + shift), self.dim(degree))
+        for name, mats in self.ops:
+            if name == op and 0 <= i < len(mats):
+                return mats[i]
+        return F2Matrix.zero(self.dim(degree + self.spec.ops[op]), self.dim(degree))
 
     def reliable_max(self) -> int:
         return self.dmax - EDGE_MARGIN if self.truncated else self.dmax
@@ -428,7 +428,8 @@ def from_presentation(
 
     spec = _spec(algebra)
     mats_by_op = {}
-    for op, shift in spec.ops.items():
+    # the longest shift first: each monomial's cut list is built once
+    for op, shift in sorted(spec.ops.items(), key=lambda item: -item[1]):
         act = spec.element(op)
         mats = []
         for d in range(dmin, dmax + 1):

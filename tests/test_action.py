@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steenrod import bundles, modules, verify
 from steenrod.action import (
     AlgebraMap,
     Check,
@@ -11,6 +14,7 @@ from steenrod.action import (
     check_presentation,
     first_failure,
 )
+from steenrod.algebra import binom_mod2
 from steenrod.cli import PRESETS
 from steenrod.f2 import FIELD, LIMIT, F2Poly, WeightedPolyRing
 
@@ -82,6 +86,63 @@ def convolution_oracle(p):
     return components
 
 
+def fresh_engine(p):
+    """A TotalSquare for presentation p with empty caches (the presets are
+    shared, and so are their engines)."""
+    return TotalSquare(p._gen, p.ring.degrees.__getitem__, FIELD)
+
+
+def sq_oracle(p, k, f):
+    """The per-monomial Sq^k loop that squares() replaced, on an engine of
+    its own: component k of each monomial's list, through k."""
+    if k == 0:
+        return f
+    engine = fresh_engine(p)
+    acc = set()
+    for mono in f.monomials:
+        deg = p.ring.monomial_degree(mono)
+        if k <= deg:
+            acc ^= engine.components(mono, deg, k)[k]
+    return F2Poly(p.ring, frozenset(acc))
+
+
+def check_presentation_oracle(p, degree_max, adem_max=None):
+    """The per-k check_presentation that reading one squares() list per
+    class replaced: Sq^i f asked again for every (n, m, i)."""
+
+    def failures():
+        for d in range(degree_max + 1):
+            for mono in p.ring.monomials_of_degree(d):
+                f = F2Poly(p.ring, frozenset({mono}))
+                if p.sq(d, f) != f * f:
+                    yield f"Sq^{d}({f}) != square"
+                n_cap = min(d, adem_max) if adem_max is not None else d
+                for n in range(1, n_cap + 1):
+                    sq_n_f = p.sq(n, f)
+                    lhs = {m: p.sq(m, sq_n_f) for m in range(2 * n - 1, 0, -1)}
+                    for m in range(1, 2 * n):
+                        rhs = p.ring.zero()
+                        for i in range(m // 2 + 1):
+                            if binom_mod2(n - i - 1, m - 2 * i):
+                                rhs = rhs + p.sq(m + n - i, p.sq(i, f))
+                        if lhs[m] != rhs:
+                            yield f"Adem relation Sq^{m} Sq^{n} fails on {f}"
+
+    return first_failure(f"action consistent through degree {degree_max}", failures())
+
+
+def corrupted_t2_t3_ring():
+    """Sq^1(t2) = 0 instead of t3: breaks Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1."""
+    ring = WeightedPolyRing.make(("t2", 2), ("t3", 3))
+    return SqAlgebraPresentation.build(
+        ring,
+        {
+            "t2": {1: "0", 2: "t2^2"},
+            "t3": {1: "0", 2: "t2*t3", 3: "t3^2"},
+        },
+    )
+
+
 ORACLE_MODELS = {
     **PRESETS,
     "rank-one-3": lambda: rank_one_model(3),
@@ -118,10 +179,63 @@ class TestEngineAgainstOracle:
             assert p.total_sq(p.ring.from_monomials(chunk)) == want, (name, chunk)
 
 
-def fresh_engine(p):
-    """A TotalSquare for presentation p with empty caches (the presets are
-    shared, and so are their engines)."""
-    return TotalSquare(p._gen, p.ring.degrees.__getitem__, FIELD)
+class TestSquaresAgainstOracle:
+    """squares(f, k) against the per-monomial Sq^k loop it replaced."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_every_prefix_for_every_monomial_through_12(self, name):
+        p = ORACLE_MODELS[name]()
+        for d in range(13):
+            for mono in p.ring.monomials_of_degree(d):
+                f = F2Poly(p.ring, frozenset({mono}))
+                want = [sq_oracle(p, i, f) for i in range(d + 2)]
+                for k in range(d + 2):
+                    assert p.squares(f, k) == want[: k + 1], (name, f, k)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MODELS))
+    def test_sums_of_monomials(self, name):
+        p = ORACLE_MODELS[name]()
+        monos = [m for d in range(1, 9) for m in p.ring.monomials_of_degree(d)]
+        for start in range(0, len(monos), 5):
+            chunk = monos[start : start + 7]
+            f = F2Poly(p.ring, frozenset(chunk))
+            upto = max(map(p.ring.monomial_degree, chunk)) + 1
+            want = [sq_oracle(p, i, f) for i in range(upto + 1)]
+            assert p.squares(f, upto) == want, (name, f)
+            assert [p.sq(i, f) for i in range(upto + 1)] == want, (name, f)
+
+
+class TestCheckAgainstOracle:
+    """check_presentation against the per-k check it replaced: the same
+    Check, ok and first witness alike."""
+
+    @pytest.mark.parametrize(
+        "build, degree_max, adem_max",
+        [
+            (bundles.bpsp3_presentation, 24, 4),
+            (lambda: rank_one_model(2), 8, None),
+            (corrupted_t2_t3_ring, 8, None),
+        ],
+        ids=["bpsp3", "rank-one-2", "corrupted-t2-t3"],
+    )
+    def test_models(self, build, degree_max, adem_max):
+        p = build()
+        want = check_presentation_oracle(p, degree_max, adem_max)
+        assert check_presentation(p, degree_max, adem_max) == want
+
+    def test_every_single_monomial_toggle_of_a_declared_square_of_bpsp3(self):
+        p = bundles.bpsp3_presentation()
+        failing = 0
+        for i, (_, deg) in enumerate(p.ring.generators):
+            for k in range(1, deg):
+                for mono in p.ring.monomials_of_degree(deg + k):
+                    rows = [list(row) for row in p.action]
+                    rows[i][k - 1] = rows[i][k - 1] + F2Poly(p.ring, frozenset({mono}))
+                    bad = SqAlgebraPresentation(p.ring, tuple(map(tuple, rows)))
+                    got = check_presentation(bad, 12, adem_max=4)
+                    assert got == check_presentation_oracle(bad, 12, adem_max=4), (i, k, mono)
+                    failing += not got.ok
+        assert failing > 0
 
 
 class TestTruncatedComponents:
@@ -168,6 +282,45 @@ class TestTruncatedComponents:
         (mono,) = f.monomials
         _, comps = p._square._monos[mono]
         assert len(comps) <= 2
+
+
+def count_builds(monkeypatch):
+    """The monomials whose cut list grows, one entry per build, from here on."""
+    builds = []
+    components = TotalSquare.components
+
+    def counted(engine, mono, deg, upto=None):
+        cut = engine._monos.get(mono, (0,))[0]
+        comps = components(engine, mono, deg, upto)
+        if engine._monos[mono][0] > cut:
+            builds.append(mono)
+        return comps
+
+    monkeypatch.setattr(TotalSquare, "components", counted)
+    return builds
+
+
+class TestBuildCounts:
+    """Each caller asks once, for the longest square it will read."""
+
+    def test_a1_module_of_bpsp3_builds_each_list_once(self, monkeypatch):
+        p = bundles.bpsp3_presentation()
+        fresh = SqAlgebraPresentation(p.ring, p.action)
+        builds = count_builds(monkeypatch)
+        modules.from_presentation(fresh, "A1", (0, 40))
+        assert builds and len(builds) == len(set(builds))
+
+    def test_bpsp_model_suite_builds_at_most_500_lists(self, monkeypatch):
+        # every presentation the suite reads, built afresh into caches of
+        # its own: the shared ones are neither read nor overwritten
+        cached = ("restriction_model", "bpsp3_presentation", "hp2_total_presentation", "hp2_bundle")
+        for name in cached:
+            fresh = lru_cache(maxsize=None)(getattr(bundles, name).__wrapped__)
+            monkeypatch.setattr(bundles, name, fresh)
+        builds = count_builds(monkeypatch)
+        rows = verify.suite_bpsp_model()
+        assert all(c.ok for c in rows)
+        assert len(builds) <= 500
 
 
 class TestPackedGuard:
@@ -293,16 +446,7 @@ class TestChecker:
         assert check_presentation(p, 5).ok
 
     def test_corrupted_action_reports_witness(self):
-        # Sq^1(t2) = 0 instead of t3 breaks Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1
-        ring = WeightedPolyRing.make(("t2", 2), ("t3", 3))
-        bad = SqAlgebraPresentation.build(
-            ring,
-            {
-                "t2": {1: "0", 2: "t2^2"},
-                "t3": {1: "0", 2: "t2*t3", 3: "t3^2"},
-            },
-        )
-        report = check_presentation(bad, 8)
+        report = check_presentation(corrupted_t2_t3_ring(), 8)
         assert not report.ok
         assert report.witness
 
