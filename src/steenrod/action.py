@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing
+from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing, binom_mod2
 
 if TYPE_CHECKING:
     from .algebra import SteenrodElement
@@ -273,8 +273,6 @@ def check_presentation(
     each monomial (Sq^1 Sq^1 = 0 and Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1 among them).
     Vanishing above the degree holds by construction: sq skips those terms.
     """
-    from .algebra import binom_mod2
-
     def failures():
         for d in range(degree_max + 1):
             for mono in p.ring.monomials_of_degree(d):

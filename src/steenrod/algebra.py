@@ -21,16 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .f2 import INTS, bilinear, ints, parse_sum, tensor
+from .f2 import INTS, bilinear, binom_mod2, ints, parse_sum, tensor
 
 Word = tuple[int, ...]
-
-
-def binom_mod2(a: int, b: int) -> int:
-    """C(a, b) mod 2 by Lucas: 1 iff the bits of b sit inside the bits of a."""
-    if b < 0 or b > a:
-        return 0
-    return 1 if (a & b) == b else 0
 
 
 def word_degree(word: Word) -> int:

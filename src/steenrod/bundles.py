@@ -14,10 +14,20 @@ Steenrod actions are *derived* rather than declared:
         classes t2 = x1^2 + x1 x2 + x2^2, t3 = x1 x2 (x1 + x2) and the
         quartic classes s1, s2; the action tables drop out of the model.
 
-Leray-Hirsch makes the total ring a free base module on classes of fiber
-degrees 0, k/2, k; integration along the fiber extracts the top coefficient
-of that expansion and drops degrees by k.  The module property
-pi_!(pi^*(y) x) = y pi_!(x) holds on the nose and is tested.
+Leray-Hirsch (Hatcher, Algebraic Topology, Thm. 4D.1) makes the total ring
+a free base module on classes b_i of fiber degrees 0, k/2, k; integration
+along the fiber extracts the top coefficient of that expansion and drops
+degrees by k.  The expansions are read from the regular representation:
+multiplication by a total generator v_j is base-linear, with a 3 x 3 matrix
+M_j over the base read from exact solves of v_j b_i (degrees at most 16 for
+hp2, 8 for cp2), so a monomial v_j m has the coefficients M_j times those of
+m.  This is exact because expansions are unique and pi^* is a ring map.  The
+basis is certified when the matrices are built: they give every monomial an
+expansion, so the products pi^*(mono) b_i span each degree, and the count
+sum_i dim R_(n - |b_i|) = dim S_n through the cap makes them a basis.  The
+elimination of a whole degree slice is kept for the base case and as the
+test oracle; dependent products there raise BundleError.  The module
+property pi_!(pi^*(y) x) = y pi_!(x) holds on the nose and is tested.
 
 The verification reports re-derive the classical identities these presets
 rest on (total Stiefel-Whitney classes of the restricted representations,
@@ -34,7 +44,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq, first_failure
-from .f2 import F2Index, F2Poly, F2Span, WeightedPolyRing
+from .f2 import FIELD, F2Index, F2Poly, F2Span, WeightedPolyRing, series_of_ring
 
 
 class BundleError(Exception):
@@ -46,11 +56,15 @@ class BundleError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _slice_solver(columns, labels):
+def _slice_solver(columns, labels, dependent: str | None = None):
     """Solver in the span of polynomials: p -> the labels of columns summing
-    to p, or None when p lies outside the span."""
+    to p, or None when p lies outside the span.  With a message, dependent
+    columns raise BundleError with it, since a solution would be one of
+    several."""
     index = F2Index()
     span = F2Span([index.bits(p.monomials) for p in columns])
+    if dependent is not None and span.relations:
+        raise BundleError(dependent)
 
     def solve(p: F2Poly):
         sol = span.coords(index.bits(p.monomials))
@@ -241,20 +255,31 @@ class FiberBundleData:
     lh_basis: tuple[F2Poly, ...]
     w_tau: F2Poly
     cap: int = 72
-    _cache: dict = field(
+    # The caches below depend only on fields of this frozen bundle, so they
+    # are exact; a copy made by dataclasses.replace starts with empty ones.
+    # degree -> the solver of its whole slice, the elimination
+    _spans: dict = field(
         default_factory=dict, init=False, compare=False, repr=False, hash=False
     )
-    _pullbacks: dict = field(  # base monomial -> its pullback, as _cache
+    # generator j -> the matrix of multiplication by it, filled all at once
+    _matrices: list = field(
+        default_factory=list, init=False, compare=False, repr=False, hash=False
+    )
+    # packed total monomial -> its Leray-Hirsch coefficients
+    _coefficients: dict = field(
         default_factory=dict, init=False, compare=False, repr=False, hash=False
     )
 
     def lh_reduce(self, f: F2Poly) -> tuple[F2Poly, ...]:
         """The unique coefficients r_i with f = sum pi^*(r_i) b_i.
 
-        The span of the products pi^*(mono) b_i is built once per degree, and
-        each pi^*(mono) once per bundle.  The caches are exact: both depend
-        only on fields of this frozen bundle, and the products form a basis of
-        the slice, so every expansion read from the span is the unique one.
+        They are read from the regular representation of the total ring over
+        the base: multiplication by the total generator v_j sends b_i to
+        sum_l pi^*(M_j[l][i]) b_l, so a monomial v_j m has the coefficients
+        M_j times those of m, since pi^* is a ring map.  Each monomial's
+        coefficients are computed once, from those of the monomial with its
+        first factor removed, and f's are their sum.  See _representation
+        for the base case and the certificate that makes them unique.
         """
         if f.ring != self.total.ring:
             raise BundleError("element lives in the wrong ring")
@@ -265,23 +290,14 @@ class FiberBundleData:
         n = f.degree()
         if n > self.cap:
             raise BundleError(f"degree {n} exceeds the cap {self.cap}")
-        if n not in self._cache:
-            columns, labels = [], []
-            for i, b in enumerate(self.lh_basis):
-                for mono in self.base.ring.monomials_of_degree(n - b.degree()):
-                    if mono not in self._pullbacks:
-                        base_class = F2Poly(self.base.ring, frozenset({mono}))
-                        self._pullbacks[mono] = self.pullback.apply(base_class)
-                    columns.append(self._pullbacks[mono] * b)
-                    labels.append((i, mono))
-            self._cache[n] = _slice_solver(columns, labels)
-        sol = self._cache[n](f)
-        if sol is None:
-            raise BundleError("Leray-Hirsch expansion failed (internal)")
-        out: list[list[int]] = [[] for _ in self.lh_basis]
-        for i, mono in sol:
-            out[i].append(mono)
-        return tuple(F2Poly(self.base.ring, frozenset(monos)) for monos in out)
+        if not self._matrices:
+            self._representation()
+        memo = self._coefficients
+        sums: list[set[int]] = [set() for _ in self.lh_basis]
+        for mono in f.monomials:
+            for acc, c in zip(sums, memo.get(mono) or self._expand(mono)):
+                acc ^= c.monomials
+        return tuple(F2Poly(self.base.ring, frozenset(acc)) for acc in sums)
 
     def fiber_integrate(self, f: F2Poly) -> F2Poly:
         """Integration along the fiber: the top Leray-Hirsch coefficient,
@@ -290,6 +306,76 @@ class FiberBundleData:
         for _, part in f.homogeneous_parts().items():
             acc = acc + self.lh_reduce(part)[-1]
         return acc
+
+    def _expand(self, mono: int) -> tuple[F2Poly, ...]:
+        """Compute and keep the coefficients of a packed monomial missing
+        from the memo: v_j m from m, v_j the monomial's first generator."""
+        j = ((mono & -mono).bit_length() - 1) // FIELD
+        rest = mono - (1 << FIELD * j)
+        coeffs = self._coefficients.get(rest) or self._expand(rest)
+        zero = self.base.ring.zero()
+        out = []
+        for row in self._matrices[j]:
+            acc = zero
+            for entry, c in zip(row, coeffs):
+                if entry.monomials and c.monomials:
+                    acc = acc + entry * c
+            out.append(acc)
+        self._coefficients[mono] = out = tuple(out)
+        return out
+
+    def _representation(self):
+        """Certify the basis and build the multiplication matrices.
+
+        The certificate has two halves.  The matrices and the expansion of 1
+        are read from exact eliminations, so every monomial gets an
+        expansion: the products pi^*(mono) b_i span every degree.  The count
+        sum_i dim R_(n - |b_i|) = dim S_n, through the cap, then makes those
+        products a basis of each slice, so each expansion is the unique one.
+        """
+        base = series_of_ring(self.base.ring, self.cap)
+        total = series_of_ring(self.total.ring, self.cap)
+        for n in range(self.cap + 1):
+            products = sum(base[n - b.degree()] for b in self.lh_basis)
+            if products != total[n]:
+                raise BundleError(
+                    f"{self.name}: {products} Leray-Hirsch products in degree {n},"
+                    f" against a slice of dimension {total[n]}"
+                )
+        one = self._eliminate(self.total.ring.one())
+        matrices = [self._matrix(j) for j in range(self.total.ring.ngens)]
+        self._coefficients[0] = one
+        self._matrices.extend(matrices)
+
+    def _matrix(self, j: int) -> tuple[tuple[F2Poly, ...], ...]:
+        """M_j[l][i], the coefficient of b_l in v_j b_i, for the j-th total
+        generator v_j: a solve in degree at most |v_j| + |b_top|."""
+        v = F2Poly(self.total.ring, frozenset({1 << FIELD * j}))
+        columns = [self._eliminate(v * b) for b in self.lh_basis]
+        return tuple(zip(*columns))
+
+    def _eliminate(self, f: F2Poly) -> tuple[F2Poly, ...]:
+        """The coefficients of homogeneous f by elimination in its whole
+        slice, spanned by the products pi^*(mono) b_i: the base case of the
+        representation and its test oracle.  Dependent products raise, since
+        an expansion read from them would be one of several."""
+        n = f.degree()
+        if n not in self._spans:
+            columns, labels = [], []
+            for i, b in enumerate(self.lh_basis):
+                for mono in self.base.ring.monomials_of_degree(n - b.degree()):
+                    columns.append(self.pullback.apply(F2Poly(self.base.ring, frozenset({mono}))) * b)
+                    labels.append((i, mono))
+            self._spans[n] = _slice_solver(
+                columns, labels, f"{self.name}: the Leray-Hirsch products of degree {n} are dependent"
+            )
+        sol = self._spans[n](f)
+        if sol is None:
+            raise BundleError(f"{self.name}: no Leray-Hirsch expansion in degree {n}")
+        out: list[set[int]] = [set() for _ in self.lh_basis]
+        for i, mono in sol:
+            out[i].add(mono)
+        return tuple(F2Poly(self.base.ring, frozenset(monos)) for monos in out)
 
     def vertical_class_part(self, i: int) -> F2Poly:
         """Degree-i component of the total class of the vertical bundle."""
@@ -345,7 +431,17 @@ def bundle(name: str) -> FiberBundleData:
 
 
 def restriction_model_report() -> list[Check]:
-    """Re-derive the rank-one restriction identities behind the hp2 preset."""
+    """Re-derive the rank-one restriction identities behind the hp2 preset.
+
+    The preset is built first: deriving its presentations asks the model's
+    engine for the longest squares of t8 and t12, so the action table below
+    reads the engine's lists instead of cutting shorter ones to rebuild."""
+    # the derived ring presentations exist and the pullback is equivariant
+    try:
+        hp2_bundle()
+        consistent = Check("hp2 preset consistent", True)
+    except BundleError as exc:  # pragma: no cover - construction failure
+        consistent = Check("hp2 preset consistent", False, str(exc))
     m = restriction_model()
     R = m.pres.ring
     one = R.one()
@@ -399,13 +495,7 @@ def restriction_model_report() -> list[Check]:
         one + (m.t2 * m.t2 + m.u4) + (m.t3 * m.t3 + m.t2 * m.u4) + m.t3 * m.u4 + m.u8
     )
     checks.append(_eq("w(tau) in u-coordinates", wtau_model, u_expected))
-
-    # the derived ring presentations exist and the pullback is equivariant
-    try:
-        hp2_bundle()
-        checks.append(Check("hp2 preset consistent", True))
-    except BundleError as exc:  # pragma: no cover - construction failure
-        checks.append(Check("hp2 preset consistent", False, str(exc)))
+    checks.append(consistent)
     return checks
 
 

@@ -92,8 +92,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
-from .algebra import binom_mod2
-from .f2 import F2Basis, F2Index, F2Span, bilinear, geometric_series_product, power, tensor
+from .f2 import F2Basis, F2Index, F2Span, bilinear, binom_mod2, geometric_series_product, power, tensor
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]

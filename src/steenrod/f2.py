@@ -12,6 +12,8 @@ Every F2-sum of the package reads text through parse_sum (terms joined by `+`,
 factors by `*`), takes powers through power, the one square-and-multiply, and
 multiplies sums of terms through bilinear, with tensor for sums of pairs;
 text outside that grammar and a negative exponent raise InputError.
+binom_mod2, C(a, b) mod 2 by Lucas, is the one binomial of the Adem
+relations and of Wu's formula.
 
 Everything here is immutable after construction and every operation is pure,
 so values may be shared freely between threads or processes, with two
@@ -48,7 +50,7 @@ class InputError(F2Error, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the expression grammar, square-and-multiply and bilinear products
+# the expression grammar, square-and-multiply, binomials and bilinear products
 # ---------------------------------------------------------------------------
 
 # a comma-separated list of non-negative integers, possibly empty, as a group
@@ -99,6 +101,13 @@ def power(x, e: int, one, mul: Callable, square: Callable):
         if e:
             x = square(x)
     return one if result is None else result
+
+
+def binom_mod2(a: int, b: int) -> int:
+    """C(a, b) mod 2 by Lucas: 1 iff the bits of b sit inside the bits of a."""
+    if b < 0 or b > a:
+        return 0
+    return 1 if (a & b) == b else 0
 
 
 def bilinear(p: Iterable, q: Iterable, product: Callable) -> frozenset:

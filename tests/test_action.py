@@ -310,7 +310,7 @@ class TestBuildCounts:
         modules.from_presentation(fresh, "A1", (0, 40))
         assert builds and len(builds) == len(set(builds))
 
-    def test_bpsp_model_suite_builds_at_most_500_lists(self, monkeypatch):
+    def test_bpsp_model_suite_builds_at_most_400_lists(self, monkeypatch):
         # every presentation the suite reads, built afresh into caches of
         # its own: the shared ones are neither read nor overwritten
         cached = ("restriction_model", "bpsp3_presentation", "hp2_total_presentation", "hp2_bundle")
@@ -320,7 +320,7 @@ class TestBuildCounts:
         builds = count_builds(monkeypatch)
         rows = verify.suite_bpsp_model()
         assert all(c.ok for c in rows)
-        assert len(builds) <= 500
+        assert len(builds) <= 400
 
 
 class TestPackedGuard:

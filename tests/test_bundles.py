@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from steenrod import bundles
 from steenrod.action import check_presentation
 from steenrod.bundles import (
     BundleError,
@@ -137,28 +138,46 @@ class TestLerayHirsch:
         other = dataclasses.replace(b.pullback, images=(S.gen("x4"), b.pullback.images[1]))
         assert other.apply(y4 * y4) == S.parse("x4^2")
 
-    def test_reducing_every_degree_pulls_each_base_monomial_back_once(self, monkeypatch):
-        from steenrod.action import AlgebraMap
+    def test_a_dependent_basis_raises(self):
+        b = cp2_bundle()
+        S = b.total.ring
+        x2 = S.gen("x2")
+        # x2^3 = pi^*(y6) + pi^*(y4) x2: the fourth element is no new class
+        broken = dataclasses.replace(b, lh_basis=b.lh_basis + (x2 ** 3,))
+        with pytest.raises(BundleError, match="cp2: 3 Leray-Hirsch products in degree 6, against a slice of dimension 2"):
+            broken.lh_reduce(x2 ** 3)
+        with pytest.raises(BundleError, match="products of degree 6 are dependent"):
+            broken._eliminate(x2 ** 3)
 
-        b = dataclasses.replace(cp2_bundle(), cap=24)  # fresh caches
-        calls = []
-        real = AlgebraMap.apply
-
-        def counting(self, f):
-            calls.append(f)
-            return real(self, f)
-
-        monkeypatch.setattr(AlgebraMap, "apply", counting)
+    @pytest.mark.parametrize("make", [cp2_bundle, hp2_bundle], ids=["cp2", "hp2"])
+    def test_the_representation_agrees_with_elimination_through_degree_40(self, make):
+        b = dataclasses.replace(make(), cap=40)  # fresh caches
         S = b.total.ring
         for d in range(b.cap + 1):
-            for mono in sorted(S.monomials_of_degree(d))[:1]:
+            for mono in S.monomials_of_degree(d):
                 f = F2Poly(S, frozenset({mono}))
-                total = S.zero()
-                for r, basis_elt in zip(b.lh_reduce(f), b.lh_basis):
-                    total = total + real(b.pullback, r) * basis_elt
-                assert total == f
-        assert calls and len(calls) == len(set(calls))
-        assert all(len(f.monomials) == 1 for f in calls)
+                assert b.lh_reduce(f) == b._eliminate(f), (d, S.unpack(mono))
+
+    def test_the_hp2_report_builds_each_matrix_and_expansion_once(self, monkeypatch):
+        b = dataclasses.replace(hp2_bundle())  # fresh caches
+        monkeypatch.setattr(bundles, "hp2_bundle", lambda: b)
+        calls: dict = {"_matrix": [], "_expand": []}
+        for name, seen in calls.items():
+            real = getattr(bundles.FiberBundleData, name)
+
+            def counting(self, key, real=real, seen=seen):
+                seen.append(key)
+                return real(self, key)
+
+            monkeypatch.setattr(bundles.FiberBundleData, name, counting)
+        assert all(c.ok for c in hp2_transfer_report())
+        assert sorted(calls["_matrix"]) == [0, 1, 2, 3]
+        assert calls["_expand"] and len(calls["_expand"]) == len(set(calls["_expand"]))
+        # full slices only where the matrices are read: |v_j| + |b_i| <= 8 + 8
+        assert max(b._spans) == 16
+        assert set(b._spans) == {0} | {
+            v + bb.degree() for v in b.total.ring.degrees for bb in b.lh_basis
+        }
 
     def test_slice_solver_treats_other_degrees_as_outside_the_span(self):
         from steenrod.bundles import _slice_solver

@@ -5,6 +5,7 @@ expects each named row to fail with the witness its search meets first, or
 with the certificate it read.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -101,6 +102,25 @@ def transfer_off_by_one(name, degrees):
         monkeypatch.setattr(bundles.FiberBundleData, "fiber_integrate", corrupted)
 
     return corrupt
+
+
+def u4_matrix_loses_t8(monkeypatch):
+    """hp2's matrix of multiplication by u4 with t8 dropped from its entry
+    t2^4 + t8, the b_1 coefficient of u4 b_2, in a fresh copy of the bundle:
+    the cached one is neither read nor overwritten."""
+    matrix = bundles.FiberBundleData._matrix
+
+    def corrupted(b, j):
+        rows = matrix(b, j)
+        if (b.name, b.total.ring.generators[j][0]) != ("hp2", "u4"):
+            return rows
+        t8 = b.base.ring.gen("t8")
+        assert t8.monomials <= rows[1][2].monomials
+        return (rows[0], rows[1][:2] + (rows[1][2] + t8,), rows[2])
+
+    monkeypatch.setattr(bundles.FiberBundleData, "_matrix", corrupted)
+    fresh = dataclasses.replace(bundles.hp2_bundle())
+    monkeypatch.setattr(bundles, "hp2_bundle", lambda: fresh)
 
 
 def odd_classes_in_the_evenly_graded_ring(monkeypatch):
@@ -280,6 +300,16 @@ ENTRIES = [
         transfer_off_by_one("hp2", (8, 16)),
         {"closed form modulo t12": "u3^0 u2^0 u4^0 u8^1: got 0"},
         id="hp2-transfer-off-by-one",
+    ),
+    # pi^*(t8) = u4^2 + u8 then no longer acts as t8 times the identity
+    pytest.param(
+        "hp2-transfer",
+        u4_matrix_loses_t8,
+        {
+            "closed form modulo t12": "u3^0 u2^0 u4^2 u8^1: got t8",
+            "module property": "trial 10",
+        },
+        id="hp2-transfer-u4-matrix-loses-t8",
     ),
     pytest.param(
         "bpsp-model",

@@ -71,6 +71,25 @@ class TestImportFootprint:
         assert "charclass" in loaded
         assert not loaded & {"bundles", "modules", "dual"}
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["primitives", "--max", "8"],
+            ["verify", "--suite", "primitives", "--max", "4"],
+            ["verify", "--suite", "power-sums"],
+            ["verify", "--suite", "indecomposables"],
+            ["verify", "--suite", "primitive-transfer"],
+            ["verify", "--suite", "bpsp-model"],
+        ],
+        ids=["primitives-command", "primitives", "power-sums", "indecomposables",
+             "primitive-transfer", "bpsp-model"],
+    )
+    def test_commands_that_read_only_binomials_load_no_algebra(self, argv):
+        # binom_mod2 lives in f2, so charclass and the Adem check need no algebra
+        loaded = loaded_by(argv)
+        assert loaded & {"charclass", "bundles"}
+        assert "algebra" not in loaded
+
     @pytest.mark.parametrize("suite", ["cp2-transfer", "hp2-transfer"])
     def test_transfer_suites_load_no_charclass_modules_or_dual(self, suite):
         loaded = loaded_by(["verify", "--suite", suite])
