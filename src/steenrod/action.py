@@ -24,7 +24,9 @@ and safe under concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import islice
+from threading import Lock
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing, binom_mod2
 
@@ -42,23 +44,25 @@ class TotalSquare:
     """Total squares of packed monomials, by Frobenius blocks and Cartan.
 
     A packed monomial holds the exponent of generator j (counting from 0) in
-    bits field * j to field * (j + 1) - 1; gen(j) gives the packed components
-    [g_j, Sq^1 g_j, ..., Sq^deg g_j] of generator j and degree(j) its degree.
-    Component k of a partial product feeds only components >= k of the full
-    product, so cutting every block and partial product of a degree-d
-    monomial at min(d + 1, top - d + 1) components is exact through the top
-    (without a top, at d + 1, where instability ends every list anyway).
-    Component k of a product reads only components <= k of its factors, so
-    a request through upto cuts every partial product at upto + 1, exactly;
-    a longer request later rebuilds at least double that.  Hence the rule
-    for callers: ask once, for the longest square you will read.  Sq^k asks
-    through k, and SqAlgebraPresentation.squares(f, upto) reads Sq^0 f, ...,
-    Sq^upto f from one request per monomial.
+    bits field * j to field * (j + 1) - 1; gen(j), called once, yields the
+    packed components g_j, Sq^1 g_j, ..., Sq^deg g_j of generator j (a list
+    will do) and degree(j) gives its degree.  Component k of a partial
+    product feeds only components >= k of the full product, so cutting every
+    block and partial product of a degree-d monomial at
+    min(d + 1, top - d + 1) components is exact through the top (without a
+    top, at d + 1, where instability ends every list anyway).  Component k
+    of a product reads only components <= k of its factors, so a request
+    through upto cuts every block and partial product at upto + 1, exactly,
+    and pulls each column only that far; a longer request later rebuilds
+    (or pulls) at least double that.  Hence the rule for callers: ask once,
+    for the longest square you will read.  Sq^k asks through k, and
+    SqAlgebraPresentation.squares(f, upto) reads Sq^0 f, ..., Sq^upto f
+    from one request per monomial.
     """
 
     def __init__(
         self,
-        gen: Callable[[int], Components],
+        gen: Callable[[int], Iterable[frozenset[int]]],
         degree: Callable[[int], int],
         field: int,
         top=None,
@@ -67,24 +71,33 @@ class TotalSquare:
         self.degree = degree
         self.field = field
         self.top = float("inf") if top is None else top
+        self._columns: dict[int, Iterator[frozenset[int]]] = {}  # j -> the rest of gen(j)
+        self._pulling = Lock()  # an iterator hands out each component once
         self._blocks: dict[tuple[int, int], Components] = {}
         self._monos: dict[int, tuple[int, Components]] = {}  # mono -> (cut, comps)
 
-    def _block(self, j: int, a: int) -> Components:
-        """Components of the total square of g_j^(2^a)."""
-        key = (j, a)
-        if key not in self._blocks:
-            deg = self.degree(j) << a
-            size = min(deg + 1, self.top - deg + 1)
+    def _block(self, j: int, a: int, n: int) -> Components:
+        """The first n components (all, if fewer) of the total square of
+        g_j^(2^a), or more: a block grows as a cut list does."""
+        key, deg = (j, a), self.degree(j) << a
+        size = min(deg + 1, self.top - deg + 1)
+        comps = self._blocks.get(key, [])
+        if len(comps) < min(n, size):
+            n = min(max(n, 2 * len(comps)), size)
             if a == 0:
-                comps = self.gen(j)[:size]
+                with self._pulling:  # read, pull and store as one step
+                    if j not in self._columns:
+                        self._columns[j] = iter(self.gen(j))
+                    comps = self._blocks.get(key, [])
+                    pulled = islice(self._columns[j], max(n - len(comps), 0))
+                    comps = self._blocks[key] = comps + list(pulled)
             else:
-                prev = self._block(j, a - 1)
-                comps = [frozenset()] * min(2 * len(prev) - 1, size)
-                for k, c in enumerate(prev[: (len(comps) + 1) // 2]):
-                    comps[2 * k] = frozenset(u << 1 for u in c)
-            self._blocks[key] = comps
-        return self._blocks[key]
+                prev = self._block(j, a - 1, (n + 1) // 2)
+                comps = self._blocks[key] = comps + [
+                    frozenset() if k % 2 else frozenset(u << 1 for u in prev[k // 2])
+                    for k in range(len(comps), n)
+                ]
+        return comps
 
     def components(self, mono: int, deg: int, upto: int | None = None) -> Components:
         """Components of the packed degree-deg monomial's total square, at least through upto."""
@@ -96,7 +109,7 @@ class TotalSquare:
             bits, blocks = mono, []  # bit a of field j: the block of g_j^(2^a)
             while bits:
                 b = (bits & -bits).bit_length() - 1
-                blocks.append(self._block(*divmod(b, self.field)))
+                blocks.append(self._block(*divmod(b, self.field), cut))
                 bits &= bits - 1
             prod = blocks[0][:cut] if blocks else [{0}]  # the first block as it is
             for block in blocks[1:]:

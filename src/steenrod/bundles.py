@@ -287,7 +287,10 @@ class FiberBundleData:
             return tuple(self.base.ring.zero() for _ in self.lh_basis)
         if not f.is_homogeneous():
             raise BundleError("reduce homogeneous elements only")
-        n = f.degree()
+        return self._reduce(f, f.degree())
+
+    def _reduce(self, f: F2Poly, n: int) -> tuple[F2Poly, ...]:
+        """lh_reduce on a nonzero f of the total ring, homogeneous of degree n."""
         if n > self.cap:
             raise BundleError(f"degree {n} exceeds the cap {self.cap}")
         if not self._matrices:
@@ -302,9 +305,11 @@ class FiberBundleData:
     def fiber_integrate(self, f: F2Poly) -> F2Poly:
         """Integration along the fiber: the top Leray-Hirsch coefficient,
         extended additively over inhomogeneous inputs."""
+        if f.ring != self.total.ring:
+            raise BundleError("element lives in the wrong ring")
         acc = self.base.ring.zero()
-        for _, part in f.homogeneous_parts().items():
-            acc = acc + self.lh_reduce(part)[-1]
+        for n, part in f.homogeneous_parts().items():
+            acc = acc + self._reduce(part, n)[-1]
         return acc
 
     def _expand(self, mono: int) -> tuple[F2Poly, ...]:
@@ -635,7 +640,7 @@ def module_property_check(b: FiberBundleData, samples: int) -> Check:
             y = random_poly(b.base.ring, 12)
             x = random_poly(b.total.ring, 16)
             if b.fiber_integrate(b.pullback.apply(y) * x) != y * b.fiber_integrate(x):
-                yield f"trial {trial}"
+                yield f"trial {trial}: y = {y}, x = {x}"
 
     return first_failure("module property", failures())
 

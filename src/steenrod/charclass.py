@@ -18,18 +18,22 @@ rho_e, the allowed-generator expression equivalent to w_e modulo the ideal.
 w_1 is one of them off bo, with rho_1 = 0.  The Steenrod action on a model
 (QuotientModel.sq) is the one Wu's formula induces; on bo and bso it is the
 Wu action on H*BO and H*BSO themselves, so the bso model is the ambient ring
-in which the bspin and bspinc ideals are built.  Their reductions come
-from one square each: by Wu's formula w_e, e = 2^k + 1, is a term of
-Sq^(p-1) w_p with p = (e + 1) / 2, so rho_e is phi of the rest of
-Sq^(p-1)(w_p + rho_p).  The model is then validated: the kernel of the
-reduction map phi is Steenrod-stable up to the cap (phi(Sq^(2^k) w_e)
+in which the bspin and bspinc ideals are built.  Their reductions come from
+one square each: by Wu's formula w_e, e = 2^k + 1, is a term of Sq^(p-1) w_p
+with p = (e + 1) / 2, so rho_e is phi of the rest of Sq^(p-1)(w_p + rho_p).
+That square is read by the top-square rule, with no total square built: the
+other Cartan terms ask a factor for a square above its degree, so
+Sq^(|xy|-1)(xy) = Sq^(|x|-1)x y^2 + x^2 Sq^(|y|-1)y (Steenrod and Epstein,
+Cohomology Operations), and Wu's formula gives Sq^(j-1) w_j = sum_t
+w_(j-1-t) w_(j+t), w_1 dropped.  The model is then validated: the kernel of
+the reduction map phi is Steenrod-stable up to the cap (phi(Sq^(2^k) w_e)
 equals Sq^(2^k) rho_e under the action Wu's formula induces on the model,
 checked without squaring any relation in the unreduced ring; the Sq^(2^k)
 generate the Steenrod algebra) and the dimension series agrees with an
-elimination-computed quotient through degree 20 (or the cap, if lower),
-the ideal slices being built from the cyclic module A.g and products with
-the w_j.  Every total square the model takes is computed only through the
-cap.
+elimination-computed quotient through degree 20 (or the cap, if lower), the
+ideal slices being built from the cyclic module A.g and products with the
+w_j.  Every total square the model takes is computed only through the cap,
+and the induced table phi(Sq^i w_j) only for the i some square reads.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -195,9 +199,22 @@ def _wu_generator(i: int, j: int) -> ModPoly:
     return frozenset(acc)
 
 
+def _top_square(p: ModPoly) -> ModPoly:
+    """Sq^(d-1) p for p of degree d in H*BSO (no w_1 in p), by the
+    top-square rule of the module docstring: on a monomial m, the sum of
+    Sq^(j-1) w_j m^2 / w_j^2 over the w_j of odd exponent in m."""
+    acc: set[int] = set()
+    for m in p:
+        for j, e in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"), start=1):
+            if e & 1:
+                rest = (m - _gen(j)) << 1  # m^2 / w_j^2
+                acc ^= {rest + t for t in _wu_generator(j - 1, j) if not t & 255}
+    return frozenset(acc)
+
+
 def _total_square(wu, top: int) -> TotalSquare:
-    """The total square on packed w-monomials, wu(j) giving the packed
-    [w_j, Sq^1 w_j, ...]; the engine counts fields from 0, w_1 being field 0."""
+    """The total square on packed w-monomials, wu(j) yielding the packed
+    w_j, Sq^1 w_j, ...; the engine counts fields from 0, w_1 being field 0."""
     return TotalSquare(lambda f: wu(f + 1), lambda f: f + 1, 8, top)
 
 
@@ -246,6 +263,7 @@ class QuotientModel:
         self._power_sum_cache: dict[int, ModPoly] = {}  # phi(s_n) by n, see power_sum
         self._mod4_cache: dict[int, tuple[ModPoly, ModPoly]] = {}  # s_n mod 4 by n, see _mod4
         self._two_row_cache: dict[int, ModPoly] = {}  # phi(s_{m,m}) by m, see two_row
+        self._delta_cache: dict[int, frozenset[tuple[int, int]]] = {}  # see delta_generator
         self._ideal_basis: list[list[ModPoly]] = []  # by degree, see _ideal_slice
         self._cyclic_basis: list[list[ModPoly]] = []  # by degree, see _cyclic_slice
         if gdeg is not None:
@@ -278,11 +296,13 @@ class QuotientModel:
         With p = (e + 1) // 2, every coefficient of Wu's formula for
         Sq^(p-1) w_p is C(t, t) = 1, w_e among its terms, and w_p + rho_p
         lies in the ideal (p is the generator's degree or 2^(k-1) + 1).  So
-        Sq^(p-1)(w_p + rho_p), squared in H*BSO (the bso model), is w_e plus
-        a rest of products of classes below e, and rho_e is phi of the rest.
+        Sq^(p-1)(w_p + rho_p), read in H*BSO, is w_e plus a rest of products
+        of classes below e, and rho_e is phi of the rest.  That square is the
+        top-but-one of a degree-p class: the top-square rule (_top_square)
+        reads it monomial by monomial, with no total square built.
         """
         p = (e + 1) // 2
-        img = model("bso", self.cap).sq(p - 1, self.reductions[p] | {_gen(p)})
+        img = _top_square(self.reductions[p] | {_gen(p)})
         # a missing w_e stays in the rest, and validation refuses it
         return self.phi(img ^ {_gen(e)})
 
@@ -318,11 +338,11 @@ class QuotientModel:
             out = poly_mul(out, power)
         return out
 
-    def _induced_wu(self, j: int) -> list[frozenset[int]]:
-        """Packed [phi(w_j), phi(Sq^1 w_j), ...] through the cap, past which Wu's
+    def _induced_wu(self, j: int) -> Iterator[ModPoly]:
+        """Packed phi(w_j), phi(Sq^1 w_j), ... through the cap, past which Wu's
         formula names classes the model does not know; at an allowed j, the
-        generator table of the action induced on the model."""
-        return [self.phi(_wu_generator(i, j)) for i in range(min(j, self.cap - j) + 1)]
+        generator column of the action induced on the model, computed as pulled."""
+        return (self.phi(_wu_generator(i, j)) for i in range(min(j, self.cap - j) + 1))
 
     def sq(self, i: int, p: ModPoly) -> ModPoly:
         """Sq^i(phi(p)) under the action Wu's formula induces on the model,
@@ -460,13 +480,15 @@ class QuotientModel:
     # -- coproduct ---------------------------------------------------------------
 
     def delta_generator(self, j: int) -> frozenset[tuple[int, int]]:
-        """(phi x phi) of the full splitting coproduct of w_j."""
-        acc: set[tuple[int, int]] = set()
-        for a in range(j + 1):
-            left = self.phi(frozenset({_gen(a) if a else ONE}))
-            right = self.phi(frozenset({_gen(j - a) if j - a else ONE}))
-            acc ^= {(lm, rm) for lm in left for rm in right}
-        return frozenset(acc)
+        """(phi x phi) of the full splitting coproduct of w_j, computed once."""
+        if j not in self._delta_cache:
+            acc: set[tuple[int, int]] = set()
+            for a in range(j + 1):
+                left = self.phi(frozenset({_gen(a) if a else ONE}))
+                right = self.phi(frozenset({_gen(j - a) if j - a else ONE}))
+                acc ^= {(lm, rm) for lm in left for rm in right}
+            self._delta_cache[j] = frozenset(acc)
+        return self._delta_cache[j]
 
     def delta_monomial(self, mono: int) -> frozenset[tuple[int, int]]:
         """Coproduct of a model basis monomial, in the model basis."""

@@ -113,6 +113,19 @@ class TestLerayHirsch:
         assert b.fiber_integrate(w4tau * w4tau) == R.one()
         assert b.fiber_integrate(S.one()).is_zero()
 
+    def test_integration_keeps_the_checks_of_lh_reduce(self):
+        b = cp2_bundle()
+        S, R = b.total.ring, b.base.ring
+        f = S.parse("x2^2 + x4^2 + x2^3*x4")  # degrees 4, 8 and 10
+        assert b.fiber_integrate(f) == sum(
+            (b.lh_reduce(part)[-1] for part in f.homogeneous_parts().values()), R.zero()
+        )
+        for bad in (R.gen("y4"), S.parse("x2") ** (b.cap // 2 + 1)):
+            with pytest.raises(BundleError):
+                b.fiber_integrate(bad)
+            with pytest.raises(BundleError):
+                b.lh_reduce(bad)
+
     def test_dropped_basis_element_fails_the_expansion(self):
         b = cp2_bundle()
         x2_squared = b.total.ring.parse("x2^2")

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from steenrod.action import SqAlgebraPresentation
+from steenrod.action import SqAlgebraPresentation, TotalSquare
 from steenrod.algebra import admissible_basis, binom_mod2
 from steenrod import charclass
 from steenrod.charclass import (
@@ -587,7 +587,7 @@ class TestModels:
                 # names classes the model does not know
                 for j in m.generator_degrees():
                     if 2 * j > cap:
-                        comps = m._induced_wu(j)
+                        comps = list(m._induced_wu(j))
                         assert len(comps) == min(j, cap - j) + 1, (space, cap, j)
                         named = {i for c in comps for k in c for i, _ in _unpack(k)}
                         assert max(named) <= cap, (space, cap, j)
@@ -796,6 +796,89 @@ class TestSquareChain:
             own = [square for owner, square in squares if owner is mdl]
             assert len(own) == 1 and own[0] is mdl.ring, space
         assert calls and max(calls.values()) == 1
+
+
+class TestTopSquare:
+    """The top-square rule against the total square it replaced in the
+    reduction search: the bso model's Sq^(d-1) on degree-d classes."""
+
+    def test_the_rule_matches_the_bso_square_on_every_monomial_through_24(self):
+        ambient = model("bso", 48)  # Sq^23 of a degree-24 class lands in 47
+        for d in range(1, 25):
+            for mono in ambient.slice_monomials(d):
+                f = frozenset({mono})
+                assert charclass._top_square(f) == ambient.sq(d - 1, f), _unpack(mono)
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_the_rule_matches_the_bso_square_on_every_relation_at_cap_64(self, space):
+        mdl, ambient = model(space, 64), model("bso", 64)
+        found = [e for e in mdl.reductions if e > charclass._degree(mdl.ideal_generator)]
+        assert found
+        for e in found:
+            p = (e + 1) // 2
+            relation = mdl.reductions[p] | w(p)
+            assert charclass._top_square(relation) == ambient.sq(p - 1, relation), (space, e)
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_a_built_model_finds_its_reductions_without_a_total_square(self, space, monkeypatch):
+        mdl = model(space, 64)
+
+        def unreachable(*args):
+            raise AssertionError("a reduction squared through the engine")
+
+        monkeypatch.setattr(TotalSquare, "components", unreachable)
+        for e in set(mdl.reductions) - {1, charclass._degree(mdl.ideal_generator)}:
+            assert mdl._find_reduction(e) == mdl.reductions[e], (space, e)
+
+
+class TestLazyColumns:
+    """The Wu columns are pulled only as far as a request reads."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_pulled_columns_give_the_components_of_full_ones_through_24(self, space):
+        mdl = model(space, 24)
+        full = charclass._total_square(lambda j: list(mdl._induced_wu(j)), mdl.cap)
+        monos = [(m, d, full.components(m, d)) for d in range(25) for m in mdl.slice_monomials(d)]
+        # a request past a list's length reads the whole list, as upto = len - 1 does
+        for upto in range(max(len(want) for _, _, want in monos)):
+            lazy = charclass._total_square(mdl._induced_wu, mdl.cap)
+            for mono, d, want in monos:
+                if upto < len(want):
+                    got = lazy.components(mono, d, upto)
+                    assert upto < len(got) and got == want[: len(got)], (upto, _unpack(mono))
+
+    def test_the_three_cap_40_builds_pull_at_most_367_wu_entries(self, monkeypatch):
+        # the bso, bspin and bspinc builds of the primitives suite at cap
+        # 40, in a model cache of their own; full columns held 783 entries
+        monkeypatch.setattr(charclass, "model", functools.lru_cache(maxsize=None)(model.__wrapped__))
+        induced_wu = QuotientModel._induced_wu
+        pulled = []
+
+        def counting(self, j):
+            for entry in induced_wu(self, j):
+                pulled.append((self.space, j))
+                yield entry
+
+        monkeypatch.setattr(QuotientModel, "_induced_wu", counting)
+        for space in ("bso", "bspin", "bspinc"):
+            charclass.model(space, 40)
+        assert 0 < len(pulled) <= 367
+
+    def test_each_generator_coproduct_is_computed_once(self, monkeypatch):
+        mdl = QuotientModel("bspin", 20)
+        phi = QuotientModel.phi
+        calls = []
+
+        def counting(self, p):
+            calls.append(p)
+            return phi(self, p)
+
+        monkeypatch.setattr(QuotientModel, "phi", counting)
+        kernel = mdl.kernel_primitives(16)
+        first = len(calls)
+        assert first and mdl.kernel_primitives(16) == kernel
+        assert mdl.delta_generator(4) is mdl.delta_generator(4)
+        assert len(calls) == first
 
 
 def coeff_wm_wm(mdl, mono, m):

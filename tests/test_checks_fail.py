@@ -307,7 +307,10 @@ ENTRIES = [
         u4_matrix_loses_t8,
         {
             "closed form modulo t12": "u3^0 u2^0 u4^2 u8^1: got t8",
-            "module property": "trial 10",
+            "module property": (
+                "trial 10: y = t2^6 + t2^2*t8, x = u2^8 + u2^6*u4 + u2^5*u3^2"
+                " + u2^4*u4^2 + u2^2*u4^3 + u2^2*u4*u8 + u3^4*u4 + u4^4 + u4^2*u8"
+            ),
         },
         id="hp2-transfer-u4-matrix-loses-t8",
     ),
