@@ -166,6 +166,10 @@ def cmd_module_type(args) -> str:
     m = _preset_module(args)
     if args.format == "dot":
         return m.to_dot()
+    try:
+        m.reliable_window()
+    except modules.ModuleError as exc:
+        raise CliError(f"--max {args.max}: {exc}") from exc
     result = modules.stable_type_solve(m)
     if args.format == "json":
         return json.dumps(

@@ -19,12 +19,13 @@ algebra, each its part from a bottom degree up modulo its relators:
     K = A(1)/A(1)(Sq^1, Sq^2 Sq^3)
     C = E(1)/E(1)Sq^1
 
-Stable-type identification equates the dimension series and both Margolis
-homology series of a module with a non-negative combination of catalog
-pieces, then certifies a unique counting solution by constructing an actual
-isomorphism piece by piece (images of piece generators are searched in
-canonical order and every candidate map is verified to commute with the
-action before it is accepted).
+Stable-type identification equates a module's windowed profile (its
+dimension series and both Margolis homology series) with a non-negative
+combination of catalog pieces' profiles, then certifies a unique counting
+solution by constructing an actual isomorphism piece by piece: piece maps,
+held as the images of their basis vectors, are searched in canonical order,
+and the stacked map from the one-pass block sum of all pieces is verified
+to commute with the action before it is accepted.
 
 Modules coming from a polynomial-ring presentation are window truncations of
 something infinite, so every Margolis or type conclusion within 3 degrees of
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import mul
+from operator import mul, xor
 from typing import Sequence
 
 from .action import SqAlgebraPresentation
@@ -171,6 +172,13 @@ class FiniteModule:
     def reliable_max(self) -> int:
         return self.dmax - EDGE_MARGIN if self.truncated else self.dmax
 
+    def reliable_window(self) -> tuple[int, int]:
+        """The degrees every conclusion may read; raises if there are none."""
+        lo, hi = self.dmin, self.reliable_max()
+        if hi < lo:
+            raise ModuleError("window too small to say anything reliable")
+        return lo, hi
+
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
@@ -182,24 +190,25 @@ class FiniteModule:
         label = self.name if not s else f"{self.name}@{s}" if self.name else ""
         return FiniteModule(self.algebra, self.dmin + s, self.dims, self.ops, self.truncated, label)
 
-    def direct_sum(self, other: "FiniteModule") -> "FiniteModule":
-        if self.algebra != other.algebra:
+    def direct_sum(self, *others: "FiniteModule") -> "FiniteModule":
+        """The block sum of this module and the others, in one pass."""
+        parts = (self, *others)
+        if any(p.algebra != self.algebra for p in others):
             raise ModuleError("cannot sum modules over different algebras")
-        dmin = min(self.dmin, other.dmin)
-        dmax = max(self.dmax, other.dmax)
-        dims = tuple(self.dim(d) + other.dim(d) for d in range(dmin, dmax + 1))
+        degrees = range(min(p.dmin for p in parts), max(p.dmax for p in parts) + 1)
         mats_by_op = {}
         for op in self.spec.ops:
-            mats = []
-            for d in range(dmin, dmax + 1):
-                a = self.op_matrix(op, d)
-                b = other.op_matrix(op, d)
-                rows = [r for r in a.rows] + [r << a.ncols for r in b.rows]
-                mats.append(F2Matrix(a.nrows + b.nrows, a.ncols + b.ncols, rows))
-            mats_by_op[op] = mats
+            mats_by_op[op] = mats = []
+            for d in degrees:
+                rows, ncols = [], 0
+                for p in parts:
+                    m = p.op_matrix(op, d)
+                    rows += [r << ncols for r in m.rows]
+                    ncols += m.ncols
+                mats.append(F2Matrix(len(rows), ncols, rows))
         return FiniteModule.build(
-            self.algebra, dmin, dims, mats_by_op,
-            truncated=self.truncated or other.truncated,
+            self.algebra, degrees.start, [sum(p.dim(d) for p in parts) for d in degrees],
+            mats_by_op, truncated=any(p.truncated for p in parts),
         )
 
     # -- relations --------------------------------------------------------------
@@ -215,10 +224,10 @@ class FiniteModule:
         return F2Matrix(m.nrows, m.ncols, rows)
 
     def validate(self) -> None:
-        """Check the defining relations wherever composites stay in window."""
-        top = self.dmax if not self.truncated else self.dmax - 4
+        """Check the defining relations in every degree: a composite that
+        leaves a truncated window reads its empty matrices there."""
         relations = [(text, _words(text)) for text in self.spec.relations]
-        for d in range(self.dmin, top + 1):
+        for d in range(self.dmin, self.dmax + 1):
             for text, words in relations:
                 if any(self._word_sum(words, d).rows):
                     raise ModuleError(f"{text} != 0 at degree {d}")
@@ -272,6 +281,29 @@ class FiniteModule:
 # ---------------------------------------------------------------------------
 
 
+def _module(algebra, dmin, basis, act, coords, truncated=False, name=""):
+    """The module with basis[i] in degree dmin + i: act(element, x) is the
+    image of x and coords(y, d) its coordinates in basis[d - dmin].  In a
+    truncated window a generator's matrix is empty where its images leave."""
+    spec = _spec(algebra)
+    top = dmin + len(basis)
+    mats_by_op = {}
+    # the longest shift first: each monomial's cut list is built once
+    for op, shift in sorted(spec.ops.items(), key=lambda item: -item[1]):
+        element = spec.element(op)
+        mats_by_op[op] = [
+            F2Matrix.zero(0, len(src))
+            if truncated and d + shift >= top
+            else F2Matrix(
+                len(src),
+                len(basis[d + shift - dmin]) if d + shift < top else 0,
+                [coords(act(element, x), d + shift) for x in src],
+            ).transpose()
+            for d, src in enumerate(basis, dmin)
+        ]
+    return FiniteModule.build(algebra, dmin, map(len, basis), mats_by_op, truncated, name)
+
+
 def _module_from_subquotient(
     algebra: str,
     carrier: Sequence[SteenrodElement],
@@ -283,7 +315,6 @@ def _module_from_subquotient(
     The carrier must be closed under the algebra action modulo the ideal, and
     the ideal must be a submodule of the carrier span.
     """
-    spec = _spec(algebra)
     by_degree: dict[int, list[SteenrodElement]] = {}
     for e in carrier:
         by_degree.setdefault(e.degree(), []).append(e)
@@ -304,8 +335,6 @@ def _module_from_subquotient(
             basis.add(index.bits(e.words))
         reps[d] = [e for e in by_degree.get(d, []) if basis.add(index.bits(e.words))]
 
-    dims = [len(reps.get(d, [])) for d in range(dmin, dmax + 1)]
-
     spans: dict[int, tuple[F2Index, F2Span]] = {}
 
     def express(x: SteenrodElement, d: int) -> int:
@@ -321,19 +350,8 @@ def _module_from_subquotient(
             raise ModuleError("carrier is not closed under the action")
         return sol & ((1 << len(basis_elems)) - 1)
 
-    mats_by_op = {}
-    for op, shift in spec.ops.items():
-        act = spec.element(op)
-        mats_by_op[op] = [
-            F2Matrix(
-                len(reps[d]),
-                len(reps.get(d + shift, [])),
-                [express(act * e, d + shift) for e in reps[d]],
-            ).transpose()
-            for d in range(dmin, dmax + 1)
-        ]
-
-    mod = _trim(FiniteModule.build(algebra, dmin, dims, mats_by_op, name=name))
+    basis = [reps[d] for d in range(dmin, dmax + 1)]
+    mod = _trim(_module(algebra, dmin, basis, mul, express, name=name))
     mod.validate()
     return mod
 
@@ -414,37 +432,20 @@ def from_presentation(
     dmin, dmax = window
     if dmin < 0 or dmax < dmin:
         raise ModuleError("bad window")
-    monos = {d: pres.ring.monomials_of_degree(d) for d in range(dmin, dmax + 1)}
-    index = {d: {m: i for i, m in enumerate(ms)} for d, ms in monos.items()}
-    dims = [len(monos[d]) for d in range(dmin, dmax + 1)]
+    ring = pres.ring
+    monos = [ring.monomials_of_degree(d) for d in range(dmin, dmax + 1)]
+    index = [{m: i for i, m in enumerate(ms)} for ms in monos]
 
     def poly_coords(f: F2Poly, d: int) -> int:
         bits = 0
         for m in f.monomials:
-            if pres.ring.monomial_degree(m) != d:
+            if ring.monomial_degree(m) != d:
                 raise ModuleError("inhomogeneous action image")
-            bits |= 1 << index[d][m]
+            bits |= 1 << index[d - dmin][m]
         return bits
 
-    spec = _spec(algebra)
-    mats_by_op = {}
-    # the longest shift first: each monomial's cut list is built once
-    for op, shift in sorted(spec.ops.items(), key=lambda item: -item[1]):
-        act = spec.element(op)
-        mats = []
-        for d in range(dmin, dmax + 1):
-            src = monos[d]
-            if d + shift <= dmax:
-                images = [
-                    poly_coords(pres.act(act, F2Poly(pres.ring, frozenset({m}))), d + shift)
-                    for m in src
-                ]
-                mats.append(F2Matrix(len(src), len(monos[d + shift]), images).transpose())
-            else:
-                mats.append(F2Matrix.zero(0, len(src)))
-        mats_by_op[op] = mats
-
-    return FiniteModule.build(algebra, dmin, dims, mats_by_op, truncated=True)
+    basis = [[F2Poly(ring, frozenset({m})) for m in ms] for ms in monos]
+    return _module(algebra, dmin, basis, pres.act, poly_coords, truncated=True)
 
 
 def restrict_to_e1(m: FiniteModule) -> FiniteModule:
@@ -453,11 +454,8 @@ def restrict_to_e1(m: FiniteModule) -> FiniteModule:
     if m.algebra != "A1":
         raise ModuleError("can only restrict an A(1)-module")
     mats_by_op = {op: list(m.margolis_operator(op)[1].values()) for op in ALGEBRAS["E1"].ops}
-    out = FiniteModule.build(
-        "E1", m.dmin, m.dims, mats_by_op, truncated=m.truncated, name=m.name
-    )
-    if not m.truncated:
-        out.validate()
+    out = FiniteModule.build("E1", m.dmin, m.dims, mats_by_op, m.truncated, m.name)
+    out.validate()
     return out
 
 
@@ -570,16 +568,21 @@ class StableType:
         return self.solutions[0]
 
 
-def _piece_profile(algebra: str, family: str, susp: int, lo: int, hi: int):
-    """(poincare, q0m, q1m) of a piece suspended by susp, over [lo, hi]."""
-    t = standard_piece(algebra, family)
-    window = range(lo - susp, hi - susp + 1)  # the unsuspended degrees
-    q0, q1 = t.margolis_homology("q0"), t.margolis_homology("q1")
+def _profile(module: FiniteModule, lo: int, hi: int):
+    """(dims, q0, q1) of a module over the degrees [lo, hi], zero outside it."""
+    window = range(lo, hi + 1)
+    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
     return (
-        tuple(t.dim(d) for d in window),
+        tuple(module.dim(d) for d in window),
         tuple(q0.get(d, (0, True))[0] for d in window),
         tuple(q1.get(d, (0, True))[0] for d in window),
     )
+
+
+def _piece_profile(algebra: str, family: str, susp: int, lo: int, hi: int):
+    """The profile of a piece suspended by susp, over [lo, hi], read off the
+    unsuspended piece."""
+    return _profile(standard_piece(algebra, family), lo - susp, hi - susp)
 
 
 def stable_type_solve(
@@ -601,15 +604,8 @@ def stable_type_solve(
     """
     algebra = module.algebra
     names = tuple(pieces) if pieces is not None else catalog(algebra)
-    lo, hi = module.dmin, module.reliable_max()
-    if hi < lo:
-        raise ModuleError("window too small to say anything reliable")
-    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
-    target = (
-        tuple(module.dim(d) for d in range(lo, hi + 1)),
-        tuple(q0[d][0] for d in range(lo, hi + 1)),
-        tuple(q1[d][0] for d in range(lo, hi + 1)),
-    )
+    lo, hi = module.reliable_window()
+    target = _profile(module, lo, hi)
 
     bottoms = {name: standard_piece(algebra, name).dmin for name in names}
     profile_cache: dict[tuple[str, int], tuple] = {}
@@ -727,7 +723,10 @@ _HOM_ENUM_CAP = 14  # enumerate at most 2^cap candidate maps per piece
 
 def _build_isomorphism(module: FiniteModule, solution) -> ModuleMap | None:
     """Greedy piece-peeling: choose an embedding for each piece, in canonical
-    order, keeping the running sum injective; backtrack on failure."""
+    order, keeping the running sum injective; backtrack on failure.
+
+    A piece map is held as the images of the piece's basis vectors, degree
+    by degree, so a sum of maps is an XOR of images."""
     algebra = module.algebra
     if not solution:
         empty = zero_module(algebra)
@@ -739,77 +738,59 @@ def _build_isomorphism(module: FiniteModule, solution) -> ModuleMap | None:
         key=lambda ps: (standard_piece(algebra, ps[0]).dmin + ps[1], -standard_piece(algebra, ps[0]).total_dim(), ps[0]),
     )
     templates = [standard_piece(algebra, name).suspend(s) for name, s in pieces]
+    degrees = [[d for d in range(t.dmin, t.dmax + 1) for _ in range(t.dim(d))] for t in templates]
 
-    hom_bases = []
+    hom_images = []
     for t in templates:
         hb = _hom_space(t, module)
         if len(hb) > _HOM_ENUM_CAP:
             return None
-        hom_bases.append(hb)
-
-    lo = min([module.dmin] + [t.dmin for t in templates])
-    hi = max([module.dmax] + [t.dmax for t in templates])
+        # a transposed matrix's rows are the images of the basis vectors
+        hom_images.append([[v for m in mats for v in m.transpose().rows] for mats in hb])
 
     # running reduced spans per degree
     def try_place(idx, spans):
         if idx == len(templates):
             return []
-        t = templates[idx]
-        hb = hom_bases[idx]
+        hb = hom_images[idx]
         for mask in range(1, 1 << len(hb)):
-            mats = None
-            for b in range(len(hb)):
-                if (mask >> b) & 1:
-                    if mats is None:
-                        mats = list(hb[b])
-                    else:
-                        mats = [
-                            F2Matrix(m1.nrows, m1.ncols, [r1 ^ r2 for r1, r2 in zip(m1.rows, m2.rows)])
-                            for m1, m2 in zip(mats, hb[b])
-                        ]
-            # check injectivity of this piece map and transversality to spans:
-            # a transposed matrix's rows are the images of the basis vectors
+            chosen = [images for b, images in enumerate(hb) if mask >> b & 1]
+            pairs = [(d, reduce(xor, col)) for d, col in zip(degrees[idx], zip(*chosen))]
+            # the piece map must be injective and transverse to the spans
             new_spans = {d: b.copy() for d, b in spans.items()}
-            if not all(
-                all(new_spans.setdefault(d, F2Basis()).add(v) for v in mats[di].transpose().rows)
-                for di, d in enumerate(range(t.dmin, t.dmax + 1))
-                if t.dim(d)
-            ):
+            if not all(new_spans.setdefault(d, F2Basis()).add(v) for d, v in pairs):
                 continue
             rest = try_place(idx + 1, new_spans)
             if rest is not None:
-                return [mats] + rest
+                return [pairs] + rest
         return None
 
     placed = try_place(0, {})
     if placed is None:
         return None
-
-    # assemble the direct sum and the stacked map
-    total = templates[0]
-    for t in templates[1:]:
-        total = total.direct_sum(t)
-    mats = []
-    for d in range(total.dmin, total.dmax + 1):
-        rows = [0] * module.dim(d)
-        col_offset = 0
-        for t, block in zip(templates, placed):
-            di = d - t.dmin
-            if 0 <= di < len(t.dims) and t.dim(d):
-                m = block[di]
-                for i in range(m.nrows):
-                    rows[i] |= m.rows[i] << col_offset
-            col_offset += t.dim(d)
-        mats.append(F2Matrix(module.dim(d), total.dim(d), rows))
-
-    fmap = ModuleMap(total, module, tuple(mats))
+    fmap = _stacked_map(module, templates, placed)
     top = module.reliable_max()
     if not fmap.check_commutes(top=top):
         return None
+    total = fmap.source
     for d in range(min(total.dmin, module.dmin), top + 1):
         if total.dim(d) != module.dim(d) or fmap.mat(d).rank() != total.dim(d):
             return None
     return fmap
+
+
+def _stacked_map(module: FiniteModule, templates, placed) -> ModuleMap:
+    """The block sum of the pieces and its map into the module: the columns
+    of each degree are the placed (degree, image) pairs, piece by piece."""
+    columns: dict[int, list[int]] = {}
+    for pairs in placed:
+        for d, v in pairs:
+            columns.setdefault(d, []).append(v)
+    total = templates[0].direct_sum(*templates[1:])
+    return ModuleMap(total, module, tuple(
+        F2Matrix(total.dim(d), module.dim(d), columns.get(d, [])).transpose()
+        for d in range(total.dmin, total.dmax + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -887,45 +868,35 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
     """
     if module.algebra != "A1":
         raise ModuleError("expected an A(1)-module")
-    lo, hi = module.dmin, module.reliable_max()
-    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
-    q0m = {d: q0[d][0] for d in range(lo, hi + 1)}
-    q1m = {d: q1[d][0] for d in range(lo, hi + 1)}
+    lo, hi = module.reliable_window()
+    rest = [list(series) for series in _profile(module, lo, hi)]
+    dims, q0, q1 = rest
 
-    # margolis signatures of the placed pieces: their tables shifted by susp
-    def signature(name, susp):
-        t = standard_piece("A1", name)
-        return tuple(
-            {d + susp: v for d, (v, _) in t.margolis_homology(which).items() if v}
-            for which in ("q0", "q1")
-        )
+    def take(name, susp, count):
+        for series, piece in zip(rest, _piece_profile("A1", name, susp, lo, hi)):
+            for x, v in enumerate(piece):
+                series[x] -= count * v
+
+    def at(series, d):
+        return series[d - lo] if lo <= d <= hi else 0
 
     counts: dict[tuple[str, int], int] = {}
-    rem_q0, rem_q1 = dict(q0m), dict(q1m)
     for i in range(0, hi // 8 + 2):
         placements = [("Z2", 8 * i), ("I", 8 * i - 1), ("J", 8 * i + 4), ("K", 8 * i + 4)]
         # solve in an order where each piece is pinned by a fresh degree:
         # q1 at 8i pins Z2; q0 at 8i then pins I; q0 at 8i+4 pins K;
         # q0 at 8i+6 pins J.
-        sig = {name: signature(name, susp) for name, susp in placements}
-        z = rem_q1.get(8 * i, 0)
-        k = rem_q0.get(8 * i + 4, 0)
-        j = rem_q0.get(8 * i + 6, 0)
-        ii = rem_q0.get(8 * i, 0) - z
+        z = at(q1, 8 * i)
+        k = at(q0, 8 * i + 4)
+        j = at(q0, 8 * i + 6)
+        ii = at(q0, 8 * i) - z
         if min(z, k, j, ii) < 0:
             return PeriodicFeasibility(False, None, f"negative count in block {i}")
         for (name, susp), count in zip(placements, (z, ii, j, k)):
             if count:
                 counts[(name, susp)] = count
-                s0, s1 = sig[name]
-                for d, v in s0.items():
-                    if lo <= d <= hi:
-                        rem_q0[d] = rem_q0.get(d, 0) - v * count
-                for d, v in s1.items():
-                    if lo <= d <= hi:
-                        rem_q1[d] = rem_q1.get(d, 0) - v * count
-    leftover_q0 = sorted(d for d, v in rem_q0.items() if v)
-    leftover_q1 = sorted(d for d, v in rem_q1.items() if v)
+                take(name, susp, count)
+    leftover_q0, leftover_q1 = ([lo + x for x, v in enumerate(s) if v] for s in (q0, q1))
     if leftover_q0 or leftover_q1:
         return PeriodicFeasibility(
             False,
@@ -935,21 +906,11 @@ def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:
         )
 
     # leftover dimensions must be free: greedy generator counts
-    residual = {d: module.dim(d) for d in range(lo, hi + 1)}
-    for (name, susp), count in counts.items():
-        t = standard_piece("A1", name)
-        for d in range(lo, hi + 1):
-            residual[d] -= count * t.dim(d - susp)
-    a1 = standard_piece("A1", "A1")
-    free = {}
-    for d in range(lo, hi + 1):
-        val = residual[d]
-        for d0, cnt in free.items():
-            val -= cnt * a1.dim(d - d0)
-        if val < 0:
-            return PeriodicFeasibility(False, None, f"dimension deficit at degree {d}")
-        if val:
-            free[d] = val
+    for x in range(hi - lo + 1):
+        if dims[x] < 0:
+            return PeriodicFeasibility(False, None, f"dimension deficit at degree {lo + x}")
+        if dims[x]:
+            take("A1", lo + x, dims[x])
     # only degrees with full A(1) support below the reliable top are certain;
     # trailing degrees could need pieces we cannot see, so this is feasibility
     return PeriodicFeasibility(True, dict(counts))

@@ -166,6 +166,31 @@ def every_map_injective(monkeypatch):
     monkeypatch.setattr(modules.ModuleMap, "is_injective", lambda f: True)
 
 
+def block_sum_reads_the_first_part_as_trivial(monkeypatch):
+    """The block sum with the action of its first part read as zero."""
+    direct_sum = modules.FiniteModule.direct_sum
+
+    def corrupted(first, *others):
+        zero = {op: [f2.F2Matrix.zero(m.nrows, m.ncols) for m in mats] for op, mats in first.ops}
+        blank = modules.FiniteModule.build(
+            first.algebra, first.dmin, first.dims, zero, first.truncated, first.name
+        )
+        return direct_sum(blank, *others)
+
+    monkeypatch.setattr(modules.FiniteModule, "direct_sum", corrupted)
+
+
+def stacked_map_reads_the_last_piece_as_zero(monkeypatch):
+    """The map from the block sum with every image of its last piece read
+    as zero."""
+    stacked_map = modules._stacked_map
+
+    def corrupted(module, templates, placed):
+        return stacked_map(module, templates, placed[:-1] + [[(d, 0) for d, _ in placed[-1]]])
+
+    monkeypatch.setattr(modules, "_stacked_map", corrupted)
+
+
 def j_dropped_from_the_a1_catalog(monkeypatch):
     """The catalog the solver reads when no piece list is given, with the
     A(1) piece J left out."""
@@ -336,6 +361,13 @@ ENTRIES = [
         {"both differentials vanish identically": "q0 at degree 2"},
         id="e1-modules-odd-classes",
     ),
+    # a zero column makes the stacked map singular, so no piece is certified
+    pytest.param(
+        "e1-modules",
+        stacked_map_reads_the_last_piece_as_zero,
+        {"evenly graded ring splits into trivial pieces on [0, 40]": "unverified"},
+        id="e1-modules-stacked-map-loses-the-last-piece",
+    ),
     pytest.param(
         "a1-modules",
         margolis_injectivity_fails_at_the_bottom,
@@ -356,6 +388,20 @@ ENTRIES = [
             " f_injective=True, q0_margolis_injective=False, witness_degree=0)"
         },
         id="a1-modules-every-map-injective",
+    ),
+    # the stable type is found, but no map from the corrupted sum commutes
+    pytest.param(
+        "a1-modules",
+        block_sum_reads_the_first_part_as_trivial,
+        {
+            "restriction of A1": "unverified: ((('E1', 0), ('E1', 2)),)",
+            "restriction of I": "unverified: ((('E1', 2), ('L', 0)),)",
+            "restriction of J": "unverified: ((('E1', 0), ('Z2', 2)),)",
+            "restriction of K": "unverified: ((('L', -1),),)",
+            "identity map certified split": "SplitCertificate(hypotheses_met=False,"
+            " f_injective=True, q0_margolis_injective=True, witness_degree=None)",
+        },
+        id="a1-modules-block-sum-loses-the-first-action",
     ),
     pytest.param(
         "a1-modules",

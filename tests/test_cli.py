@@ -110,6 +110,22 @@ class TestModuleCommands:
         code, out, err = run([command, *flags])
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("top", ["0", "1", "2"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_module_type_refuses_a_window_with_no_reliable_degree(self, top, fmt):
+        # the top 3 degrees of a window are provisional, so [0, 2] has none
+        code, out, err = run(["module-type", "--max", top, "--format", fmt])
+        assert code == 2 and out == ""
+        assert err == f"error: --max {top}: window too small to say anything reliable\n"
+
+    @pytest.mark.parametrize("top", ["0", "1", "2"])
+    def test_commands_that_solve_nothing_accept_a_window_with_no_reliable_degree(self, top):
+        for argv in (["module-type", "--format", "dot"], ["margolis"], ["margolis", "--op", "q1"]):
+            code, out, err = run([*argv, "--max", top, "--algebra", "a1", "--preset", "bpsp3"])
+            assert code == 0 and out and err == "", argv
+        code, out, _ = run(["margolis", "--max", top, "--format", "json"])
+        assert code == 0 and {r["status"] for r in json.loads(out)} == {"provisional"}
+
     def test_algebra_spellings_agree(self):
         for spellings in (("a1", "A1", "A(1)"), ("e1", "E1", "E(1)")):
             outs = {run(["margolis", "--algebra", a, "--max", "8"])[1] for a in spellings}

@@ -563,3 +563,328 @@ class TestCanonicalSearchOracle:
         assert permutation_search_oracle(m, ("Z2",)) == ()
         self.assert_matches_oracle(m, ("Z2",))
         assert stable_type_solve(m, pieces=("Z2",)).status == "infeasible"
+
+
+class TestWindowCheck:
+    """Both callers take their window from FiniteModule.reliable_window."""
+
+    def test_feasibility_refuses_a_window_with_no_reliable_degree(self):
+        # no degree to read: both refuse, neither passes vacuously
+        from steenrod.bundles import bpsp3_presentation
+
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 2))
+        assert m.reliable_max() == -1
+        for solve in (stable_type_solve, eight_fold_feasibility):
+            with pytest.raises(ModuleError, match="window too small"):
+                solve(m)
+
+    def test_the_smallest_window_is_read(self):
+        from steenrod.bundles import bpsp3_presentation
+        from steenrod.modules import PeriodicFeasibility
+
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 3))
+        assert m.reliable_window() == (0, 0)
+        assert eight_fold_feasibility(m) == PeriodicFeasibility(True, {("Z2", 0): 1})
+
+
+def pairwise_sum_oracle(a, b):
+    """The two-module block sum before the one-pass direct_sum."""
+    if a.algebra != b.algebra:
+        raise ModuleError("cannot sum modules over different algebras")
+    dmin = min(a.dmin, b.dmin)
+    dmax = max(a.dmax, b.dmax)
+    dims = tuple(a.dim(d) + b.dim(d) for d in range(dmin, dmax + 1))
+    mats_by_op = {}
+    for op in a.spec.ops:
+        mats = []
+        for d in range(dmin, dmax + 1):
+            x = a.op_matrix(op, d)
+            y = b.op_matrix(op, d)
+            rows = [r for r in x.rows] + [r << x.ncols for r in y.rows]
+            mats.append(F2Matrix(x.nrows + y.nrows, x.ncols + y.ncols, rows))
+        mats_by_op[op] = mats
+    return FiniteModule.build(
+        a.algebra, dmin, dims, mats_by_op, truncated=a.truncated or b.truncated
+    )
+
+
+def pairwise_fold_isomorphism_oracle(module, solution):
+    """_build_isomorphism before piece maps were held as column images: the
+    pieces' block sum folded pairwise and the stacked map assembled by
+    column offsets."""
+    from functools import reduce
+
+    from steenrod.f2 import F2Basis
+    from steenrod.modules import _HOM_ENUM_CAP, ModuleMap
+
+    algebra = module.algebra
+    pieces = sorted(
+        solution,
+        key=lambda ps: (
+            standard_piece(algebra, ps[0]).dmin + ps[1],
+            -standard_piece(algebra, ps[0]).total_dim(),
+            ps[0],
+        ),
+    )
+    templates = [standard_piece(algebra, name).suspend(s) for name, s in pieces]
+    hom_bases = []
+    for t in templates:
+        hb = _hom_space(t, module)
+        if len(hb) > _HOM_ENUM_CAP:
+            return None
+        hom_bases.append(hb)
+
+    def try_place(idx, spans):
+        if idx == len(templates):
+            return []
+        t, hb = templates[idx], hom_bases[idx]
+        for mask in range(1, 1 << len(hb)):
+            mats = None
+            for b in range(len(hb)):
+                if (mask >> b) & 1:
+                    if mats is None:
+                        mats = list(hb[b])
+                    else:
+                        mats = [
+                            F2Matrix(m1.nrows, m1.ncols, [r1 ^ r2 for r1, r2 in zip(m1.rows, m2.rows)])
+                            for m1, m2 in zip(mats, hb[b])
+                        ]
+            new_spans = {d: b.copy() for d, b in spans.items()}
+            if not all(
+                all(new_spans.setdefault(d, F2Basis()).add(v) for v in mats[di].transpose().rows)
+                for di, d in enumerate(range(t.dmin, t.dmax + 1))
+                if t.dim(d)
+            ):
+                continue
+            rest = try_place(idx + 1, new_spans)
+            if rest is not None:
+                return [mats] + rest
+        return None
+
+    placed = try_place(0, {})
+    if placed is None:
+        return None
+    total = reduce(pairwise_sum_oracle, templates)
+    mats = []
+    for d in range(total.dmin, total.dmax + 1):
+        rows = [0] * module.dim(d)
+        col_offset = 0
+        for t, block in zip(templates, placed):
+            di = d - t.dmin
+            if 0 <= di < len(t.dims) and t.dim(d):
+                m = block[di]
+                for i in range(m.nrows):
+                    rows[i] |= m.rows[i] << col_offset
+            col_offset += t.dim(d)
+        mats.append(F2Matrix(module.dim(d), total.dim(d), rows))
+    fmap = ModuleMap(total, module, tuple(mats))
+    top = module.reliable_max()
+    if not fmap.check_commutes(top=top):
+        return None
+    for d in range(min(total.dmin, module.dmin), top + 1):
+        if total.dim(d) != module.dim(d) or fmap.mat(d).rank() != total.dim(d):
+            return None
+    return fmap
+
+
+def signature_feasibility_oracle(module):
+    """eight_fold_feasibility before it read _piece_profile: per-piece
+    Margolis signature dicts and a residual loop of its own."""
+    from steenrod.modules import PeriodicFeasibility
+
+    lo, hi = module.dmin, module.reliable_max()
+    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
+    q0m = {d: q0[d][0] for d in range(lo, hi + 1)}
+    q1m = {d: q1[d][0] for d in range(lo, hi + 1)}
+
+    def signature(name, susp):
+        t = standard_piece("A1", name)
+        return tuple(
+            {d + susp: v for d, (v, _) in t.margolis_homology(which).items() if v}
+            for which in ("q0", "q1")
+        )
+
+    counts = {}
+    rem_q0, rem_q1 = dict(q0m), dict(q1m)
+    for i in range(0, hi // 8 + 2):
+        placements = [("Z2", 8 * i), ("I", 8 * i - 1), ("J", 8 * i + 4), ("K", 8 * i + 4)]
+        sig = {name: signature(name, susp) for name, susp in placements}
+        z = rem_q1.get(8 * i, 0)
+        k = rem_q0.get(8 * i + 4, 0)
+        j = rem_q0.get(8 * i + 6, 0)
+        ii = rem_q0.get(8 * i, 0) - z
+        if min(z, k, j, ii) < 0:
+            return PeriodicFeasibility(False, None, f"negative count in block {i}")
+        for (name, susp), count in zip(placements, (z, ii, j, k)):
+            if count:
+                counts[(name, susp)] = count
+                s0, s1 = sig[name]
+                for d, v in s0.items():
+                    if lo <= d <= hi:
+                        rem_q0[d] = rem_q0.get(d, 0) - v * count
+                for d, v in s1.items():
+                    if lo <= d <= hi:
+                        rem_q1[d] = rem_q1.get(d, 0) - v * count
+    leftover_q0 = sorted(d for d, v in rem_q0.items() if v)
+    leftover_q1 = sorted(d for d, v in rem_q1.items() if v)
+    if leftover_q0 or leftover_q1:
+        return PeriodicFeasibility(
+            False,
+            None,
+            f"margolis series not matched (q0 left at {leftover_q0},"
+            f" q1 left at {leftover_q1})",
+        )
+    residual = {d: module.dim(d) for d in range(lo, hi + 1)}
+    for (name, susp), count in counts.items():
+        t = standard_piece("A1", name)
+        for d in range(lo, hi + 1):
+            residual[d] -= count * t.dim(d - susp)
+    a1 = standard_piece("A1", "A1")
+    free = {}
+    for d in range(lo, hi + 1):
+        val = residual[d]
+        for d0, cnt in free.items():
+            val -= cnt * a1.dim(d - d0)
+        if val < 0:
+            return PeriodicFeasibility(False, None, f"dimension deficit at degree {d}")
+        if val:
+            free[d] = val
+    return PeriodicFeasibility(True, dict(counts))
+
+
+def synthetic_a1_sums():
+    """The strict family's synthetic sums: one feasible, one misplaced."""
+    parts = [("A1", 0), ("Z2", 0), ("Z2", 8), ("J", 4), ("K", 4), ("A1", 3)]
+    modules = [standard_piece("A1", n).suspend(s) for n, s in parts]
+    yield modules[0].direct_sum(*modules[1:])
+    yield standard_piece("A1", "Z2").suspend(1)
+    yield standard_piece("A1", "K").direct_sum(standard_piece("A1", "I").suspend(7))
+    for _, m in random_sums("A1", 8, seed="eight-fold"):
+        yield m
+
+
+class TestRewiredPathsAgainstTheirOracles:
+    """The one-pass block sum, the column-image isomorphism and the profile
+    feasibility against the code they replaced."""
+
+    def test_one_pass_sum_equals_the_pairwise_fold(self):
+        from functools import reduce
+
+        for algebra in ("A1", "E1"):
+            for parts, _ in random_sums(algebra, 12, seed=f"fold-{algebra}"):
+                ms = [standard_piece(algebra, n).suspend(s) for n, s in parts]
+                want = reduce(pairwise_sum_oracle, ms)
+                assert ms[0].direct_sum(*ms[1:]) == want, parts
+                assert reduce(FiniteModule.direct_sum, ms) == want, parts
+        a, b, c = (standard_piece("A1", n) for n in ("J", "Z2", "K"))
+        assert a.direct_sum(b, c) == a.direct_sum(b).direct_sum(c)
+        truncated = bsu3_module((0, 12))
+        z = standard_piece("E1", "Z2").suspend(14)
+        assert truncated.direct_sum(z) == pairwise_sum_oracle(truncated, z)
+
+    def test_a_sum_over_mixed_algebras_raises(self):
+        a, b = standard_piece("A1", "J"), standard_piece("A1", "Z2")
+        for others in ((standard_piece("E1", "Z2"),), (b, standard_piece("E1", "C"))):
+            with pytest.raises(ModuleError, match="different algebras"):
+                a.direct_sum(*others)
+
+    @staticmethod
+    def assert_iso_matches_oracle(module, pieces=None):
+        result = stable_type_solve(module, pieces)
+        assert result.status == "unique" and result.iso is not None
+        want = pairwise_fold_isomorphism_oracle(module, result.pieces)
+        assert want is not None
+        assert result.iso.mats == want.mats
+        assert result.iso.source.dims == want.source.dims
+        assert result.iso.source.ops == want.source.ops
+
+    def test_isomorphisms_of_the_a1_restrictions(self):
+        for name in ("A1", "I", "J", "K"):
+            self.assert_iso_matches_oracle(restrict_to_e1(standard_piece("A1", name)))
+
+    def test_isomorphism_of_the_evenly_graded_ring(self):
+        self.assert_iso_matches_oracle(bsu3_module((0, 40)))
+
+    def test_isomorphism_of_the_additivity_sum(self):
+        a = standard_piece("E1", "C").suspend(2)
+        b = standard_piece("E1", "Z2")
+        c = standard_piece("E1", "E1").suspend(1)
+        self.assert_iso_matches_oracle(a.direct_sum(b).direct_sum(c))
+
+    @pytest.mark.parametrize("case", ["identity", "joker", "zero"])
+    def test_isomorphisms_of_the_split_criterion_hypotheses(self, case):
+        from steenrod.modules import split_case
+
+        f = split_case(case)
+        self.assert_iso_matches_oracle(f.source, ("Z2", "J", "A1"))
+        self.assert_iso_matches_oracle(f.target, ("Z2", "I", "J", "K", "A1"))
+
+    def test_feasibility_of_bpsp3_windows(self):
+        from steenrod.bundles import bpsp3_presentation
+
+        verdicts = set()
+        for n in range(3, 41):
+            m = from_presentation(bpsp3_presentation(), "A1", (0, n))
+            got = eight_fold_feasibility(m)
+            assert got == signature_feasibility_oracle(m), n
+            verdicts.add(got.feasible)
+        assert verdicts == {True, False}
+
+    def test_feasibility_of_synthetic_sums(self):
+        verdicts = []
+        for m in synthetic_a1_sums():
+            got = eight_fold_feasibility(m)
+            assert got == signature_feasibility_oracle(m)
+            verdicts.append(got.feasible)
+        assert verdicts[:2] == [True, False]
+
+
+class TestBuildCounts:
+    """One block sum per certified isomorphism, and one relation check in
+    every degree of a truncated window."""
+
+    def test_the_module_suites_sum_once_per_isomorphism(self, monkeypatch):
+        from steenrod import modules, verify
+
+        sums, isos = [], []
+        direct_sum, build = FiniteModule.direct_sum, modules._build_isomorphism
+
+        def counted_sum(first, *others):
+            sums.append(1 + len(others))
+            return direct_sum(first, *others)
+
+        def counted_build(module, solution):
+            iso = build(module, solution)
+            if iso is not None:
+                isos.append(len(solution))
+            return iso
+
+        monkeypatch.setattr(FiniteModule, "direct_sum", counted_sum)
+        monkeypatch.setattr(modules, "_build_isomorphism", counted_build)
+        verify.suite_a1_modules()
+        verify.suite_e1_modules()
+        # one sum of all its pieces per isomorphism
+        assert len(isos) == 11 and sums == isos
+
+    @pytest.mark.parametrize("preset", ["bpsp3", "bsu3", "bu3", "cp2-total", "hp2-total"])
+    def test_truncated_preset_modules_validate_in_every_degree(self, preset):
+        from steenrod.cli import PRESETS
+
+        for algebra in ("A1", "E1"):
+            m = from_presentation(PRESETS[preset](), algebra, (0, 30))
+            m.validate()
+            if algebra == "A1":
+                r = restrict_to_e1(m)  # validates the restriction itself
+                assert (r.dims, r.truncated) == (m.dims, True)
+
+    def test_validate_reads_the_top_of_a_truncated_window(self):
+        # Sq^1 Sq^1 != 0 from degree 0, within 4 degrees of the top of a
+        # truncated window: both the module and its restriction are checked
+        one, zero, out = F2Matrix.identity(1), F2Matrix.zero(1, 1), F2Matrix.zero(0, 1)
+        m = FiniteModule.build(
+            "A1", 0, (1, 1, 1), {"sq1": [one, one, out], "sq2": [zero, out, out]}, truncated=True
+        )
+        with pytest.raises(ModuleError, match="^sq1 sq1 != 0 at degree 0$"):
+            m.validate()
+        with pytest.raises(ModuleError, match="^q0 q0 != 0 at degree 0$"):
+            restrict_to_e1(m)
