@@ -23,12 +23,11 @@ and safe under concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from threading import Lock
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .f2 import FIELD, LIMIT, F2Error, F2Poly, WeightedPolyRing, binom_mod2
+from .f2 import FIELD, LIMIT, F2Error, F2Poly, Frozen, WeightedPolyRing, binom_mod2
 
 if TYPE_CHECKING:
     from .algebra import SteenrodElement
@@ -129,15 +128,14 @@ class TotalSquare:
         return comps
 
 
-@dataclass(frozen=True)
-class SqAlgebraPresentation:
+class SqAlgebraPresentation(Frozen):
     """A weighted polynomial ring with a declared Steenrod action."""
 
-    ring: WeightedPolyRing
-    action: tuple[tuple[F2Poly, ...], ...]  # action[i][k-1] = Sq^k(g_i)
-    _square: TotalSquare = field(init=False, compare=False, repr=False, hash=False)
+    __slots__ = ("ring", "action", "_square")
 
-    def __post_init__(self):
+    def __init__(self, ring: WeightedPolyRing, action: tuple[tuple[F2Poly, ...], ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "action", action)  # action[i][k-1] = Sq^k(g_i)
         if len(self.action) != self.ring.ngens:
             raise PresentationError("need an action row per generator")
         for i, ((name, deg), images) in enumerate(zip(self.ring.generators, self.action)):
@@ -159,6 +157,9 @@ class SqAlgebraPresentation:
                 raise PresentationError(f"Sq^{deg}({name}) must equal {name}^2")
         square = TotalSquare(self._gen, self.ring.degrees.__getitem__, FIELD)
         object.__setattr__(self, "_square", square)
+
+    def _key(self) -> tuple:
+        return self.ring, self.action
 
     @classmethod
     def build(
@@ -242,21 +243,22 @@ class SqAlgebraPresentation:
         return F2Poly(self.ring, frozenset(acc))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """A named check: whether it held, and a witness when it did not.
 
     This is the one check-result type, from the engines to the report.  A
     passing check keeps no witness, whatever its caller passed.
     """
 
-    check_id: str
-    ok: bool
-    witness: str = ""
+    __slots__ = ("check_id", "ok", "witness")
 
-    def __post_init__(self):
-        if self.ok:
-            object.__setattr__(self, "witness", "")
+    def __init__(self, check_id: str, ok: bool, witness: str = ""):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", "" if ok else witness)
+
+    def _key(self) -> tuple:
+        return self.check_id, self.ok, self.witness
 
     @property
     def status(self) -> str:
@@ -308,20 +310,21 @@ def check_presentation(
     return first_failure(f"action consistent through degree {degree_max}", failures())
 
 
-@dataclass(frozen=True)
-class AlgebraMap:
+class AlgebraMap(Frozen):
     """A degree-preserving ring map between presentations, given on generators."""
 
-    source: SqAlgebraPresentation
-    target: SqAlgebraPresentation
-    images: tuple[F2Poly, ...]
-    # images[i] ** e by (i, e), shared by every apply; exact because the
-    # images are fixed fields of this frozen map
-    _powers: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
-    )
+    __slots__ = ("source", "target", "images", "_powers")
 
-    def __post_init__(self):
+    def __init__(
+        self, source: SqAlgebraPresentation, target: SqAlgebraPresentation,
+        images: tuple[F2Poly, ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        # images[i] ** e by (i, e), shared by every apply; exact because the
+        # images are fixed fields of this frozen map
+        object.__setattr__(self, "_powers", {})
         if len(self.images) != self.source.ring.ngens:
             raise PresentationError("need one image per source generator")
         for (name, deg), img in zip(self.source.ring.generators, self.images):
@@ -329,6 +332,9 @@ class AlgebraMap:
                 raise PresentationError(f"image of {name} lives in the wrong ring")
             if not img.is_zero() and (not img.is_homogeneous() or img.degree() != deg):
                 raise PresentationError(f"image of {name} must be homogeneous of degree {deg}")
+
+    def _key(self) -> tuple:
+        return self.source, self.target, self.images
 
     def apply(self, f: F2Poly) -> F2Poly:
         if f.ring != self.source.ring:

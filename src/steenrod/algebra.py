@@ -17,11 +17,10 @@ longer words larger, matching the order used for the Milnor pairing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .f2 import INTS, bilinear, binom_mod2, ints, parse_sum, tensor
+from .f2 import INTS, Frozen, bilinear, binom_mod2, ints, parse_sum, tensor
 
 Word = tuple[int, ...]
 
@@ -83,11 +82,19 @@ def _word_str(w: Word) -> str:
     return "1" if not w else "Sq[" + ",".join(map(str, w)) + "]"
 
 
-@dataclass(frozen=True)
-class SteenrodElement:
+class SteenrodElement(Frozen):
     """An F2-sum of admissible words; the empty word is the unit 1."""
 
-    words: frozenset[Word]
+    __slots__ = ("words",)
+
+    def __init__(self, words: frozenset[Word]):
+        for w in words:
+            if not is_admissible(w):
+                raise ValueError(f"non-admissible word {w} in SteenrodElement")
+        object.__setattr__(self, "words", words)
+
+    def _key(self) -> tuple:
+        return (self.words,)
 
     @classmethod
     def zero(cls) -> "SteenrodElement":
@@ -108,11 +115,6 @@ class SteenrodElement:
         for w in words:
             acc ^= normalize_word(tuple(w))
         return cls(frozenset(acc))
-
-    def __post_init__(self):
-        for w in self.words:
-            if not is_admissible(w):
-                raise ValueError(f"non-admissible word {w} in SteenrodElement")
 
     def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
         return SteenrodElement(self.words ^ other.words)
@@ -170,11 +172,16 @@ class SteenrodElement:
         return f"SteenrodElement({self})"
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(Frozen):
     """An F2-sum of two-sided tensors of admissible words."""
 
-    pairs: frozenset[tuple[Word, Word]]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset[tuple[Word, Word]]):
+        object.__setattr__(self, "pairs", pairs)
+
+    def _key(self) -> tuple:
+        return (self.pairs,)
 
     @classmethod
     def zero(cls) -> "TensorElement":

@@ -39,12 +39,11 @@ through the two transfer legs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 from .action import AlgebraMap, Check, SqAlgebraPresentation, _eq, first_failure
-from .f2 import FIELD, F2Index, F2Poly, F2Span, WeightedPolyRing, series_of_ring
+from .f2 import FIELD, F2Index, F2Poly, F2Span, Frozen, WeightedPolyRing, series_of_ring
 
 
 class BundleError(Exception):
@@ -146,20 +145,23 @@ def elementary_symmetric(pres: SqAlgebraPresentation, j: int) -> F2Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictionModel:
+class RestrictionModel(Frozen):
     """The rank-one model F2[x1, x2, y1, y2] with the named classes."""
 
-    pres: SqAlgebraPresentation
-    t2: F2Poly
-    t3: F2Poly
-    s1: F2Poly
-    s2: F2Poly
-    s3: F2Poly
-    t8: F2Poly
-    t12: F2Poly
-    u4: F2Poly
-    u8: F2Poly
+    __slots__ = ("pres", "t2", "t3", "s1", "s2", "s3", "t8", "t12", "u4", "u8")
+
+    def __init__(
+        self, pres: SqAlgebraPresentation, t2: F2Poly, t3: F2Poly, s1: F2Poly, s2: F2Poly,
+        s3: F2Poly, t8: F2Poly, t12: F2Poly, u4: F2Poly, u8: F2Poly,
+    ):
+        for field, value in zip(self.__slots__, (pres, t2, t3, s1, s2, s3, t8, t12, u4, u8)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return (
+            self.pres, self.t2, self.t3, self.s1, self.s2, self.s3, self.t8, self.t12,
+            self.u4, self.u8,
+        )
 
 
 @lru_cache(maxsize=None)
@@ -242,33 +244,43 @@ def cp2_total_presentation() -> SqAlgebraPresentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberBundleData:
+class FiberBundleData(Frozen):
     """Base and total rings, the pullback, a Leray-Hirsch basis, and the
     total Stiefel-Whitney class of the vertical bundle."""
 
-    name: str
-    base: SqAlgebraPresentation
-    total: SqAlgebraPresentation
-    pullback: AlgebraMap
-    fiber_dim: int
-    lh_basis: tuple[F2Poly, ...]
-    w_tau: F2Poly
-    cap: int = 72
-    # The caches below depend only on fields of this frozen bundle, so they
-    # are exact; a copy made by dataclasses.replace starts with empty ones.
-    # degree -> the solver of its whole slice, the elimination
-    _spans: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    __slots__ = (
+        "name", "base", "total", "pullback", "fiber_dim", "lh_basis", "w_tau", "cap",
+        "_spans", "_matrices", "_coefficients",
     )
-    # generator j -> the matrix of multiplication by it, filled all at once
-    _matrices: list = field(
-        default_factory=list, init=False, compare=False, repr=False, hash=False
-    )
-    # packed total monomial -> its Leray-Hirsch coefficients
-    _coefficients: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
-    )
+
+    def __init__(
+        self,
+        name: str,
+        base: SqAlgebraPresentation,
+        total: SqAlgebraPresentation,
+        pullback: AlgebraMap,
+        fiber_dim: int,
+        lh_basis: tuple[F2Poly, ...],
+        w_tau: F2Poly,
+        cap: int = 72,
+    ):
+        values = (name, base, total, pullback, fiber_dim, lh_basis, w_tau, cap)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+        # The caches below depend only on the fields above, so they are exact;
+        # a bundle built again from the same fields starts with empty ones.
+        # degree -> the solver of its whole slice, the elimination
+        object.__setattr__(self, "_spans", {})
+        # generator j -> the matrix of multiplication by it, filled all at once
+        object.__setattr__(self, "_matrices", [])
+        # packed total monomial -> its Leray-Hirsch coefficients
+        object.__setattr__(self, "_coefficients", {})
+
+    def _key(self) -> tuple:
+        return (
+            self.name, self.base, self.total, self.pullback, self.fiber_dim, self.lh_basis,
+            self.w_tau, self.cap,
+        )
 
     def lh_reduce(self, f: F2Poly) -> tuple[F2Poly, ...]:
         """The unique coefficients r_i with f = sum pi^*(r_i) b_i.
@@ -650,13 +662,15 @@ def module_property_check(b: FiberBundleData, samples: int) -> Check:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LegResult:
-    degree: int
-    formula: str
-    cp2_value: str
-    hp2_value: str
-    detected: bool
+class LegResult(Frozen):
+    __slots__ = ("degree", "formula", "cp2_value", "hp2_value", "detected")
+
+    def __init__(self, degree: int, formula: str, cp2_value: str, hp2_value: str, detected: bool):
+        for field, value in zip(self.__slots__, (degree, formula, cp2_value, hp2_value, detected)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return self.degree, self.formula, self.cp2_value, self.hp2_value, self.detected
 
 
 def substitute_vertical(b: FiberBundleData, wpoly: frozenset[int]) -> F2Poly:

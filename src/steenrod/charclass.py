@@ -89,14 +89,13 @@ it mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
-from .f2 import F2Basis, F2Index, F2Span, bilinear, binom_mod2, geometric_series_product, power, tensor
+from .f2 import F2Basis, F2Index, F2Span, Frozen, bilinear, binom_mod2, geometric_series_product, power, tensor
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]
@@ -232,15 +231,24 @@ class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PrimitiveReport:
-    space: str
-    degree: int
-    dimension: int
-    formula: str
-    polynomial: ModPoly
-    verified: bool
-    kernel_checked: bool
+class PrimitiveReport(Frozen):
+    __slots__ = (
+        "space", "degree", "dimension", "formula", "polynomial", "verified", "kernel_checked"
+    )
+
+    def __init__(
+        self, space: str, degree: int, dimension: int, formula: str, polynomial: ModPoly,
+        verified: bool, kernel_checked: bool,
+    ):
+        values = (space, degree, dimension, formula, polynomial, verified, kernel_checked)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return (
+            self.space, self.degree, self.dimension, self.formula, self.polynomial,
+            self.verified, self.kernel_checked,
+        )
 
 
 class QuotientModel:
@@ -809,10 +817,15 @@ def s17_naive_substitution(cap: int = 34) -> ModPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndecomposableTable:
-    dims: dict[int, int]
-    rule_violations: tuple[int, ...]
+class IndecomposableTable(Frozen):
+    __slots__ = ("dims", "rule_violations")
+
+    def __init__(self, dims: dict[int, int], rule_violations: tuple[int, ...]):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "rule_violations", rule_violations)
+
+    def _key(self) -> tuple:
+        return self.dims, self.rule_violations
 
     def rule(self, n: int) -> int:
         """The closed-form expectation: 0 below 4 and at 2^k +/- 1, else 1."""

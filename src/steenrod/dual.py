@@ -21,7 +21,6 @@ and Milnor bases.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, zip_longest
 from operator import mul
@@ -36,7 +35,8 @@ from .algebra import (
     word_sort_key,
 )
 from .f2 import (
-    INTS, F2Basis, F2Index, F2Matrix, F2Vector, InputError, bilinear, ints, parse_sum, power, tensor
+    INTS, F2Basis, F2Index, F2Matrix, F2Vector, Frozen, InputError, bilinear, ints, parse_sum,
+    power, tensor,
 )
 
 XiMonomial = tuple[int, ...]
@@ -97,11 +97,16 @@ def _xi_product(a: XiMonomial, b: XiMonomial) -> set[XiMonomial]:
 _xi_pair_product = tensor(_xi_product)
 
 
-@dataclass(frozen=True)
-class DualElement:
+class DualElement(Frozen):
     """An F2-sum of xi-monomials."""
 
-    monomials: frozenset[XiMonomial]
+    __slots__ = ("monomials",)
+
+    def __init__(self, monomials: frozenset[XiMonomial]):
+        object.__setattr__(self, "monomials", monomials)
+
+    def _key(self) -> tuple:
+        return (self.monomials,)
 
     @classmethod
     def zero(cls) -> "DualElement":
@@ -166,11 +171,16 @@ class DualElement:
 DualPair = tuple[XiMonomial, XiMonomial]
 
 
-@dataclass(frozen=True)
-class DualTensor:
+class DualTensor(Frozen):
     """An F2-sum of xi-monomial tensors."""
 
-    pairs: frozenset[DualPair]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset[DualPair]):
+        object.__setattr__(self, "pairs", pairs)
+
+    def _key(self) -> tuple:
+        return (self.pairs,)
 
     @classmethod
     def zero(cls) -> "DualTensor":
@@ -340,18 +350,21 @@ def milnor_primitive(i: int) -> SteenrodElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubHopfAlgebra:
+class SubHopfAlgebra(Frozen):
     """A(n) is generated by Sq^1..Sq^(2^n); E(n) is exterior on Q_0..Q_n."""
 
-    kind: str  # "A" or "E"
-    n: int
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self):
-        if self.kind not in ("A", "E"):
+    def __init__(self, kind: str, n: int):
+        if kind not in ("A", "E"):
             raise ValueError("kind must be 'A' or 'E'")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+
+    def _key(self) -> tuple:
+        return self.kind, self.n
 
     def __str__(self):
         return f"{self.kind}({self.n})"

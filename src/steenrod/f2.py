@@ -23,7 +23,6 @@ growable exceptions: an F2Basis takes new rows and an F2Index new keys.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -47,6 +46,41 @@ class DegreeCapError(F2Error):
 
 class InputError(F2Error, ValueError):
     """Text outside the expression grammar or a negative exponent: bad input, so a ValueError."""
+
+
+class Frozen:
+    """An immutable value.  A subclass names in __slots__ its constructor's
+    parameters, in order, then any memo; its __init__ sets each field once
+    through object.__setattr__.  _key() returns the parameters' fields, which
+    equality, hash, repr, pickle and copy read, so a filled memo changes none
+    of them."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        # through the constructor: its checks run again and memos start empty
+        return type(self), self._key()
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +171,19 @@ def tensor(product: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F2Vector:
+class F2Vector(Frozen):
     """A vector over F2: ``length`` coordinates, ones at ``bits``."""
 
-    length: int
-    bits: int
+    __slots__ = ("length", "bits")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.length:
-            raise ShapeError(f"support exceeds length {self.length}")
+    def __init__(self, length: int, bits: int):
+        if bits < 0 or bits >> length:
+            raise ShapeError(f"support exceeds length {length}")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
+
+    def _key(self) -> tuple:
+        return self.length, self.bits
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "F2Vector":
@@ -173,7 +210,7 @@ class F2Vector:
         return self.bits == 0
 
 
-class F2Matrix:
+class F2Matrix(Frozen):
     """An immutable matrix over F2 with int-bitmask rows.
 
     Row ``i`` has bit ``j`` set iff entry ``(i, j)`` is 1.  The rank reads an
@@ -181,7 +218,7 @@ class F2Matrix:
     highest index first, so they are deterministic.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_echelon")
+    __slots__ = ("nrows", "ncols", "rows", "_echelon")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
         if len(rows) != nrows:
@@ -194,8 +231,8 @@ class F2Matrix:
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_echelon", None)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("F2Matrix is immutable")
+    def _key(self) -> tuple:
+        return self.nrows, self.ncols, self.rows
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
@@ -271,17 +308,6 @@ class F2Matrix:
         """Basis of the right kernel: for each free column, ascending, the
         vector that sums it with pivot columns of higher index."""
         return [self._vector(r) for r in reversed(self._columns().relations)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, F2Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
 
     def __repr__(self):
         return f"F2Matrix({self.nrows}x{self.ncols})"
@@ -386,28 +412,29 @@ LIMIT = 1 << (FIELD - 1)
 _MASK = (1 << FIELD) - 1
 
 
-@dataclass(frozen=True)
-class WeightedPolyRing:
+class WeightedPolyRing(Frozen):
     """A polynomial ring over F2 with named generators of positive degree."""
 
-    generators: tuple[tuple[str, int], ...]
-    degrees: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    # the top bit of every field, which a sum or double of exponents below
-    # LIMIT sets exactly when it reaches LIMIT
-    _high: int = field(init=False, compare=False, repr=False)
-    # (i, d) -> the packed monomials of degree d in generators i, i + 1, ...
-    _suffixes: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("generators", "degrees", "_high", "_suffixes")
 
-    def __post_init__(self):
-        names = [n for n, _ in self.generators]
+    def __init__(self, generators: tuple[tuple[str, int], ...]):
+        names = [n for n, _ in generators]
         if len(set(names)) != len(names):
             raise F2Error("generator names must be unique")
-        for n, d in self.generators:
+        for n, d in generators:
             if d < 1:
                 raise F2Error(f"generator {n} must have degree >= 1")
-        object.__setattr__(self, "degrees", tuple(d for _, d in self.generators))
+        object.__setattr__(self, "generators", generators)
+        # the rest is read off the generators, so it stays out of the key
+        object.__setattr__(self, "degrees", tuple(d for _, d in generators))
+        # the top bit of every field, which a sum or double of exponents below
+        # LIMIT sets exactly when it reaches LIMIT
         object.__setattr__(self, "_high", sum(LIMIT << (FIELD * j) for j in range(self.ngens)))
+        # (i, d) -> the packed monomials of degree d in generators i, i + 1, ...
         object.__setattr__(self, "_suffixes", {})
+
+    def _key(self) -> tuple:
+        return (self.generators,)
 
     @classmethod
     def make(cls, *gens: tuple[str, int]) -> "WeightedPolyRing":
@@ -507,8 +534,7 @@ class WeightedPolyRing:
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(\d+))?$")
 
 
-@dataclass(frozen=True)
-class F2Poly:
+class F2Poly(Frozen):
     """A polynomial over F2: a set of packed monomials in a fixed ring.
 
     Monomials are ints in the ring's packed layout (see FIELD), every
@@ -516,8 +542,14 @@ class F2Poly:
     text is parsed or printed and in from_monomials and coefficient.
     """
 
-    ring: WeightedPolyRing
-    monomials: frozenset[int]
+    __slots__ = ("ring", "monomials")
+
+    def __init__(self, ring: WeightedPolyRing, monomials: frozenset[int]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "monomials", monomials)
+
+    def _key(self) -> tuple:
+        return self.ring, self.monomials
 
     def _check(self, other: "F2Poly"):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -620,17 +652,20 @@ class F2Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+class PoincareSeries(Frozen):
     """Truncated dimension series: coefficients[d] = dim in degree d."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: tuple[int, ...]):
+        if not coefficients:
             raise F2Error("series needs at least the degree-0 coefficient")
-        if any(c < 0 for c in self.coefficients):
+        if any(c < 0 for c in coefficients):
             raise F2Error("series coefficients must be non-negative")
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def _key(self) -> tuple:
+        return (self.coefficients,)
 
     @property
     def max_degree(self) -> int:

@@ -36,7 +36,6 @@ Margolis homology (Adams-Margolis) is a standard fact the solver relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import mul, xor
 from typing import Sequence
@@ -44,7 +43,7 @@ from typing import Sequence
 from .action import SqAlgebraPresentation
 from .algebra import SteenrodElement
 from .dual import SubHopfAlgebra, basis_of, milnor_to_admissible
-from .f2 import F2Basis, F2Index, F2Matrix, F2Poly, F2Span
+from .f2 import F2Basis, F2Index, F2Matrix, F2Poly, F2Span, Frozen
 
 EDGE_MARGIN = 3  # Q_1 has degree 3; conclusions this close to the top are provisional
 
@@ -56,18 +55,31 @@ def _words(text: str) -> tuple[Word, ...]:
     return tuple(tuple(term.split()) for term in text.split("+"))
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
-    """A(1) or E(1): everything the module code needs to know about it."""
+class Algebra(Frozen):
+    """A(1) or E(1): everything the module code needs to know about it.
 
-    hopf: tuple[str, int]  # the sub-Hopf algebra, as dual.SubHopfAlgebra takes it
-    ops: dict[str, int]  # generator -> degree, in matrix order
-    milnor: dict[str, tuple[int, ...]]  # generator -> its Milnor basis element
-    relations: tuple[str, ...]  # sums of words that act as zero
-    margolis: dict[str, str]  # "q0", "q1" -> the operator as a sum of words
-    # the catalog in order: piece -> (bottom degree, relators), the algebra
-    # from the bottom degree up modulo the left ideal of the relators
-    pieces: dict[str, tuple[int, tuple[str, ...]]]
+    Four of its fields are dicts, so it compares and hashes by identity."""
+
+    __slots__ = ("hopf", "ops", "milnor", "relations", "margolis", "pieces")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        hopf: tuple[str, int],  # the sub-Hopf algebra, as dual.SubHopfAlgebra takes it
+        ops: dict[str, int],  # generator -> degree, in matrix order
+        milnor: dict[str, tuple[int, ...]],  # generator -> its Milnor basis element
+        relations: tuple[str, ...],  # sums of words that act as zero
+        margolis: dict[str, str],  # "q0", "q1" -> the operator as a sum of words
+        # the catalog in order: piece -> (bottom degree, relators), the algebra
+        # from the bottom degree up modulo the left ideal of the relators
+        pieces: dict[str, tuple[int, tuple[str, ...]]],
+    ):
+        for field, value in zip(self.__slots__, (hopf, ops, milnor, relations, margolis, pieces)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return self.hopf, self.ops, self.milnor, self.relations, self.margolis, self.pieces
 
     def element(self, text: str) -> SteenrodElement:
         """A sum of generator words as an element of the Steenrod algebra."""
@@ -113,22 +125,24 @@ def _spec(algebra: str) -> Algebra:
     return ALGEBRAS[algebra]
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(Frozen):
     """A degree-windowed module over A(1) or E(1)."""
 
-    algebra: str
-    dmin: int
-    dims: tuple[int, ...]
-    ops: tuple[tuple[str, tuple[F2Matrix, ...]], ...]
-    truncated: bool = False
-    name: str = ""
-    # which -> Margolis table, exact as it reads only this frozen module
-    _margolis: dict = field(
-        default_factory=dict, init=False, compare=False, repr=False, hash=False
-    )
+    __slots__ = ("algebra", "dmin", "dims", "ops", "truncated", "name", "_margolis")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        algebra: str,
+        dmin: int,
+        dims: tuple[int, ...],
+        ops: tuple[tuple[str, tuple[F2Matrix, ...]], ...],
+        truncated: bool = False,
+        name: str = "",
+    ):
+        for field, value in zip(self.__slots__, (algebra, dmin, dims, ops, truncated, name)):
+            object.__setattr__(self, field, value)
+        # which -> Margolis table, exact as it reads only this frozen module
+        object.__setattr__(self, "_margolis", {})
         expected = tuple(_spec(self.algebra).ops)
         if tuple(op for op, _ in self.ops) != expected:
             raise ModuleError(f"{self.algebra} needs ops {expected}")
@@ -141,6 +155,9 @@ class FiniteModule:
                 target = self.dim(self.dmin + i + shift)
                 if m.nrows != target and not (self.truncated and self._near_top(i + shift)):
                     raise ModuleError(f"{op} at degree {self.dmin + i}: bad target dim")
+
+    def _key(self) -> tuple:
+        return self.algebra, self.dmin, self.dims, self.ops, self.truncated, self.name
 
     def _near_top(self, offset: int) -> bool:
         return offset >= len(self.dims)
@@ -244,6 +261,10 @@ class FiniteModule:
 
     def margolis_homology(self, which: str) -> dict[int, tuple[int, bool]]:
         """Degree -> (dim ker/im, reliable flag), computed once; returns a copy."""
+        return dict(self._margolis_table(which))
+
+    def _margolis_table(self, which: str) -> dict[int, tuple[int, bool]]:
+        """The memoised table itself, for callers in this module that only read it."""
         if which not in self._margolis:
             shift, mats = self.margolis_operator(which)
             out = {}
@@ -252,7 +273,7 @@ class FiniteModule:
                 im = mats[d - shift].rank() if d - shift >= self.dmin else 0
                 out[d] = (ker - im, d <= self.reliable_max())
             self._margolis[which] = out
-        return dict(self._margolis[which])
+        return self._margolis[which]
 
     def to_dot(self) -> str:
         """Node-and-edge picture: nodes per basis element, short edges for the
@@ -464,15 +485,15 @@ def restrict_to_e1(m: FiniteModule) -> FiniteModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(Frozen):
     """A degreewise linear map commuting with the algebra action."""
 
-    source: FiniteModule
-    target: FiniteModule
-    mats: tuple[F2Matrix, ...]  # indexed from source.dmin
+    __slots__ = ("source", "target", "mats")
 
-    def __post_init__(self):
+    def __init__(self, source: FiniteModule, target: FiniteModule, mats: tuple[F2Matrix, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mats", mats)  # indexed from source.dmin
         if self.source.algebra != self.target.algebra:
             raise ModuleError("source and target algebras differ")
         if len(self.mats) != len(self.source.dims):
@@ -481,6 +502,9 @@ class ModuleMap:
             d = self.source.dmin + i
             if m.ncols != self.source.dim(d) or m.nrows != self.target.dim(d):
                 raise ModuleError(f"matrix shape mismatch at degree {d}")
+
+    def _key(self) -> tuple:
+        return self.source, self.target, self.mats
 
     def mat(self, degree: int) -> F2Matrix:
         i = degree - self.source.dmin
@@ -509,7 +533,7 @@ class ModuleMap:
         of the first failure otherwise."""
         _, mats_s = self.source.margolis_operator(which)
         shift, mats_t = self.target.margolis_operator(which)
-        hdims = self.source.margolis_homology(which)
+        hdims = self.source._margolis_table(which)
         top = min(self.source.reliable_max(), self.target.reliable_max())
         for d in range(self.source.dmin, top + 1):
             ker = mats_s[d].kernel_basis()
@@ -552,14 +576,23 @@ def zero_map(source: FiniteModule, target: FiniteModule) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableType:
+class StableType(Frozen):
     """Result of decomposing a module into catalog pieces."""
 
-    status: str  # unique | ambiguous | infeasible | unverified
-    solutions: tuple[tuple[tuple[str, int], ...], ...]
-    iso: ModuleMap | None = None
-    note: str = ""
+    __slots__ = ("status", "solutions", "iso", "note")
+
+    def __init__(
+        self,
+        status: str,  # unique | ambiguous | infeasible | unverified
+        solutions: tuple[tuple[tuple[str, int], ...], ...],
+        iso: ModuleMap | None = None,
+        note: str = "",
+    ):
+        for field, value in zip(self.__slots__, (status, solutions, iso, note)):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return self.status, self.solutions, self.iso, self.note
 
     @property
     def pieces(self) -> tuple[tuple[str, int], ...]:
@@ -571,7 +604,7 @@ class StableType:
 def _profile(module: FiniteModule, lo: int, hi: int):
     """(dims, q0, q1) of a module over the degrees [lo, hi], zero outside it."""
     window = range(lo, hi + 1)
-    q0, q1 = module.margolis_homology("q0"), module.margolis_homology("q1")
+    q0, q1 = module._margolis_table("q0"), module._margolis_table("q1")
     return (
         tuple(module.dim(d) for d in window),
         tuple(q0.get(d, (0, True))[0] for d in window),
@@ -798,12 +831,22 @@ def _stacked_map(module: FiniteModule, templates, placed) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
-    hypotheses_met: bool
-    f_injective: bool
-    q0_margolis_injective: bool
-    witness_degree: int | None
+class SplitCertificate(Frozen):
+    __slots__ = ("hypotheses_met", "f_injective", "q0_margolis_injective", "witness_degree")
+
+    def __init__(
+        self,
+        hypotheses_met: bool,
+        f_injective: bool,
+        q0_margolis_injective: bool,
+        witness_degree: int | None,
+    ):
+        values = (hypotheses_met, f_injective, q0_margolis_injective, witness_degree)
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _key(self) -> tuple:
+        return self.hypotheses_met, self.f_injective, self.q0_margolis_injective, self.witness_degree
 
     @property
     def split_guaranteed(self) -> bool:
@@ -850,11 +893,16 @@ def split_case(name: str) -> ModuleMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicFeasibility:
-    feasible: bool
-    counts: dict | None
-    note: str = ""
+class PeriodicFeasibility(Frozen):
+    __slots__ = ("feasible", "counts", "note")
+
+    def __init__(self, feasible: bool, counts: dict | None, note: str = ""):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "note", note)
+
+    def _key(self) -> tuple:
+        return self.feasible, self.counts, self.note
 
 
 def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:

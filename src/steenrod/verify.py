@@ -30,15 +30,20 @@ whose Margolis series the computed module demonstrably does not match
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .action import Check, _eq, first_failure
+from .f2 import Frozen
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checks: tuple[Check, ...]
+class SuiteReport(Frozen):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: tuple[Check, ...]):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "checks", checks)
+
+    def _key(self) -> tuple:
+        return self.suite, self.checks
 
     @property
     def counts(self) -> dict[str, int]:

@@ -5,11 +5,11 @@ expects each named row to fail with the witness its search meets first, or
 with the certificate it read.
 """
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
 
+from rebuild import rebuilt
 from steenrod import action, algebra, bundles, charclass, dual, f2, modules, verify
 from steenrod.algebra import SteenrodElement
 
@@ -119,7 +119,7 @@ def u4_matrix_loses_t8(monkeypatch):
         return (rows[0], rows[1][:2] + (rows[1][2] + t8,), rows[2])
 
     monkeypatch.setattr(bundles.FiberBundleData, "_matrix", corrupted)
-    fresh = dataclasses.replace(bundles.hp2_bundle())
+    fresh = rebuilt(bundles.hp2_bundle())
     monkeypatch.setattr(bundles, "hp2_bundle", lambda: fresh)
 
 

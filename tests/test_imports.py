@@ -1,5 +1,5 @@
-"""Each command imports only the modules it runs, and the package's public
-names resolve on first access.
+"""Each command imports only the modules it runs, no module generates code
+at import, and the package's public names resolve on first access.
 
 The footprint tests start a fresh interpreter per case, since a test
 process has long since imported every module."""
@@ -13,18 +13,16 @@ from pathlib import Path
 import pytest
 
 import steenrod
-from steenrod import charclass, cli
+from steenrod import charclass, cli, verify
 
 SRC = str(Path(steenrod.__file__).resolve().parents[1])
 
 
-def loaded_after(statements: str) -> set[str]:
-    """The steenrod modules a fresh interpreter holds after the statements,
-    without the package prefix ("" for the package itself)."""
-    script = (
-        "import sys\n" + statements + "\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'steenrod'))"
-    )
+def loaded_after(statements: str, package: str | None = "steenrod") -> set[str]:
+    """The modules of `package` a fresh interpreter holds after the
+    statements, without the package prefix ("" for the package itself); with
+    package None, every module it holds, by its full name."""
+    script = "import sys\n" + statements + "\nprint(*sorted(sys.modules))"
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", script],
@@ -32,18 +30,26 @@ def loaded_after(statements: str) -> set[str]:
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    return {m.removeprefix("steenrod").lstrip(".") for m in out.split()}
+    ).stdout.split()
+    if package is None:
+        return set(out)
+    return {m.removeprefix(package).lstrip(".") for m in out if m.split(".")[0] == package}
 
 
-def loaded_by(argv: list[str]) -> set[str]:
+def loaded_by(argv: list[str], package: str | None = "steenrod") -> set[str]:
     """The modules a fresh interpreter holds after `steenrod ARGV`."""
     return loaded_after(
         "import contextlib, io\n"
         "from steenrod import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main({argv!r})"
+        f"    cli.main({argv!r})",
+        package,
     )
+
+
+# dataclasses imports inspect (and with it ast, dis and tokenize), and each
+# @dataclass compiles its methods through exec on every start
+CODE_GENERATORS = {"dataclasses", "inspect"}
 
 
 class TestImportFootprint:
@@ -95,6 +101,20 @@ class TestImportFootprint:
         loaded = loaded_by(["verify", "--suite", suite])
         assert "bundles" in loaded
         assert not loaded & {"charclass", "modules", "dual"}
+
+
+class TestNoCodeGeneration:
+    def test_building_the_parser_loads_no_dataclasses_or_inspect(self):
+        loaded = loaded_after("from steenrod import cli\ncli.build_parser()", package=None)
+        assert "steenrod.cli" in loaded
+        assert not loaded & CODE_GENERATORS
+
+    @pytest.mark.parametrize("suite", sorted(verify.SUITES))
+    def test_no_suite_loads_dataclasses_or_inspect(self, suite):
+        cap = verify.MIN_CAPS.get(suite, 3)
+        loaded = loaded_by(["verify", "--suite", suite, "--max", str(cap)], package=None)
+        assert "steenrod.verify" in loaded
+        assert not loaded & CODE_GENERATORS
 
 
 class TestLazyPackage:

@@ -450,6 +450,20 @@ class TestMargolisTables:
         assert {t for t, _ in computed} <= pieces | {m}
         assert {(m, "q0"), (m, "q1")} <= set(computed)
 
+    def test_solve_and_feasibility_read_the_tables_in_place(self, monkeypatch):
+        from steenrod.bundles import bpsp3_presentation
+
+        m = from_presentation(bpsp3_presentation(), "A1", (0, 24))
+        want = (stable_type_solve(m, build_iso=False), eight_fold_feasibility(m))
+
+        def copying(self, which):
+            raise AssertionError("a profile copied a Margolis table")
+
+        monkeypatch.setattr(FiniteModule, "margolis_homology", copying)
+        standard_piece.cache_clear()
+        fresh = from_presentation(bpsp3_presentation(), "A1", (0, 24))
+        assert (stable_type_solve(fresh, build_iso=False), eight_fold_feasibility(fresh)) == want
+
 
 def permutation_search_oracle(module, pieces=None, max_solutions=4):
     """The stable-type counting search before canonical placement order.
