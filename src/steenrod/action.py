@@ -17,8 +17,9 @@ one int with an exponent field per generator: a product is an addition and
 a Frobenius square a left shift.  Presentations hand it the monomials of
 their F2Poly values as they are, in the 32-bit fields of f2.FIELD.
 
-Presentations are immutable; the engine's component caches are idempotent
-and safe under concurrent readers.
+Presentations are immutable.  The engine's component caches fill
+idempotently, and a lock lets each generator's column hand out each
+component once, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ class SqAlgebraPresentation(Frozen):
     __slots__ = ("ring", "action", "_square")
 
     def __init__(self, ring: WeightedPolyRing, action: tuple[tuple[F2Poly, ...], ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "action", action)  # action[i][k-1] = Sq^k(g_i)
+        self._store(ring, action)  # action[i][k-1] = Sq^k(g_i)
         if len(self.action) != self.ring.ngens:
             raise PresentationError("need an action row per generator")
         for i, ((name, deg), images) in enumerate(zip(self.ring.generators, self.action)):
@@ -157,9 +157,6 @@ class SqAlgebraPresentation(Frozen):
                 raise PresentationError(f"Sq^{deg}({name}) must equal {name}^2")
         square = TotalSquare(self._gen, self.ring.degrees.__getitem__, FIELD)
         object.__setattr__(self, "_square", square)
-
-    def _key(self) -> tuple:
-        return self.ring, self.action
 
     @classmethod
     def build(
@@ -257,9 +254,6 @@ class Check(Frozen):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "witness", "" if ok else witness)
 
-    def _key(self) -> tuple:
-        return self.check_id, self.ok, self.witness
-
     @property
     def status(self) -> str:
         return "pass" if self.ok else "fail"
@@ -319,9 +313,7 @@ class AlgebraMap(Frozen):
         self, source: SqAlgebraPresentation, target: SqAlgebraPresentation,
         images: tuple[F2Poly, ...],
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
+        self._store(source, target, images)
         # images[i] ** e by (i, e), shared by every apply; exact because the
         # images are fixed fields of this frozen map
         object.__setattr__(self, "_powers", {})
@@ -332,9 +324,6 @@ class AlgebraMap(Frozen):
                 raise PresentationError(f"image of {name} lives in the wrong ring")
             if not img.is_zero() and (not img.is_homogeneous() or img.degree() != deg):
                 raise PresentationError(f"image of {name} must be homogeneous of degree {deg}")
-
-    def _key(self) -> tuple:
-        return self.source, self.target, self.images
 
     def apply(self, f: F2Poly) -> F2Poly:
         if f.ring != self.source.ring:

@@ -54,7 +54,7 @@ def normalize_word(word: Word) -> frozenset[Word]:
     """Admissible normal form of a word as a set of admissible words.
 
     Strategy: rewrite the leftmost inadmissible adjacent pair and recurse.
-    The cache is idempotent, so concurrent readers are safe.
+    The cache fills idempotently, so concurrent readers are safe.
     """
     for entry in word:
         if entry < 0:
@@ -92,9 +92,6 @@ class SteenrodElement(Frozen):
             if not is_admissible(w):
                 raise ValueError(f"non-admissible word {w} in SteenrodElement")
         object.__setattr__(self, "words", words)
-
-    def _key(self) -> tuple:
-        return (self.words,)
 
     @classmethod
     def zero(cls) -> "SteenrodElement":
@@ -180,9 +177,6 @@ class TensorElement(Frozen):
     def __init__(self, pairs: frozenset[tuple[Word, Word]]):
         object.__setattr__(self, "pairs", pairs)
 
-    def _key(self) -> tuple:
-        return (self.pairs,)
-
     @classmethod
     def zero(cls) -> "TensorElement":
         return cls(frozenset())
@@ -196,11 +190,11 @@ class TensorElement(Frozen):
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def apply_left(self, f) -> "TensorElement":
-        """Apply a word -> SteenrodElement map to the left factors."""
+    def apply_right(self, f) -> "TensorElement":
+        """Apply a word -> SteenrodElement map to the right factors."""
         acc: set[tuple[Word, Word]] = set()
         for (a, b) in self.pairs:
-            acc ^= {(w, b) for w in f(a).words}
+            acc ^= {(a, w) for w in f(b).words}
         return TensorElement(frozenset(acc))
 
     def multiply_out(self) -> SteenrodElement:

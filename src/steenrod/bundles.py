@@ -154,14 +154,7 @@ class RestrictionModel(Frozen):
         self, pres: SqAlgebraPresentation, t2: F2Poly, t3: F2Poly, s1: F2Poly, s2: F2Poly,
         s3: F2Poly, t8: F2Poly, t12: F2Poly, u4: F2Poly, u8: F2Poly,
     ):
-        for field, value in zip(self.__slots__, (pres, t2, t3, s1, s2, s3, t8, t12, u4, u8)):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return (
-            self.pres, self.t2, self.t3, self.s1, self.s2, self.s3, self.t8, self.t12,
-            self.u4, self.u8,
-        )
+        self._store(pres, t2, t3, s1, s2, s3, t8, t12, u4, u8)
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +257,7 @@ class FiberBundleData(Frozen):
         w_tau: F2Poly,
         cap: int = 72,
     ):
-        values = (name, base, total, pullback, fiber_dim, lh_basis, w_tau, cap)
-        for field, value in zip(self.__slots__, values):
-            object.__setattr__(self, field, value)
+        self._store(name, base, total, pullback, fiber_dim, lh_basis, w_tau, cap)
         # The caches below depend only on the fields above, so they are exact;
         # a bundle built again from the same fields starts with empty ones.
         # degree -> the solver of its whole slice, the elimination
@@ -275,12 +266,6 @@ class FiberBundleData(Frozen):
         object.__setattr__(self, "_matrices", [])
         # packed total monomial -> its Leray-Hirsch coefficients
         object.__setattr__(self, "_coefficients", {})
-
-    def _key(self) -> tuple:
-        return (
-            self.name, self.base, self.total, self.pullback, self.fiber_dim, self.lh_basis,
-            self.w_tau, self.cap,
-        )
 
     def lh_reduce(self, f: F2Poly) -> tuple[F2Poly, ...]:
         """The unique coefficients r_i with f = sum pi^*(r_i) b_i.
@@ -666,11 +651,7 @@ class LegResult(Frozen):
     __slots__ = ("degree", "formula", "cp2_value", "hp2_value", "detected")
 
     def __init__(self, degree: int, formula: str, cp2_value: str, hp2_value: str, detected: bool):
-        for field, value in zip(self.__slots__, (degree, formula, cp2_value, hp2_value, detected)):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return self.degree, self.formula, self.cp2_value, self.hp2_value, self.detected
+        self._store(degree, formula, cp2_value, hp2_value, detected)
 
 
 def substitute_vertical(b: FiberBundleData, wpoly: frozenset[int]) -> F2Poly:

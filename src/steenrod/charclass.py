@@ -240,15 +240,7 @@ class PrimitiveReport(Frozen):
         self, space: str, degree: int, dimension: int, formula: str, polynomial: ModPoly,
         verified: bool, kernel_checked: bool,
     ):
-        values = (space, degree, dimension, formula, polynomial, verified, kernel_checked)
-        for field, value in zip(self.__slots__, values):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return (
-            self.space, self.degree, self.dimension, self.formula, self.polynomial,
-            self.verified, self.kernel_checked,
-        )
+        self._store(space, degree, dimension, formula, polynomial, verified, kernel_checked)
 
 
 class QuotientModel:
@@ -821,11 +813,7 @@ class IndecomposableTable(Frozen):
     __slots__ = ("dims", "rule_violations")
 
     def __init__(self, dims: dict[int, int], rule_violations: tuple[int, ...]):
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "rule_violations", rule_violations)
-
-    def _key(self) -> tuple:
-        return self.dims, self.rule_violations
+        self._store(dims, rule_violations)
 
     def rule(self, n: int) -> int:
         """The closed-form expectation: 0 below 4 and at 2^k +/- 1, else 1."""

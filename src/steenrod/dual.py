@@ -105,9 +105,6 @@ class DualElement(Frozen):
     def __init__(self, monomials: frozenset[XiMonomial]):
         object.__setattr__(self, "monomials", monomials)
 
-    def _key(self) -> tuple:
-        return (self.monomials,)
-
     @classmethod
     def zero(cls) -> "DualElement":
         return cls(frozenset())
@@ -178,9 +175,6 @@ class DualTensor(Frozen):
 
     def __init__(self, pairs: frozenset[DualPair]):
         object.__setattr__(self, "pairs", pairs)
-
-    def _key(self) -> tuple:
-        return (self.pairs,)
 
     @classmethod
     def zero(cls) -> "DualTensor":
@@ -360,11 +354,7 @@ class SubHopfAlgebra(Frozen):
             raise ValueError("kind must be 'A' or 'E'")
         if n < 0:
             raise ValueError("n must be >= 0")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-
-    def _key(self) -> tuple:
-        return self.kind, self.n
+        self._store(kind, n)
 
     def __str__(self):
         return f"{self.kind}({self.n})"

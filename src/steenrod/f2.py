@@ -15,16 +15,19 @@ text outside that grammar and a negative exponent raise InputError.
 binom_mod2, C(a, b) mod 2 by Lucas, is the one binomial of the Adem
 relations and of Wu's formula.
 
-Everything here is immutable after construction and every operation is pure,
-so values may be shared freely between threads or processes, with two
-growable exceptions: an F2Basis takes new rows and an F2Index new keys.
+Every value here is immutable after construction and every operation is
+pure, so values may be shared freely between threads or processes.  Two
+kinds of state grow: an F2Basis takes new rows and an F2Index new keys, and
+the memos a value fills after construction (WeightedPolyRing._suffixes,
+F2Matrix._echelon) fill idempotently, a repeated fill storing an equal
+entry, so readers on several threads see the same values.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import Callable, Iterable, Sequence
 
 
@@ -49,16 +52,39 @@ class InputError(F2Error, ValueError):
 
 
 class Frozen:
-    """An immutable value.  A subclass names in __slots__ its constructor's
-    parameters, in order, then any memo; its __init__ sets each field once
-    through object.__setattr__.  _key() returns the parameters' fields, which
-    equality, hash, repr, pickle and copy read, so a filled memo changes none
-    of them."""
+    """An immutable value whose key is its constructor's parameters.
+
+    Equality, hash, repr, pickle and copy read those fields and nothing
+    else, so a memo filled later changes none of them.  A subclass's
+    __slots__ names the parameters, in order, then any memo; creating a
+    class whose slots do not start so raises TypeError.  Its __init__ sets
+    each field once, most through _store.  The classes built by the
+    thousand (F2Poly, F2Matrix, SteenrodElement), Check and the classes of
+    one field write one object.__setattr__ per field instead, which builds
+    a value in about half the time.
+    """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # plain attribute reads, once per class: no inspect and no generated
+        # code, and names private, so a tracer wrapping public methods skips them
+        code = cls.__init__.__code__
+        fields = code.co_varnames[1 : code.co_argcount]
+        if cls.__slots__[: len(fields)] != fields:
+            raise TypeError(f"{cls.__name__}: __slots__ must start with {fields}")
+        cls._fields = fields
+        # the fields as a tuple, or one field's value itself: either keys
+        # equality and hash, and one C call reads it
+        cls._get = attrgetter(*fields)
+
+    def _store(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def _key(self) -> tuple:
-        raise NotImplementedError
+        key = self._get(self)
+        return key if len(self._fields) > 1 else (key,)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -67,15 +93,18 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            get = self._get
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._get(self))
 
     def __repr__(self):
-        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
         return f"{type(self).__name__}({', '.join(fields)})"
 
     def __reduce__(self):
@@ -179,11 +208,7 @@ class F2Vector(Frozen):
     def __init__(self, length: int, bits: int):
         if bits < 0 or bits >> length:
             raise ShapeError(f"support exceeds length {length}")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
-
-    def _key(self) -> tuple:
-        return self.length, self.bits
+        self._store(length, bits)
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> "F2Vector":
@@ -230,9 +255,6 @@ class F2Matrix(Frozen):
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "_echelon", None)
-
-    def _key(self) -> tuple:
-        return self.nrows, self.ncols, self.rows
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
@@ -433,9 +455,6 @@ class WeightedPolyRing(Frozen):
         # (i, d) -> the packed monomials of degree d in generators i, i + 1, ...
         object.__setattr__(self, "_suffixes", {})
 
-    def _key(self) -> tuple:
-        return (self.generators,)
-
     @classmethod
     def make(cls, *gens: tuple[str, int]) -> "WeightedPolyRing":
         return cls(tuple(gens))
@@ -548,10 +567,8 @@ class F2Poly(Frozen):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "monomials", monomials)
 
-    def _key(self) -> tuple:
-        return self.ring, self.monomials
-
     def _check(self, other: "F2Poly"):
+        # `is` first spares every add and multiply a Python-level __eq__ call
         if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("polynomials live in different rings")
 
@@ -663,9 +680,6 @@ class PoincareSeries(Frozen):
         if any(c < 0 for c in coefficients):
             raise F2Error("series coefficients must be non-negative")
         object.__setattr__(self, "coefficients", coefficients)
-
-    def _key(self) -> tuple:
-        return (self.coefficients,)
 
     @property
     def max_degree(self) -> int:

@@ -75,11 +75,7 @@ class Algebra(Frozen):
         # from the bottom degree up modulo the left ideal of the relators
         pieces: dict[str, tuple[int, tuple[str, ...]]],
     ):
-        for field, value in zip(self.__slots__, (hopf, ops, milnor, relations, margolis, pieces)):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return self.hopf, self.ops, self.milnor, self.relations, self.margolis, self.pieces
+        self._store(hopf, ops, milnor, relations, margolis, pieces)
 
     def element(self, text: str) -> SteenrodElement:
         """A sum of generator words as an element of the Steenrod algebra."""
@@ -139,8 +135,7 @@ class FiniteModule(Frozen):
         truncated: bool = False,
         name: str = "",
     ):
-        for field, value in zip(self.__slots__, (algebra, dmin, dims, ops, truncated, name)):
-            object.__setattr__(self, field, value)
+        self._store(algebra, dmin, dims, ops, truncated, name)
         # which -> Margolis table, exact as it reads only this frozen module
         object.__setattr__(self, "_margolis", {})
         expected = tuple(_spec(self.algebra).ops)
@@ -155,9 +150,6 @@ class FiniteModule(Frozen):
                 target = self.dim(self.dmin + i + shift)
                 if m.nrows != target and not (self.truncated and self._near_top(i + shift)):
                     raise ModuleError(f"{op} at degree {self.dmin + i}: bad target dim")
-
-    def _key(self) -> tuple:
-        return self.algebra, self.dmin, self.dims, self.ops, self.truncated, self.name
 
     def _near_top(self, offset: int) -> bool:
         return offset >= len(self.dims)
@@ -491,9 +483,7 @@ class ModuleMap(Frozen):
     __slots__ = ("source", "target", "mats")
 
     def __init__(self, source: FiniteModule, target: FiniteModule, mats: tuple[F2Matrix, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mats", mats)  # indexed from source.dmin
+        self._store(source, target, mats)  # mats indexed from source.dmin
         if self.source.algebra != self.target.algebra:
             raise ModuleError("source and target algebras differ")
         if len(self.mats) != len(self.source.dims):
@@ -502,9 +492,6 @@ class ModuleMap(Frozen):
             d = self.source.dmin + i
             if m.ncols != self.source.dim(d) or m.nrows != self.target.dim(d):
                 raise ModuleError(f"matrix shape mismatch at degree {d}")
-
-    def _key(self) -> tuple:
-        return self.source, self.target, self.mats
 
     def mat(self, degree: int) -> F2Matrix:
         i = degree - self.source.dmin
@@ -588,11 +575,7 @@ class StableType(Frozen):
         iso: ModuleMap | None = None,
         note: str = "",
     ):
-        for field, value in zip(self.__slots__, (status, solutions, iso, note)):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return self.status, self.solutions, self.iso, self.note
+        self._store(status, solutions, iso, note)
 
     @property
     def pieces(self) -> tuple[tuple[str, int], ...]:
@@ -841,12 +824,7 @@ class SplitCertificate(Frozen):
         q0_margolis_injective: bool,
         witness_degree: int | None,
     ):
-        values = (hypotheses_met, f_injective, q0_margolis_injective, witness_degree)
-        for field, value in zip(self.__slots__, values):
-            object.__setattr__(self, field, value)
-
-    def _key(self) -> tuple:
-        return self.hypotheses_met, self.f_injective, self.q0_margolis_injective, self.witness_degree
+        self._store(hypotheses_met, f_injective, q0_margolis_injective, witness_degree)
 
     @property
     def split_guaranteed(self) -> bool:
@@ -897,12 +875,7 @@ class PeriodicFeasibility(Frozen):
     __slots__ = ("feasible", "counts", "note")
 
     def __init__(self, feasible: bool, counts: dict | None, note: str = ""):
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "note", note)
-
-    def _key(self) -> tuple:
-        return self.feasible, self.counts, self.note
+        self._store(feasible, counts, note)
 
 
 def eight_fold_feasibility(module: FiniteModule) -> PeriodicFeasibility:

@@ -39,11 +39,7 @@ class SuiteReport(Frozen):
     __slots__ = ("suite", "checks")
 
     def __init__(self, suite: str, checks: tuple[Check, ...]):
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "checks", checks)
-
-    def _key(self) -> tuple:
-        return self.suite, self.checks
+        self._store(suite, checks)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -87,9 +83,12 @@ def suite_hopf(max_degree: int = 12) -> list[Check]:
                         yield f"{ea} (x) {eb}"
 
     def antipode_failures():
+        # mu (1 x chi) Delta = unit counit.  _antipode_word solves the
+        # left-sided axiom over the same coproduct, so that side holds for
+        # any coproduct; this side fails on a wrong one
         for w in words:
             x = SteenrodElement.from_words([w])
-            folded = x.coproduct().apply_left(
+            folded = x.coproduct().apply_right(
                 lambda a: SteenrodElement.from_words([a]).antipode()
             ).multiply_out()
             want = SteenrodElement.one() if not w else SteenrodElement.zero()

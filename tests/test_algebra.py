@@ -241,13 +241,19 @@ class TestAntipode:
 
     def test_antipode_axiom_through_degree_12(self):
         # mu (chi x 1) Delta = unit counit = mu (1 x chi) Delta
+        def chi(word):
+            return SteenrodElement.from_words([word]).antipode()
+
         for w in words_of_degree_up_to(12):
             x = SteenrodElement.from_words([w])
-            left = x.coproduct().apply_left(
-                lambda a: SteenrodElement.from_words([a]).antipode()
-            ).multiply_out()
+            delta = x.coproduct()
+            left = set()
+            for a, b in delta.pairs:
+                left ^= {(c, b) for c in chi(a).words}
+            right = delta.apply_right(chi).multiply_out()
             want = SteenrodElement.one() if not w else SteenrodElement.zero()
-            assert left == want
+            assert TensorElement(frozenset(left)).multiply_out() == want
+            assert right == want
 
     def test_antihomomorphism_and_involution_through_degree_12(self):
         pool = [w for w in words_of_degree_up_to(6)]

@@ -276,6 +276,7 @@ ENTRIES = [
         {
             "coassociativity through degree 12": "Sq[2,1]",
             "coproduct is an algebra map through degree 12": "Sq[1] (x) Sq[2,1]",
+            "antipode axiom through degree 12": "Sq[3,1]",
             "antipode is an involution through degree 12": "Sq[3]",
         },
         id="hopf-sq21-loses-a-coproduct-term",

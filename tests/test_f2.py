@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import time
@@ -31,6 +32,7 @@ from steenrod.f2 import (
     F2Matrix,
     F2Span,
     F2Vector,
+    Frozen,
     InputError,
     PoincareSeries,
     RingMismatchError,
@@ -736,3 +738,23 @@ class TestSeries:
         s = PoincareSeries((1, 1, 2))
         with pytest.raises(DegreeCapError):
             s[3]
+
+
+class TestFrozenFields:
+    @pytest.mark.parametrize("slots", [("b", "a"), ("a",), ("_memo", "a", "b")])
+    def test_slots_that_do_not_start_with_the_parameters_are_refused(self, slots):
+        # the constructor's parameters are the key, so a class whose slots
+        # would name other fields, or the same ones in another order, is
+        # refused when it is created
+        with pytest.raises(TypeError, match="Planted"):
+
+            class Planted(Frozen):
+                __slots__ = slots
+
+                def __init__(self, a, b):
+                    self._store(a, b)
+
+        # a class is a reference cycle: collect it, so Frozen's subclasses
+        # stay the package's own
+        gc.collect()
+        assert "Planted" not in {cls.__name__ for cls in Frozen.__subclasses__()}
