@@ -11,7 +11,14 @@ the test suite checks on randomized words).
 
 The coproduct, the antipode chi, and basis enumeration by degree live here
 too.  The canonical order on words is lexicographic from the right with
-longer words larger, matching the order used for the Milnor pairing.
+longer words larger, matching the order used for the Milnor pairing; dual
+orders xi-monomials by the same key, word_sort_key.
+
+SteenrodElement and TensorElement take zero, one, +, x, powers, degree and
+printing from f2.F2Sum and declare only their unit term, term product, term
+degree and term print order and form.  Their linear maps (from_words,
+coproduct, antipode, apply_right, multiply_out) go term by term through
+f2.linear.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .f2 import INTS, Frozen, bilinear, binom_mod2, ints, parse_sum, tensor
+from .f2 import INTS, F2Sum, Frozen, bilinear, binom_mod2, ints, linear, parse_sum, tensor
 
 Word = tuple[int, ...]
 
@@ -75,17 +82,19 @@ def _compose(a: Word, b: Word) -> frozenset[Word]:
     return normalize_word(a + b)
 
 
-_tensor_compose = tensor(_compose)
-
-
 def _word_str(w: Word) -> str:
     return "1" if not w else "Sq[" + ",".join(map(str, w)) + "]"
 
 
-class SteenrodElement(Frozen):
+class SteenrodElement(F2Sum, Frozen):
     """An F2-sum of admissible words; the empty word is the unit 1."""
 
     __slots__ = ("words",)
+    _unit = ()
+    _product = staticmethod(_compose)
+    _degree = staticmethod(word_degree)
+    _sort_key = staticmethod(word_sort_key)
+    _term_str = staticmethod(_word_str)
 
     def __init__(self, words: frozenset[Word]):
         for w in words:
@@ -94,65 +103,22 @@ class SteenrodElement(Frozen):
         object.__setattr__(self, "words", words)
 
     @classmethod
-    def zero(cls) -> "SteenrodElement":
-        return cls(frozenset())
-
-    @classmethod
-    def one(cls) -> "SteenrodElement":
-        return cls(frozenset({()}))
-
-    @classmethod
     def sq(cls, *exponents: int) -> "SteenrodElement":
         """The element Sq^{i_1}...Sq^{i_r}, normalized."""
         return cls(normalize_word(tuple(exponents)))
 
     @classmethod
     def from_words(cls, words: Iterable[Word]) -> "SteenrodElement":
-        acc: set[Word] = set()
-        for w in words:
-            acc ^= normalize_word(tuple(w))
-        return cls(frozenset(acc))
-
-    def __add__(self, other: "SteenrodElement") -> "SteenrodElement":
-        return SteenrodElement(self.words ^ other.words)
-
-    def __mul__(self, other: "SteenrodElement") -> "SteenrodElement":
-        return SteenrodElement(bilinear(self.words, other.words, _compose))
-
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def is_homogeneous(self) -> bool:
-        return len({word_degree(w) for w in self.words}) <= 1
-
-    def degree(self) -> int:
-        """Degree of a homogeneous element; -1 for zero."""
-        degs = {word_degree(w) for w in self.words}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def homogeneous_part(self, degree: int) -> "SteenrodElement":
-        return SteenrodElement(
-            frozenset(w for w in self.words if word_degree(w) == degree)
-        )
+        return cls(linear(map(tuple, words), normalize_word))
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words, key=word_sort_key)
 
     def coproduct(self) -> "TensorElement":
-        acc: set[tuple[Word, Word]] = set()
-        for w in self.words:
-            acc ^= coproduct_word(w)
-        return TensorElement(frozenset(acc))
+        return TensorElement(linear(self.words, coproduct_word))
 
     def antipode(self) -> "SteenrodElement":
-        acc: set[Word] = set()
-        for w in self.words:
-            acc ^= _antipode_word(w)
-        return SteenrodElement(frozenset(acc))
+        return SteenrodElement(linear(self.words, _antipode_word))
 
     def counit(self) -> int:
         return 1 if () in self.words else 0
@@ -160,55 +126,36 @@ class SteenrodElement(Frozen):
     def to_json(self) -> list[list[int]]:
         return [list(w) for w in self.sorted_words()]
 
-    def __str__(self) -> str:
-        if not self.words:
-            return "0"
-        return " + ".join(map(_word_str, self.sorted_words()))
-
     def __repr__(self):
         return f"SteenrodElement({self})"
 
 
-class TensorElement(Frozen):
+def pair_sort_key(pair: tuple[Word, Word]) -> tuple:
+    """Tensors of words, or of xi-monomials, ordered by the left factor,
+    then the right."""
+    return word_sort_key(pair[0]), word_sort_key(pair[1])
+
+
+class TensorElement(F2Sum, Frozen):
     """An F2-sum of two-sided tensors of admissible words."""
 
     __slots__ = ("pairs",)
+    _unit = ((), ())
+    _product = staticmethod(tensor(_compose))
+    _degree = staticmethod(lambda p: word_degree(p[0]) + word_degree(p[1]))
+    _sort_key = staticmethod(pair_sort_key)
+    _term_str = staticmethod(lambda p: f"{_word_str(p[0])} (x) {_word_str(p[1])}")
 
     def __init__(self, pairs: frozenset[tuple[Word, Word]]):
         object.__setattr__(self, "pairs", pairs)
 
-    @classmethod
-    def zero(cls) -> "TensorElement":
-        return cls(frozenset())
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.pairs ^ other.pairs)
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(bilinear(self.pairs, other.pairs, _tensor_compose))
-
-    def is_zero(self) -> bool:
-        return not self.pairs
-
     def apply_right(self, f) -> "TensorElement":
         """Apply a word -> SteenrodElement map to the right factors."""
-        acc: set[tuple[Word, Word]] = set()
-        for (a, b) in self.pairs:
-            acc ^= {(a, w) for w in f(b).words}
-        return TensorElement(frozenset(acc))
+        return TensorElement(linear(self.pairs, lambda p: {(p[0], w) for w in f(p[1]).words}))
 
     def multiply_out(self) -> SteenrodElement:
         """Image under the product map a (x) b -> ab."""
-        acc: set[Word] = set()
-        for (a, b) in self.pairs:
-            acc ^= normalize_word(a + b)
-        return SteenrodElement(frozenset(acc))
-
-    def __str__(self):
-        if not self.pairs:
-            return "0"
-        ordered = sorted(self.pairs, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1])))
-        return " + ".join(f"{_word_str(a)} (x) {_word_str(b)}" for a, b in ordered)
+        return SteenrodElement(linear(self.pairs, lambda p: normalize_word(p[0] + p[1])))
 
 
 def _raw_splits(word: Word) -> Iterator[tuple[Word, Word]]:
@@ -272,10 +219,6 @@ def basis(degree: int) -> list[SteenrodElement]:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return [SteenrodElement(frozenset({w})) for w in admissible_basis(degree)]
-
-
-def dim(degree: int) -> int:
-    return len(admissible_basis(degree))
 
 
 # ---------------------------------------------------------------------------

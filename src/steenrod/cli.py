@@ -139,7 +139,7 @@ def cmd_milnor(args) -> str:
     if text.startswith(("SqM", "Q")):
         return str(dual.parse_milnor_operator(text))
     x = algebra.parse_element(text)
-    seqs = sorted(dual.admissible_to_milnor(x), key=dual.xi_sort_key)
+    seqs = sorted(dual.admissible_to_milnor(x), key=algebra.word_sort_key)
     if not seqs:
         return "0"
     return " + ".join("SqM(" + ",".join(map(str, s)) + ")" for s in seqs)
@@ -248,6 +248,8 @@ def cmd_primitives(args) -> str:
 def cmd_transfer(args) -> str:
     b = _bundles().bundle(args.bundle)
     poly = _parse_poly(b.total.ring, args.expr)
+    if poly.degree() > b.cap:
+        raise CliError(f"degree {poly.degree()} exceeds the {args.bundle} bundle's cap {b.cap}")
     result = b.fiber_integrate(poly)
     if args.json:
         return json.dumps(

@@ -13,9 +13,12 @@ The pairing against the admissible basis peels the highest generator xi_n off
 a monomial: <m xi_n, Sq^I> sums <m, a> over the terms a (x) b of the
 coproduct of Sq^I (algebra.coproduct_word) whose right factor b is the
 admissible word (2^(n-1), ..., 2, 1), the one word that xi_n pairs with.
-Ordering both bases right-lexicographically makes the degreewise pairing
-matrix unitriangular, which is what funds conversion between the admissible
-and Milnor bases.
+Ordering both bases right-lexicographically (algebra.word_sort_key) makes
+the degreewise pairing matrix unitriangular, which is what funds conversion
+between the admissible and Milnor bases.
+
+DualElement and DualTensor take their arithmetic from f2.F2Sum and keep
+only their Frobenius square; dual_coproduct sends a sum through f2.linear.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from .algebra import (
     admissible_basis,
     coproduct_word,
     normalize_word,
+    pair_sort_key,
     word_sort_key,
 )
 from .f2 import (
-    INTS, F2Basis, F2Index, F2Matrix, F2Vector, Frozen, InputError, bilinear, ints, parse_sum,
-    power, tensor,
+    INTS, F2Basis, F2Index, F2Matrix, F2Sum, F2Vector, Frozen, InputError, ints, linear,
+    parse_sum, tensor,
 )
 
 XiMonomial = tuple[int, ...]
@@ -51,11 +55,6 @@ def _strip(mono: Iterable[int]) -> XiMonomial:
 
 def xi_degree(mono: XiMonomial) -> int:
     return sum(j * ((1 << (k + 1)) - 1) for k, j in enumerate(mono))
-
-
-def xi_sort_key(mono: XiMonomial):
-    """Same right-lexicographic order as for admissible words."""
-    return (len(mono), tuple(reversed(mono)))
 
 
 def _xi_str(mono: XiMonomial) -> str:
@@ -86,7 +85,7 @@ def xi_monomials(degree: int) -> tuple[XiMonomial, ...]:
     while (1 << (top + 1)) - 1 <= degree:
         top += 1
     monos = {_strip(m) for m in rec(degree, top)}
-    return tuple(sorted(monos, key=xi_sort_key))
+    return tuple(sorted(monos, key=word_sort_key))
 
 
 def _xi_product(a: XiMonomial, b: XiMonomial) -> set[XiMonomial]:
@@ -94,24 +93,22 @@ def _xi_product(a: XiMonomial, b: XiMonomial) -> set[XiMonomial]:
     return {tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))}
 
 
-_xi_pair_product = tensor(_xi_product)
+def _xi_square(m: XiMonomial) -> XiMonomial:
+    return tuple(2 * x for x in m)
 
 
-class DualElement(Frozen):
+class DualElement(F2Sum, Frozen):
     """An F2-sum of xi-monomials."""
 
     __slots__ = ("monomials",)
+    _unit = ()
+    _product = staticmethod(_xi_product)
+    _degree = staticmethod(xi_degree)
+    _sort_key = staticmethod(word_sort_key)
+    _term_str = staticmethod(_xi_str)
 
     def __init__(self, monomials: frozenset[XiMonomial]):
         object.__setattr__(self, "monomials", monomials)
-
-    @classmethod
-    def zero(cls) -> "DualElement":
-        return cls(frozenset())
-
-    @classmethod
-    def one(cls) -> "DualElement":
-        return cls(frozenset({()}))
 
     @classmethod
     def xi(cls, n: int, power: int = 1) -> "DualElement":
@@ -123,39 +120,11 @@ class DualElement(Frozen):
 
     @classmethod
     def from_monomials(cls, monos: Iterable[Iterable[int]]) -> "DualElement":
-        acc: set[XiMonomial] = set()
-        for m in monos:
-            acc ^= {_strip(m)}
-        return cls(frozenset(acc))
-
-    def __add__(self, other: "DualElement") -> "DualElement":
-        return DualElement(self.monomials ^ other.monomials)
-
-    def __mul__(self, other: "DualElement") -> "DualElement":
-        return DualElement(bilinear(self.monomials, other.monomials, _xi_product))
+        return cls(linear(monos, lambda m: {_strip(m)}))
 
     def square(self) -> "DualElement":
-        return DualElement(frozenset(tuple(2 * x for x in m) for m in self.monomials))
-
-    def __pow__(self, e: int) -> "DualElement":
-        return power(self, e, DualElement.one(), DualElement.__mul__, DualElement.square)
-
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def is_homogeneous(self) -> bool:
-        return len({xi_degree(m) for m in self.monomials}) <= 1
-
-    def degree(self) -> int:
-        degs = {xi_degree(m) for m in self.monomials}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def __str__(self) -> str:
-        return " + ".join(map(_xi_str, sorted(self.monomials, key=xi_sort_key))) or "0"
+        """Frobenius: the square of a sum is the sum of the squares."""
+        return DualElement(frozenset(map(_xi_square, self.monomials)))
 
     def __repr__(self):
         return f"DualElement({self})"
@@ -168,42 +137,22 @@ class DualElement(Frozen):
 DualPair = tuple[XiMonomial, XiMonomial]
 
 
-class DualTensor(Frozen):
+class DualTensor(F2Sum, Frozen):
     """An F2-sum of xi-monomial tensors."""
 
     __slots__ = ("pairs",)
+    _unit = ((), ())
+    _product = staticmethod(tensor(_xi_product))
+    _degree = staticmethod(lambda p: xi_degree(p[0]) + xi_degree(p[1]))
+    _sort_key = staticmethod(pair_sort_key)
+    _term_str = staticmethod(lambda p: f"{_xi_str(p[0])} (x) {_xi_str(p[1])}")
 
     def __init__(self, pairs: frozenset[DualPair]):
         object.__setattr__(self, "pairs", pairs)
 
-    @classmethod
-    def zero(cls) -> "DualTensor":
-        return cls(frozenset())
-
-    @classmethod
-    def one(cls) -> "DualTensor":
-        return cls(frozenset({((), ())}))
-
-    def __add__(self, other: "DualTensor") -> "DualTensor":
-        return DualTensor(self.pairs ^ other.pairs)
-
-    def __mul__(self, other: "DualTensor") -> "DualTensor":
-        return DualTensor(bilinear(self.pairs, other.pairs, _xi_pair_product))
-
     def square(self) -> "DualTensor":
-        return DualTensor(
-            frozenset(
-                (tuple(2 * x for x in a), tuple(2 * x for x in b))
-                for (a, b) in self.pairs
-            )
-        )
-
-    def __pow__(self, e: int) -> "DualTensor":
-        return power(self, e, DualTensor.one(), DualTensor.__mul__, DualTensor.square)
-
-    def __str__(self) -> str:
-        ordered = sorted(self.pairs, key=lambda p: (xi_sort_key(p[0]), xi_sort_key(p[1])))
-        return " + ".join(f"{_xi_str(a)} (x) {_xi_str(b)}" for a, b in ordered) or "0"
+        """Frobenius, factor by factor."""
+        return DualTensor(frozenset((_xi_square(a), _xi_square(b)) for a, b in self.pairs))
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +176,7 @@ def _monomial_coproduct(mono: XiMonomial) -> DualTensor:
 
 def dual_coproduct(x: DualElement) -> DualTensor:
     """Algebra-map extension of mu* to arbitrary dual elements."""
-    acc = DualTensor.zero()
-    for m in x.monomials:
-        acc = acc + _monomial_coproduct(m)
-    return acc
+    return DualTensor(linear(x.monomials, lambda m: _monomial_coproduct(m).pairs))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,11 @@ substitution raise F2Error rather than let a field carry into the next.
 Every F2-sum of the package reads text through parse_sum (terms joined by `+`,
 factors by `*`), takes powers through power, the one square-and-multiply, and
 multiplies sums of terms through bilinear, with tensor for sums of pairs;
-text outside that grammar and a negative exponent raise InputError.
+text outside that grammar and a negative exponent raise InputError.  A linear
+map sends a sum through linear, term by term.  The Steenrod and Milnor-dual
+element types take zero, one, +, x, powers, degree and printing from one
+mixin, F2Sum, and declare only their unit term, term product, term degree
+and term print order and form.
 binom_mod2, C(a, b) mod 2 by Lucas, is the one binomial of the Adem
 relations and of Wu's formula.
 
@@ -183,6 +187,14 @@ def bilinear(p: Iterable, q: Iterable, product: Callable) -> frozenset:
     return frozenset(acc)
 
 
+def linear(p: Iterable, f: Callable) -> frozenset:
+    """The F2-sum of f(a), itself a set of terms, over every term a of p."""
+    acc: set = set()
+    for a in p:
+        acc ^= f(a)
+    return frozenset(acc)
+
+
 def tensor(product: Callable) -> Callable:
     """The product of pair terms, factor by factor: (a, b)(c, d) is every
     pair of a term of product(a, c) and a term of product(b, d)."""
@@ -193,6 +205,57 @@ def tensor(product: Callable) -> Callable:
         return {(left, r) for left in product(a, c) for r in right}
 
     return pair_product
+
+
+class F2Sum:
+    """The arithmetic of an F2-sum of terms, held as the frozenset that is
+    its class's one field: zero, one, +, x, powers, degree and printing.
+
+    A class puts this before Frozen among its bases and declares only what
+    is its own: _unit, the unit term, and the private static functions
+    _product (two terms to a set of terms), _degree (of a term), _sort_key
+    and _term_str (the print order and form of a term).
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls(frozenset())
+
+    @classmethod
+    def one(cls):
+        return cls(frozenset({cls._unit}))
+
+    def __add__(self, other):
+        return self.__class__(self._get(self) ^ other._get(other))
+
+    def __mul__(self, other):
+        return self.__class__(bilinear(self._get(self), other._get(other), self._product))
+
+    def square(self):
+        return self * self
+
+    def __pow__(self, e: int):
+        cls = self.__class__
+        return power(self, e, cls.one(), cls.__mul__, cls.square)
+
+    def is_zero(self) -> bool:
+        return not self._get(self)
+
+    def is_homogeneous(self) -> bool:
+        return len(set(map(self._degree, self._get(self)))) <= 1
+
+    def degree(self) -> int:
+        """Degree of a homogeneous sum; -1 for zero."""
+        degs = set(map(self._degree, self._get(self)))
+        if len(degs) > 1:
+            raise ValueError("element is not homogeneous")
+        return degs.pop() if degs else -1
+
+    def __str__(self) -> str:
+        terms = sorted(self._get(self), key=self._sort_key)
+        return " + ".join(map(self._term_str, terms)) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,8 @@ class FiniteModule(Frozen):
                 if m.ncols != self.dims[i]:
                     raise ModuleError(f"{op} at degree {self.dmin + i}: bad source dim")
                 target = self.dim(self.dmin + i + shift)
-                if m.nrows != target and not (self.truncated and self._near_top(i + shift)):
+                if m.nrows != target:
                     raise ModuleError(f"{op} at degree {self.dmin + i}: bad target dim")
-
-    def _near_top(self, offset: int) -> bool:
-        return offset >= len(self.dims)
 
     @property
     def spec(self) -> Algebra:

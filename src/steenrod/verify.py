@@ -29,8 +29,6 @@ whose Margolis series the computed module demonstrably does not match
 
 from __future__ import annotations
 
-import os
-
 from .action import Check, _eq, first_failure
 from .f2 import Frozen
 
@@ -447,17 +445,14 @@ MIN_CAPS = {
 
 
 def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteReport]:
-    """Run suites in name order; caps come from the argument, then the
-    STEENROD_CAP_<SUITE> environment variable, then the documented default.
-    Every cap is checked against MIN_CAPS before any suite runs."""
+    """Run suites in name order; caps come from the argument, else the
+    documented default.  Every cap is checked against MIN_CAPS before any
+    suite runs."""
     runs = []
     for name in sorted(names):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        cap = max_degree
-        if cap is None:
-            env = os.environ.get("STEENROD_CAP_" + name.upper().replace("-", "_"))
-            cap = int(env) if env else SUITES[name][1]
+        cap = SUITES[name][1] if max_degree is None else max_degree
         if cap < 0:
             raise ValueError(f"cap for suite {name!r} must be >= 0, got {cap}")
         least = MIN_CAPS.get(name, 0)

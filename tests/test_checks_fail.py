@@ -64,9 +64,11 @@ def dual_tensor_right_factors_times_left_factors(monkeypatch):
     """(a, b)(c, d) read as a c (x) b c in the product of dual tensors."""
     xi_product = dual._xi_product
     monkeypatch.setattr(
-        dual,
-        "_xi_pair_product",
-        lambda x, y: {(lm, rm) for lm in xi_product(x[0], y[0]) for rm in xi_product(x[1], y[0])},
+        dual.DualTensor,
+        "_product",
+        staticmethod(
+            lambda x, y: {(lm, rm) for lm in xi_product(x[0], y[0]) for rm in xi_product(x[1], y[0])}
+        ),
     )
     monkeypatch.setattr(dual, "_monomial_coproduct", dual._monomial_coproduct.__wrapped__)
 

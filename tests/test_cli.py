@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -62,6 +61,11 @@ class TestExpressions:
     def test_transfer(self):
         code, out, _ = run(["transfer", "--bundle", "cp2", "--expr", "x4^2"])
         assert code == 0 and out.strip() == "y4"
+
+    def test_transfer_past_the_cap_exits_2(self):
+        code, out, err = run(["transfer", "--bundle", "cp2", "--expr", "x2^40"])
+        assert code == 2 and out == ""
+        assert err == "error: degree 80 exceeds the cp2 bundle's cap 72\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -307,9 +311,8 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and "must be >= 0" in err
 
     @pytest.mark.parametrize("cap", ["0", "2", "4", "6", "7", None])
-    def test_indecomposables_names_its_smallest_cap(self, cap, monkeypatch):
+    def test_indecomposables_names_its_smallest_cap(self, cap):
         # the suite reads degrees 3, 4 and 7, so a cap below 7 is refused
-        monkeypatch.delenv("STEENROD_CAP_INDECOMPOSABLES", raising=False)
         flags = [] if cap is None else ["--max", cap]
         code, out, err = run(["verify", "--suite", "indecomposables", *flags, "--format", "json"])
         if cap is not None and int(cap) < 7:
@@ -318,16 +321,12 @@ class TestVerifyCommand:
             jsonschema.validate(json.loads(out), REPORT_SCHEMA)
             assert code == 1 and err == ""
 
-    def test_negative_cap_environment_exits_2(self, monkeypatch):
-        monkeypatch.setenv("STEENROD_CAP_HOPF", "-3")
-        code, out, err = run(["verify", "--suite", "hopf"])
-        assert code == 2 and out == "" and "must be >= 0" in err
-
     def test_every_cap_is_checked_before_any_suite_runs(self, monkeypatch):
         ran = []
         monkeypatch.setitem(verify.SUITES, "hopf", (lambda cap: ran.append(cap) or [], 12))
-        monkeypatch.setenv("STEENROD_CAP_PRIMITIVE_TRANSFER", "5")
-        code, out, err = run(["verify", "--suite", "hopf", "--suite", "primitive-transfer"])
+        code, out, err = run(
+            ["verify", "--suite", "hopf", "--suite", "primitive-transfer", "--max", "5"]
+        )
         assert code == 2 and out == "" and ran == []
         assert err == "error: suite 'primitive-transfer' needs a cap of at least 6, got 5\n"
 
@@ -390,22 +389,16 @@ class TestReportStability:
             "power-sums",
         ],
     )
-    def test_json_report_digest(self, suite, monkeypatch):
-        for key in list(os.environ):
-            if key.startswith("STEENROD_CAP_"):
-                monkeypatch.delenv(key)
+    def test_json_report_digest(self, suite):
         command = f"verify --suite {suite} --format json"
         want = json.loads(REFERENCE.read_text())["commands"][command]
         _, out, _ = run(command.split())
         assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
         assert sum(len(s["checks"]) for s in json.loads(out)["suites"]) == want["rows"]
 
-    def test_default_primitives_report_digest(self, monkeypatch):
+    def test_default_primitives_report_digest(self):
         # the one default report the benchmark reference does not record:
         # verify --suite primitives at its default cap 64
-        for key in list(os.environ):
-            if key.startswith("STEENROD_CAP_"):
-                monkeypatch.delenv(key)
         _, out, _ = run(["verify", "--suite", "primitives", "--format", "json"])
         want = "306c3dd5bb37cd39232dec392a98976348734f05fb287b63a1027c3eefa05e35"
         assert hashlib.sha256(out.encode()).hexdigest() == want

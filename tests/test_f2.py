@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steenrod.algebra import SteenrodElement, normalize_word, parse_element
+from steenrod.algebra import SteenrodElement, TensorElement, normalize_word, parse_element
 from steenrod.bundles import chern_root_model, rank_one_model
 from steenrod.charclass import mono_from, poly_pow
 from steenrod.cli import PRESETS, main
@@ -31,6 +31,7 @@ from steenrod.f2 import (
     F2Index,
     F2Matrix,
     F2Span,
+    F2Sum,
     F2Vector,
     Frozen,
     InputError,
@@ -41,6 +42,7 @@ from steenrod.f2 import (
     bilinear,
     geometric_series_product,
     ints,
+    linear,
     parse_sum,
     power,
     series_of_ring,
@@ -693,6 +695,67 @@ class TestBilinearAndTensor:
     def test_a_dual_tensor_power_is_the_e_fold_product(self, e):
         t = dual_coproduct(DualElement.xi(2) + DualElement.xi(1) ** 3)
         assert t ** e == reduce(mul, [t] * e, DualTensor.one())
+
+    def test_linear_sums_the_images_of_the_terms(self):
+        # 1 and 3 both map to {1}, which cancels
+        assert linear({1, 2, 3}, lambda a: {a % 2}) == frozenset({0})
+        assert linear({1, 2}, lambda a: {a, a + 10}) == frozenset({1, 2, 11, 12})
+        assert linear((), lambda a: {a}) == frozenset()
+
+
+def parts_of_degrees_1_and_3(cls):
+    """Two homogeneous sums, of degrees 1 and 3, in an F2Sum class."""
+    sq, xi = SteenrodElement.sq, DualElement.xi
+    return {
+        SteenrodElement: lambda: (sq(1), sq(2, 1)),
+        TensorElement: lambda: (sq(1).coproduct(), sq(2, 1).coproduct()),
+        DualElement: lambda: (xi(1), xi(2)),
+        DualTensor: lambda: (dual_coproduct(xi(1)), dual_coproduct(xi(2))),
+    }[cls]()
+
+
+@pytest.mark.parametrize(
+    "cls", [SteenrodElement, TensorElement, DualElement, DualTensor], ids=lambda c: c.__name__
+)
+class TestF2Sum:
+    """The four F2-sums of terms share one arithmetic, f2.F2Sum."""
+
+    def test_the_mixin_sits_beside_frozen(self, cls):
+        assert cls.__bases__ == (F2Sum, Frozen) and not issubclass(F2Sum, Frozen)
+
+    def test_zero_and_one_are_the_identities(self, cls):
+        low, high = parts_of_degrees_1_and_3(cls)
+        x, zero, one = low + high, cls.zero(), cls.one()
+        assert x + zero == zero + x == x and x + x == zero
+        assert x * one == one * x == x
+        assert x * zero == zero * x == zero
+        assert zero.is_zero() and not one.is_zero() and not x.is_zero()
+
+    def test_zero_prints_as_0(self, cls):
+        assert str(cls.zero()) == "0"
+
+    def test_degree(self, cls):
+        low, high = parts_of_degrees_1_and_3(cls)
+        assert (low.degree(), high.degree()) == (1, 3)
+        assert cls.zero().degree() == -1 and cls.one().degree() == 0
+        assert cls.zero().is_homogeneous() and high.is_homogeneous()
+        assert not (low + high).is_homogeneous()
+        with pytest.raises(ValueError, match="not homogeneous"):
+            (low + high).degree()
+
+    def test_a_cube_is_the_threefold_product(self, cls):
+        # on the dual classes this compares the Frobenius square with x * x
+        low, high = parts_of_degrees_1_and_3(cls)
+        x = low + high
+        assert x.square() == x * x
+        assert x ** 3 == x * x * x
+        assert x ** 0 == cls.one() and x ** 1 == x
+
+
+def test_a_tensor_prints_its_pairs_in_word_order():
+    sq = SteenrodElement.sq
+    assert str(sq(1).coproduct()) == "1 (x) Sq[1] + Sq[1] (x) 1"
+    assert str(sq(2).coproduct()) == "1 (x) Sq[2] + Sq[1] (x) Sq[1] + Sq[2] (x) 1"
 
 
 class TestSeries:

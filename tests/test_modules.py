@@ -139,6 +139,12 @@ class TestTemplates:
         with pytest.raises(ModuleError):
             _module_from_subquotient("A1", carrier)
 
+    def test_a_truncated_window_refuses_a_matrix_into_a_missing_slice(self):
+        # q0 would send the one degree-0 class into degree 1, past the window
+        ops = (("q0", (F2Matrix(1, 1, [1]),)), ("q1", (F2Matrix.zero(0, 1),)))
+        with pytest.raises(ModuleError, match="^q0 at degree 0: bad target dim$"):
+            FiniteModule("E1", 0, (1,), ops, truncated=True)
+
 
 class TestAlgebraTable:
     @pytest.mark.parametrize("algebra", ["A1", "E1"])

@@ -39,12 +39,6 @@ def test_suite_names_are_stable():
     ]
 
 
-def test_environment_cap_override(monkeypatch):
-    monkeypatch.setenv("STEENROD_CAP_DUAL_QUOTIENTS", "8")
-    (report,) = verify.run_suites(["dual-quotients"])
-    assert any("degree 8" in c.check_id for c in report.checks)
-
-
 def test_indecomposables_past_degree_2047_report_only_degree_6():
     (report,) = verify.run_suites(["indecomposables"], max_degree=4100)
     failures = [c for c in report.checks if c.status == "fail"]
