@@ -25,15 +25,15 @@ That square is read by the top-square rule, with no total square built: the
 other Cartan terms ask a factor for a square above its degree, so
 Sq^(|xy|-1)(xy) = Sq^(|x|-1)x y^2 + x^2 Sq^(|y|-1)y (Steenrod and Epstein,
 Cohomology Operations), and Wu's formula gives Sq^(j-1) w_j = sum_t
-w_(j-1-t) w_(j+t), w_1 dropped.  The model is then validated: the kernel of
-the reduction map phi is Steenrod-stable up to the cap (phi(Sq^(2^k) w_e)
-equals Sq^(2^k) rho_e under the action Wu's formula induces on the model,
-checked without squaring any relation in the unreduced ring; the Sq^(2^k)
-generate the Steenrod algebra) and the dimension series agrees with an
-elimination-computed quotient through degree 20 (or the cap, if lower), the
-ideal slices being built from the cyclic module A.g and products with the
-w_j.  Every total square the model takes is computed only through the cap,
-and the induced table phi(Sq^i w_j) only for the i some square reads.
+w_(j-1-t) w_(j+t) in closed form, w_1 dropped.  The model is then validated:
+each reduction is decomposable; each chain reduction is re-read from its
+step through the bso model's total square, whose Wu table the closed form
+never reads, and that step makes the kernel of phi Steenrod-stable up to
+the cap (Quillen, Math. Ann. 194, 1971; see _validate_reductions); and the
+dimension series agrees with an elimination-computed quotient through degree
+20 (or the cap, if lower), the ideal slices being built from the cyclic
+module A.g and products with the w_j.  Every total square the model takes is
+computed only through the cap, and the induced table only where a square reads.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -201,13 +201,15 @@ def _wu_generator(i: int, j: int) -> ModPoly:
 def _top_square(p: ModPoly) -> ModPoly:
     """Sq^(d-1) p for p of degree d in H*BSO (no w_1 in p), by the
     top-square rule of the module docstring: on a monomial m, the sum of
-    Sq^(j-1) w_j m^2 / w_j^2 over the w_j of odd exponent in m."""
+    Sq^(j-1) w_j m^2 / w_j^2 over the w_j of odd exponent in m, Sq^(j-1) w_j
+    read in closed form, never from the Wu table that validation reads."""
     acc: set[int] = set()
     for m in p:
         for j, e in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"), start=1):
             if e & 1:
                 rest = (m - _gen(j)) << 1  # m^2 / w_j^2
-                acc ^= {rest + t for t in _wu_generator(j - 1, j) if not t & 255}
+                acc ^= {rest + _gen(2 * j - 1)}  # t = j - 1, w_0 = 1
+                acc ^= {rest + _gen(j - 1 - t) + _gen(j + t) for t in range(j - 2)}
     return frozenset(acc)
 
 
@@ -270,7 +272,8 @@ class QuotientModel:
             self.reductions[gdeg] = frozenset()  # the ideal generator itself
             for e in (2**k + 1 for k in range(1, 12) if gdeg < 2**k + 1 <= cap):
                 self.reductions[e] = self._find_reduction(e)
-        # sets self.ring, the square of the induced action (see sq)
+        # the induced action's square (see sq); perfbench/tracer.py reads it
+        self.ring = _total_square(self._induced_wu, cap)
         self._validate_reductions()
         # phi(w_i) through the cap (the Newton layer runs on these images),
         # and the generators phi kills
@@ -361,49 +364,46 @@ class QuotientModel:
         return frozenset(acc)
 
     def _validate_reductions(self) -> None:
-        """Every reduction must be decomposable (or zero), and ker(phi) must
-        be Steenrod-stable through the cap.
+        """Every reduction must be decomposable (or zero), and each chain
+        reduction rho_e must be its construction step re-read through the
+        bso model's square: w_e a term of Sq^(p-1)(w_p + rho_p), and rho_e
+        phi of the rest, or the error names w_e.  _top_square built the step
+        without the Wu table read here, so a wrong entry in either fails.
 
-        phi and the total squares are ring maps, so ker(phi) is the ideal
-        generated by the g_e = w_e + rho_e, and Sq_M^i(rho_e) = phi(Sq^i
-        rho_e), Sq_M being the total square on the model with the current
-        _induced_wu table.  Each equation phi(Sq^i g_e) = 0 is read as
-        phi(Sq^i w_e) = Sq_M^i(rho_e), with nothing squared outside the
-        model, and only for i = 2^k <= min(e, cap - e): the Sq^(2^k)
-        generate the Steenrod algebra (Adem, PNAS 38, 1952; Steenrod and
-        Epstein, Cohomology Operations).  For 0 < r < 2^k the Adem relation
-        Sq^(2^k + r) = Sq^r Sq^(2^k) + sum_{c>=1} C(2^k - c - 1, r - 2c)
-        Sq^(2^k + r - c) Sq^c, the Cartan formula and strong induction on i
-        then give phi(Sq^i g_e) = 0 for every i <= cap - e, through degrees
-        at most the cap.  The square built here becomes self.ring.
+        That step makes ker(phi) = I Steenrod-stable through the cap
+        (Quillen, Math. Ann. 194, 1971; Stong, Trans. AMS 107, 1963).  Let
+        e = 2^(k+1) + 1, p = 2^k + 1, and I_<e be generated by w_1 and the
+        g_d = w_d + rho_d below e; then g_e = Sq^(2^k) g_p mod I_<e.  By
+        strong induction on e, Cartan takes I_<e into I, and Sq^i g_e lies
+        in I for every i <= cap - e:
+        - 0 < i < 2^(k+1): by Adem, Sq^i Sq^(2^k) = sum_c C(2^k-c-1, i-2c)
+          Sq^(i+2^k-c) Sq^c.  The c = 0 term is zero by instability, or
+          g_p^2 when i = 1; for c >= 1, Sq^c g_p lies in I below degree e,
+          so in I_<e.
+        - i = e - 1: the next chain step, needed only when 2e - 1 <= cap.
+        - i = e: g_e^2; past e, zero.
+        The base cases are Wu's formula itself: Sq^1 w_1 = w_1^2; Sq^1 w_2 is
+        the e = 3 step; Sq^1 w_3 = w_1 w_3; Sq^2 w_3 is the e = 5 step.  A
+        wrong entry in the last three fails this check or _validate_series.
         """
         for e, rho in self.reductions.items():
             for m in rho:
                 # a bare generator is a single bit at the bottom of its field
                 if m & (m - 1) == 0 and (m.bit_length() - 1) % 8 == 0:
                     raise ModelError(f"reduction of w_{e} has a generator term")
-        # perfbench/tracer.py reads the square under this name
-        self.ring = _total_square(self._induced_wu, self.cap)
-        for e, rho in sorted(self.reductions.items()):
-            top = min(e, self.cap - e)
-            if top < 1:
-                continue
-            got: dict[int, set[int]] = {1 << k: set() for k in range(top.bit_length())}
-            for m in rho:
-                comps = self.ring.components(m, e, max(got))
-                for i, c in got.items():
-                    c ^= comps[i]
-            for i, c in got.items():
-                if c != self.phi(_wu_generator(i, e)):
-                    raise ModelError(
-                        f"Sq^{i}(w_{e} + reduction) escapes the kernel in {self.space}"
-                    )
+        for e in sorted(self.reductions)[2:]:  # the chain, past w_1 and the generator
+            p, we = (e + 1) // 2, _gen(e)
+            step = model("bso", self.cap).sq(p - 1, self.reductions[p] | {_gen(p)})
+            if we not in step or self.phi(step - {we}) != self.reductions[e]:
+                raise ModelError(
+                    f"w_{e} + reduction is not Sq^{p - 1}(w_{p} + reduction) in {self.space}"
+                )
 
     def _cyclic_slice(self, n: int) -> list[ModPoly]:
         """A basis of the degree-n slice of the cyclic module A.g in H*BSO:
         the generator g itself and Sq^(2^k) c for every basis element c of
-        degree n - 2^k, since the Sq^(2^k) generate the Steenrod algebra (see
-        _validate_reductions); a basis of each degree is kept, as in
+        degree n - 2^k, since the Sq^(2^k) generate the Steenrod algebra
+        (Adem, PNAS 38, 1952); a basis of each degree is kept, as in
         _ideal_slice."""
         g = self.ideal_generator
         assert g is not None

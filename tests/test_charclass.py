@@ -33,6 +33,12 @@ def w(*parts):
     return frozenset({mono_from(parts)})
 
 
+def fresh_model_cache(monkeypatch):
+    """Give charclass.model a cache of its own for one test, so the models
+    it builds are freed after it and no other test sees them."""
+    monkeypatch.setattr(charclass, "model", functools.lru_cache(maxsize=None)(model.__wrapped__))
+
+
 @functools.lru_cache(maxsize=None)
 def upstream(n):
     """s_n mod 2 in H*BO by the Newton recursion
@@ -534,10 +540,18 @@ class TestTopDegree:
         with pytest.raises(ValueError):
             model("bspin", 20).sq(1, w(20))
 
-    def test_cap_34_reductions_match_cap_40(self):
+    def test_cap_34_reductions_match_cap_40(self, monkeypatch):
+        # and cap 64 matches cap 96, built in a model cache of their own so
+        # that the cap-96 bso square their steps are re-read through is freed
         for space in ("bspin", "bspinc"):
             low, high = model(space, 34), model(space, 40)
             assert low.reductions == {e: r for e, r in high.reductions.items() if e <= 34}
+        cached = {space: model(space, 64) for space in ("bspin", "bspinc")}
+        fresh_model_cache(monkeypatch)
+        for space, low in cached.items():
+            high = QuotientModel(space, 96)
+            assert 65 in high.reductions, space
+            assert low.reductions == {e: r for e, r in high.reductions.items() if e <= 64}
 
 
 class TestModels:
@@ -611,7 +625,9 @@ class TestModels:
         m = QuotientModel("bspinc", 64)
         m.reductions[33] = m.reductions[33] ^ {min(m.reductions[33], key=_unpack)}
         m._phi_cache.clear()
-        with pytest.raises(ModelError, match="escapes the kernel in bspinc"):
+        with pytest.raises(
+            ModelError, match=r"^w_33 \+ reduction is not Sq\^16\(w_17 \+ reduction\) in bspinc$"
+        ):
             m._validate_reductions()
 
     @pytest.mark.parametrize("space", ["bspin", "bspinc"])
@@ -668,9 +684,10 @@ def squaring_ideal_slices(space):
 
 
 def squaring_stability_error(mdl):
-    """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, squaring each
-    relation in the unreduced ring H*BSO; the first failure's text, or None."""
-    ambient = model("bso", mdl.cap)
+    """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, for every i,
+    squaring each relation in the unreduced ring H*BSO (the bso model of the
+    current model cache); the first failure's text, or None."""
+    ambient = charclass.model("bso", mdl.cap)
     for e, rho in sorted(mdl.reductions.items()):
         relation = w(e) ^ rho
         for i in range(1, mdl.cap - e + 1):
@@ -719,6 +736,9 @@ class TestValidationOracles:
             assert all(mdl._in_ideal(b, n) for b in old[n]), n
 
     def test_stability_verdicts_match_the_squaring_oracle_through_cap_24(self, space):
+        # the build re-reads each reduction's construction step, the oracle
+        # squares every relation by every Sq^i: two checks, so the verdicts
+        # must agree and the build's error must name the flipped w_e
         flips = 0
         for cap in range(4, 25):
             mdl = QuotientModel(space, cap)
@@ -729,17 +749,19 @@ class TestValidationOracles:
                     continue
                 for mono in mdl.slice_monomials(e):
                     mdl.reductions[e] = rho ^ {mono}
-                    mdl._phi_cache.clear()
+                    got = stability_error(mdl)  # clears the stale phi memo first
                     want = squaring_stability_error(mdl)
-                    assert stability_error(mdl) == want, (cap, e, mono)
+                    assert (got is None) == (want is None), (cap, e, mono)
+                    assert got is None or got.startswith(f"w_{e} + reduction is not"), got
                     flips += want is not None
                 mdl.reductions[e] = rho
         assert flips
 
 
 class TestSquareChain:
-    """The reductions come from one square each, stability is read on the
-    Sq^(2^k) only, and each model builds one total square."""
+    """The reductions come from one square each, the build certifies each by
+    re-reading its square through the bso model, and each model builds one
+    total square."""
 
     @pytest.mark.parametrize("space", ["bspin", "bspinc"])
     def test_reductions_match_the_admissible_word_scan_through_cap_64(self, space):
@@ -751,29 +773,74 @@ class TestSquareChain:
     @pytest.mark.parametrize("space", ["bspin", "bspinc"])
     @pytest.mark.parametrize("cap", [40, 64])
     def test_flips_of_rho33_that_the_squaring_oracle_rejects_fail_the_build(self, space, cap):
-        # a bounded sweep, about 40 flips a model; the verdicts must agree
-        # word for word, as in TestValidationOracles
+        # a bounded sweep, about 40 flips a model; the verdicts must agree,
+        # as in TestValidationOracles, and the unflipped model passes both
+        # checks, the oracle squaring by every Sq^i through the cap
         mdl = QuotientModel(space, cap)
         rho = mdl.reductions[33]
         monos = list(mdl.slice_monomials(33))
         for mono in monos[:: len(monos) // 40 + 1]:
             mdl.reductions[33] = rho ^ {mono}
             got = stability_error(mdl)  # clears the stale phi memo first
-            assert got is not None, (space, cap, _unpack(mono))
-            assert got == squaring_stability_error(mdl), (space, cap, _unpack(mono))
+            assert squaring_stability_error(mdl) is not None, (space, cap, _unpack(mono))
+            assert got == f"w_33 + reduction is not Sq^16(w_17 + reduction) in {space}", got
         mdl.reductions[33] = rho
         assert stability_error(mdl) is None
+        assert squaring_stability_error(mdl) is None
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_a_flipped_term_of_the_top_square_fails_the_build(self, space, monkeypatch):
+        # _find_reduction reads a wrong Sq^16(w_17 + rho_17); the bso square
+        # the build re-reads the step through does not
+        top_square = charclass._top_square
+        flipped = lambda p: top_square(p) ^ (w(4, 29) if w(17) <= p else frozenset())
+        monkeypatch.setattr(charclass, "_top_square", flipped)
+        error = rf"^w_33 \+ reduction is not Sq\^16\(w_17 \+ reduction\) in {space}$"
+        with pytest.raises(ModelError, match=error):
+            QuotientModel(space, 40)
+
+    @pytest.mark.parametrize(
+        "space, i, j, term, error",
+        [
+            # read by the bso square only: _top_square has its own closed form
+            ("bspin", 16, 17, (4, 29), r"^w_33 \+ reduction is not Sq\^16"),
+            ("bspinc", 16, 17, (4, 29), r"^w_33 \+ reduction is not Sq\^16"),
+            # w_3 dropped from Sq^1 w_2: phi of the rest is still rho_3 = 0,
+            # so only the test for the w_e term sees it
+            ("bspin", 1, 2, (3,), r"^w_3 \+ reduction is not Sq\^1"),
+            # the base cases Sq^1 w_3 and Sq^2 w_2, caught by the series
+            ("bspin", 1, 3, (4,), r"^bspin: quotient dimension 0 != model 1 in degree 4$"),
+            ("bspinc", 1, 3, (4,), r"^bspinc: quotient dimension 1 != model 2 in degree 4$"),
+            ("bspin", 2, 2, (4,), r"^bspin: quotient dimension 0 != model 1 in degree 4$"),
+            # Sq^2 w_2 is no base case of bspinc, but its w_17 step reads it
+            ("bspinc", 2, 2, (4,), r"^w_17 \+ reduction is not Sq\^8"),
+        ],
+        ids=["bspin-Sq16w17", "bspinc-Sq16w17", "bspin-Sq1w2", "bspin-Sq1w3", "bspinc-Sq1w3",
+             "bspin-Sq2w2", "bspinc-Sq2w2"],
+    )
+    def test_a_wrong_wu_entry_fails_the_build(self, space, i, j, term, error, monkeypatch):
+        # built in a model cache of their own, so no cached model sees the
+        # bad table
+        wu = charclass._wu_generator
+        bad = lambda a, b: wu(a, b) ^ (w(*term) if (a, b) == (i, j) else frozenset())
+        monkeypatch.setattr(charclass, "_wu_generator", bad)
+        fresh_model_cache(monkeypatch)
+        with pytest.raises(ModelError, match=error):
+            QuotientModel(space, 40)
 
     @pytest.mark.parametrize("i", [1, 2, 4, 8, 16])
     def test_a_wrong_square_of_w33_fails_its_own_row(self, i, monkeypatch):
         # every flip of rho_33 already fails the w_17 row (Sq^16 w_17 carries
-        # w_33), so the w_33 row is reached through Wu's formula instead; no
-        # other test builds at cap 63, so no cached model sees the bad table
+        # w_33), so the w_33 row is reached through Wu's formula instead.
+        # Below cap 65 the build reads no Sq^i w_33 and the model builds; the
+        # oracle's row rejects it.  A model cache of their own keeps the bad
+        # table from every other test
         wu = charclass._wu_generator
         bad = lambda a, j: wu(a, j) ^ (w(33 + a) if (a, j) == (i, 33) else frozenset())
         monkeypatch.setattr(charclass, "_wu_generator", bad)
-        with pytest.raises(ModelError, match=rf"^Sq\^{i}\(w_33 \+ reduction\)"):
-            QuotientModel("bspin", 63)
+        fresh_model_cache(monkeypatch)
+        error = squaring_stability_error(QuotientModel("bspin", 63))
+        assert error == f"Sq^{i}(w_33 + reduction) escapes the kernel in bspin"
 
     def test_a_build_induces_one_wu_table_and_keeps_its_square(self, monkeypatch):
         calls = Counter()
@@ -847,22 +914,30 @@ class TestLazyColumns:
                     got = lazy.components(mono, d, upto)
                     assert upto < len(got) and got == want[: len(got)], (upto, _unpack(mono))
 
-    def test_the_three_cap_40_builds_pull_at_most_367_wu_entries(self, monkeypatch):
+    def test_the_three_cap_40_builds_pull_only_the_129_bso_wu_entries(self, monkeypatch):
         # the bso, bspin and bspinc builds of the primitives suite at cap
-        # 40, in a model cache of their own; full columns held 783 entries
-        monkeypatch.setattr(charclass, "model", functools.lru_cache(maxsize=None)(model.__wrapped__))
+        # 40, in a model cache of their own; full columns held 783 entries.
+        # The bso square serves the other two models' steps and series, and
+        # their own squares answer no request during a build
+        fresh_model_cache(monkeypatch)
         induced_wu = QuotientModel._induced_wu
-        pulled = []
+        components = TotalSquare.components
+        pulled, answered = Counter(), []
 
         def counting(self, j):
             for entry in induced_wu(self, j):
-                pulled.append((self.space, j))
+                pulled[self.space] += 1
                 yield entry
 
+        def answering(self, *args):
+            answered.append(self)
+            return components(self, *args)
+
         monkeypatch.setattr(QuotientModel, "_induced_wu", counting)
-        for space in ("bso", "bspin", "bspinc"):
-            charclass.model(space, 40)
-        assert 0 < len(pulled) <= 367
+        monkeypatch.setattr(TotalSquare, "components", answering)
+        ring = {space: charclass.model(space, 40).ring for space in ("bso", "bspin", "bspinc")}
+        assert pulled == {"bso": 129}
+        assert answered and all(square is ring["bso"] for square in answered)
 
     def test_each_generator_coproduct_is_computed_once(self, monkeypatch):
         mdl = QuotientModel("bspin", 20)
