@@ -28,12 +28,17 @@ Cohomology Operations), and Wu's formula gives Sq^(j-1) w_j = sum_t
 w_(j-1-t) w_(j+t) in closed form, w_1 dropped.  The model is then validated:
 each reduction is decomposable; each chain reduction is re-read from its
 step through the bso model's total square, whose Wu table the closed form
-never reads, and that step makes the kernel of phi Steenrod-stable up to
-the cap (Quillen, Math. Ann. 194, 1971; see _validate_reductions); and the
-dimension series agrees with an elimination-computed quotient through degree
-20 (or the cap, if lower), the ideal slices being built from the cyclic
-module A.g and products with the w_j.  Every total square the model takes is
-computed only through the cap, and the induced table only where a square reads.
+never reads; and every relation g_e = w_e + rho_e is Steenrod-stable
+through top = min(20, cap), phi(Sq^i g_e) = 0.  The kernel J of phi is the
+ring ideal of the g_e; the steps put J in the ideal I, by induction on e,
+and stability puts I in J, by Cartan, so I = J through top, and past it the
+steps carry stability on to the cap (Quillen, Math. Ann. 194, 1971; see
+_validate_reductions).  The quotient's dimension series, the allowed
+partition counts, follows; the tests check it against an elimination of
+the ideal slices, which the model builds, from the cyclic module A.g and
+products with the w_j, only for the membership rows (_in_ideal).  Every
+total square the model takes is computed only through the cap, and the
+induced table only where a square reads.
 
 Primitive dimensions use the square filtration of a commutative connected
 Hopf algebra over F2 (a primitive that is decomposable is the square of a
@@ -95,7 +100,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .action import Check, TotalSquare, _eq, first_failure
-from .f2 import F2Basis, F2Index, F2Span, Frozen, bilinear, binom_mod2, geometric_series_product, power, tensor
+from .f2 import F2Basis, F2Index, F2Span, Frozen, bilinear, binom_mod2, power, tensor
 
 # a polynomial in the w classes: its packed monomials, see the module docstring
 ModPoly = frozenset[int]
@@ -279,9 +284,6 @@ class QuotientModel:
         # and the generators phi kills
         self._w_images = [frozenset()] + [self.phi(frozenset({_gen(i)})) for i in range(1, cap + 1)]
         self.killed = frozenset(i for i in range(1, cap + 1) if not self._w_images[i])
-        if gdeg is not None:
-            # past the cap the excluded generators are unknown to the model
-            self._validate_series(min(20, cap))
 
     # -- construction helpers -------------------------------------------------
 
@@ -354,28 +356,48 @@ class QuotientModel:
         monomial with d + i above it raises ValueError."""
         if i < 0:
             raise ValueError("Sq index must be >= 0")
-        acc: set[int] = set()
+        return frozenset(self._sums(p, i, i)[0])
+
+    def _sums(self, p: ModPoly, lo: int, upto: int) -> list[set[int]]:
+        """Packed Sq^lo p, ..., Sq^upto p, from one components call through
+        upto per monomial; past the cap raises ValueError, as sq does."""
+        acc: list[set[int]] = [set() for _ in range(lo, upto + 1)]
         for k in p:
             deg = _degree(k)
-            if deg + i > self.cap:
-                raise ValueError(f"Sq^{i} of a degree-{deg} class passes the cap {self.cap}")
-            if i <= deg:
-                acc ^= self.ring.components(k, deg, i)[i]
-        return frozenset(acc)
+            if deg + upto > self.cap:
+                raise ValueError(f"Sq^{upto} of a degree-{deg} class passes the cap {self.cap}")
+            if lo <= deg:
+                for a, c in zip(acc, self.ring.components(k, deg, upto)[lo:]):
+                    a ^= c
+        return acc
 
     def _validate_reductions(self) -> None:
-        """Every reduction must be decomposable (or zero), and each chain
+        """Every reduction must be decomposable (or zero); each chain
         reduction rho_e must be its construction step re-read through the
         bso model's square: w_e a term of Sq^(p-1)(w_p + rho_p), and rho_e
-        phi of the rest, or the error names w_e.  _top_square built the step
-        without the Wu table read here, so a wrong entry in either fails.
+        phi of the rest, or the error names w_e; and the relations must be
+        Steenrod-stable through top = min(20, cap): phi(Sq^i g_e) = 0 for
+        every g_e = w_e + rho_e but w_1 and every 1 <= i <= top - e, squared
+        by one request per relation, or the error names i and w_e.
+        _top_square built the steps without the Wu table read here, so a
+        wrong entry in either fails.
 
-        That step makes ker(phi) = I Steenrod-stable through the cap
-        (Quillen, Math. Ann. 194, 1971; Stong, Trans. AMS 107, 1963).  Let
+        Together these certify the ideal I through top.  phi is a
+        substitution, so its kernel J is the ring ideal of the g_e, with
+        quotient F2[allowed generators].  J is in I: g_e = Sq^(p-1) g_p
+        modulo the g_d below e, so g_e lies in I by induction on e.  I is
+        in J: J holds the ideal generator, and by Cartan a J stable through
+        top is closed under every Sq^i into degrees <= top.  So I = J
+        through top, and the quotient dimensions are the allowed partition
+        counts, which the tests check against an elimination of the ideal
+        slices (_ideal_slice).
+
+        Past top the steps carry stability on through the cap (Quillen,
+        Math. Ann. 194, 1971; Stong, Trans. AMS 107, 1963).  Let
         e = 2^(k+1) + 1, p = 2^k + 1, and I_<e be generated by w_1 and the
-        g_d = w_d + rho_d below e; then g_e = Sq^(2^k) g_p mod I_<e.  By
-        strong induction on e, Cartan takes I_<e into I, and Sq^i g_e lies
-        in I for every i <= cap - e:
+        g_d below e; then g_e = Sq^(2^k) g_p mod I_<e.  By strong induction
+        on e, Cartan takes I_<e into I, and Sq^i g_e lies in I for every
+        i <= cap - e:
         - 0 < i < 2^(k+1): by Adem, Sq^i Sq^(2^k) = sum_c C(2^k-c-1, i-2c)
           Sq^(i+2^k-c) Sq^c.  The c = 0 term is zero by instability, or
           g_p^2 when i = 1; for c >= 1, Sq^c g_p lies in I below degree e,
@@ -384,7 +406,7 @@ class QuotientModel:
         - i = e: g_e^2; past e, zero.
         The base cases are Wu's formula itself: Sq^1 w_1 = w_1^2; Sq^1 w_2 is
         the e = 3 step; Sq^1 w_3 = w_1 w_3; Sq^2 w_3 is the e = 5 step.  A
-        wrong entry in the last three fails this check or _validate_series.
+        wrong entry in the last three fails the steps or the stability check.
         """
         for e, rho in self.reductions.items():
             for m in rho:
@@ -398,6 +420,15 @@ class QuotientModel:
                 raise ModelError(
                     f"w_{e} + reduction is not Sq^{p - 1}(w_{p} + reduction) in {self.space}"
                 )
+        top = min(20, self.cap)
+        for e in sorted(self.reductions)[1:]:  # past w_1
+            if e < top:
+                squares = model("bso", self.cap)._sums(self.reductions[e] | {_gen(e)}, 1, top - e)
+                for i, square in enumerate(squares, start=1):
+                    if self.phi(square):
+                        raise ModelError(
+                            f"Sq^{i}(w_{e} + reduction) escapes the kernel in {self.space}"
+                        )
 
     def _cyclic_slice(self, n: int) -> list[ModPoly]:
         """A basis of the degree-n slice of the cyclic module A.g in H*BSO:
@@ -443,19 +474,6 @@ class QuotientModel:
         lies in the ideal."""
         basis = self._ideal_slice(n)
         return len(_row_basis(basis + [model("bso", self.cap).phi(p)])) == len(basis)
-
-    def _validate_series(self, top: int) -> None:
-        """Quotient dimensions from elimination must match the allowed-part
-        partition counts; a mismatch aborts the model."""
-        ambient = geometric_series_product(range(2, top + 1), top)
-        model = geometric_series_product(self.generator_degrees(top), top)
-        for n in range(1, top + 1):
-            quotient = ambient[n] - len(self._ideal_slice(n))
-            if quotient != model[n]:
-                raise ModelError(
-                    f"{self.space}: quotient dimension {quotient} != model {model[n]} "
-                    f"in degree {n}"
-                )
 
     # -- slice enumeration --------------------------------------------------------
 

@@ -4,8 +4,11 @@ Every public top-level function, class and method of `steenrod` must be
 used somewhere else in the package's code (a reference inside its own
 definition, such as a recursive call, does not count), be exported in
 `steenrod.__all__`, or be named in a code span or block of README.md.  A name that only the tests
-call belongs in the test file that uses it, as an oracle.  The few
-exceptions are listed in ALLOWED, each with its reason.
+call belongs in the test file that uses it, as an oracle.  A top-level
+function is used only when read as itself: by its name in its own module,
+imported by name from that module, or as an attribute of that module; a
+method or a local variable of the same name elsewhere does not count.  The
+few exceptions are listed in ALLOWED, each with its reason.
 """
 
 import ast
@@ -53,6 +56,23 @@ def _uses(tree: ast.AST) -> Counter[str]:
     return out
 
 
+def _function_uses(module: str, tree: ast.AST) -> Counter[tuple[str, str]]:
+    """How often the code of module reads each (defining module, name) of a
+    top-level function: a bare name as module's own, `from .mod import name`
+    and `mod.name` as mod's."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[module, node.id] += 1
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            source = node.module.rsplit(".", 1)[-1]
+            for alias in node.names:
+                out[source, alias.name] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            out[node.value.id, node.attr] += 1
+    return out
+
+
 def _code_spans(markdown: str) -> str:
     """The text of every fenced block and inline code span, one per line;
     a name the README only uses as a prose word documents nothing."""
@@ -64,6 +84,7 @@ def _code_spans(markdown: str) -> str:
 def unused_public_names() -> list[str]:
     trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     used = sum((_uses(t) for t in trees.values()), Counter())
+    called = sum((_function_uses(p.stem, t) for p, t in trees.items()), Counter())
     readme = _code_spans(README.read_text())
     exported = set(steenrod.__all__)
     unused = []
@@ -72,7 +93,12 @@ def unused_public_names() -> list[str]:
             name = qualname.rsplit(".", 1)[-1]
             # a use inside the definition itself, such as a recursive call,
             # is no use
-            if used[name] > _uses(node)[name] or name in exported or qualname in ALLOWED:
+            if isinstance(node, ast.ClassDef) or "." in qualname:
+                seen, own = used[name], _uses(node)[name]
+            else:
+                key = (path.stem, name)
+                seen, own = called[key], _function_uses(path.stem, node)[key]
+            if seen > own or name in exported or qualname in ALLOWED:
                 continue
             if re.search(rf"\b{re.escape(name)}\b", readme):
                 continue
@@ -104,6 +130,33 @@ def test_the_walk_sees_a_name_nothing_uses(tmp_path, monkeypatch):
         "a.py:13 K.lonely",
         "a.py:17 recursive",
     ]
+
+
+def test_the_walk_sees_a_function_shadowed_by_a_method_or_a_local(tmp_path, monkeypatch):
+    # algebra.dim once passed the bare-name count: FiniteModule.dim and a
+    # local dim in charclass were read, and nothing called the function
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "algebra.py").write_text(
+        "def dim(n):\n    return n\n\n\n"
+        "def basis(n):\n    return [n]\n\n\n"
+        "def degree(n):\n    return n\n\n\n"
+        "def weight(n):\n    return n\n\n\n"
+        "def total(n):\n    return basis(n)\n"
+    )
+    (pkg / "modules.py").write_text(
+        "from . import algebra\n"
+        "from .algebra import degree\n\n\n"
+        "class FiniteModule:\n    def dim(self):\n        return 0\n\n\n"
+        "def size(m):\n    return m.dim() + degree(1) + algebra.weight(2)\n"
+    )
+    (pkg / "charclass.py").write_text("def rank(n):\n    dim = n\n    return dim\n")
+    (tmp_path / "README.md").write_text("`total`, `FiniteModule`, `size` and `rank`.\n")
+    monkeypatch.setattr(steenrod, "__all__", [])
+    monkeypatch.setitem(globals(), "SRC", pkg)
+    monkeypatch.setitem(globals(), "README", tmp_path / "README.md")
+    assert unused_public_names() == ["algebra.py:1 dim"]
 
 
 def test_a_name_only_in_readme_prose_is_unused(tmp_path, monkeypatch):

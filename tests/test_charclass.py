@@ -595,8 +595,9 @@ class TestModels:
         for space in ("bspin", "bspinc"):
             for cap in range(4, 41):
                 m = QuotientModel(space, cap)
-                # the ideal slices of degrees 0 .. min(cap, 20) were read
-                assert len(m._ideal_basis) == min(cap, 20) + 1, (space, cap)
+                # the build certifies the ideal by stability: no slice is
+                # eliminated until a membership row reads one
+                assert m._ideal_basis == [] and m._cyclic_basis == [], (space, cap)
                 # the induced table is cut at the cap: past it Wu's formula
                 # names classes the model does not know
                 for j in m.generator_degrees():
@@ -630,13 +631,12 @@ class TestModels:
         ):
             m._validate_reductions()
 
-    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
-    @pytest.mark.parametrize("degree", [3, 5, 9, 17])
-    def test_a_cyclic_basis_missing_an_element_fails_the_series_check(
-        self, space, degree, monkeypatch
-    ):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_cyclic_basis_missing_an_element_fails_the_membership_row(self, k, monkeypatch):
         # the cyclic element in degree 2^k + 1 is the only ideal element
-        # carrying w_(2^k+1), so without it the slice is one dimension short
+        # carrying w_(2^k+1), so without it s_(2^k+1), which carries w_(2^k+1),
+        # lies outside the slice the bspin membership row reads
+        degree = 2**k + 1
         cyclic_slice = QuotientModel._cyclic_slice
 
         def short(self, n):
@@ -644,12 +644,48 @@ class TestModels:
             return basis[1:] if n == degree else basis
 
         monkeypatch.setattr(QuotientModel, "_cyclic_slice", short)
-        with pytest.raises(ModelError, match=f"in degree {degree}$"):
-            QuotientModel(space, 20)
+        mdl = QuotientModel("bspin", 34 if degree == 17 else 20)
+        rows = {c.check_id: c for c in power_sum_vanishing_check(k, mdl)}
+        row = rows[f"exact ideal membership k={k}"]
+        assert (row.status, row.witness) == (
+            "fail", f"s_{degree} outside the degree-{degree} ideal slice"
+        )
 
     def test_series_validation_passes_on_the_real_models(self):
+        # the dimension series the build once computed by elimination, kept
+        # as the oracle of the stability certificate: the quotient by the
+        # eliminated slices has the allowed generators' partition counts
         for space in ("bspin", "bspinc"):
-            assert len(model(space, 20)._ideal_basis) >= 21
+            for cap in range(4, 41):
+                m, top = QuotientModel(space, cap), min(20, cap)
+                ambient = geometric_series_product(range(2, top + 1), top)
+                allowed = geometric_series_product(m.generator_degrees(top), top)
+                for n in range(1, top + 1):
+                    assert ambient[n] - len(m._ideal_slice(n)) == allowed[n], (space, cap, n)
+
+    @pytest.mark.parametrize("space", ["bspin", "bspinc"])
+    def test_a_wrong_square_into_the_top_degree_fails_the_build_at_every_cap(
+        self, space, monkeypatch
+    ):
+        # Sq^(top-e) w_e, for the largest relation degree e below top =
+        # min(20, cap), gains w_top, which only a square into degree top
+        # reads: the stability check names it, or, where Sq^(top-e) w_e is a
+        # chain step (top = 2e - 1), the step for w_top does
+        wu = charclass._wu_generator
+        relations = {"bspin": (2, 3, 5, 9, 17), "bspinc": (3, 5, 9, 17)}[space]
+        for cap in range(4, 41):
+            top = min(20, cap)
+            e = max(d for d in relations if d < top)
+            i = top - e
+            bad = lambda a, b: wu(a, b) ^ (w(top) if (a, b) == (i, e) else frozenset())
+            monkeypatch.setattr(charclass, "_wu_generator", bad)
+            fresh_model_cache(monkeypatch)
+            if top == 2 * e - 1:
+                error = rf"^w_{top} \+ reduction is not Sq\^{i}\(w_{e} \+ reduction\) in {space}$"
+            else:
+                error = rf"^Sq\^{i}\(w_{e} \+ reduction\) escapes the kernel in {space}$"
+            with pytest.raises(ModelError, match=error):
+                QuotientModel(space, cap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -683,14 +719,16 @@ def squaring_ideal_slices(space):
     return basis_by_deg
 
 
-def squaring_stability_error(mdl):
-    """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through the cap, for every i,
-    squaring each relation in the unreduced ring H*BSO (the bso model of the
-    current model cache); the first failure's text, or None."""
+def squaring_stability_error(mdl, top=None):
+    """Oracle: phi(Sq^i(w_e + rho_e)) = 0 through top (by default the cap),
+    for every i, squaring each relation by one Sq^i at a time in the
+    unreduced ring H*BSO (the bso model of the current model cache); the
+    first failure's text, or None."""
     ambient = charclass.model("bso", mdl.cap)
+    top = mdl.cap if top is None else top
     for e, rho in sorted(mdl.reductions.items()):
         relation = w(e) ^ rho
-        for i in range(1, mdl.cap - e + 1):
+        for i in range(1, top - e + 1):
             if mdl.phi(ambient.sq(i, relation)):
                 return f"Sq^{i}(w_{e} + reduction) escapes the kernel in {mdl.space}"
     return None
@@ -736,13 +774,16 @@ class TestValidationOracles:
             assert all(mdl._in_ideal(b, n) for b in old[n]), n
 
     def test_stability_verdicts_match_the_squaring_oracle_through_cap_24(self, space):
-        # the build re-reads each reduction's construction step, the oracle
-        # squares every relation by every Sq^i: two checks, so the verdicts
-        # must agree and the build's error must name the flipped w_e
+        # the build re-reads each reduction's construction step and squares
+        # the relations through min(20, cap), the oracle squares every
+        # relation by every Sq^i through the cap, or only through min(20,
+        # cap): the verdicts must agree, and the build's error must name the
+        # flipped w_e
         flips = 0
         for cap in range(4, 25):
-            mdl = QuotientModel(space, cap)
+            mdl, top = QuotientModel(space, cap), min(20, cap)
             assert squaring_stability_error(mdl) is None
+            assert squaring_stability_error(mdl, top) is None
             assert stability_error(mdl) is None
             for e, rho in sorted(mdl.reductions.items()):
                 if e > 17:
@@ -752,6 +793,7 @@ class TestValidationOracles:
                     got = stability_error(mdl)  # clears the stale phi memo first
                     want = squaring_stability_error(mdl)
                     assert (got is None) == (want is None), (cap, e, mono)
+                    assert (got is None) == (squaring_stability_error(mdl, top) is None)
                     assert got is None or got.startswith(f"w_{e} + reduction is not"), got
                     flips += want is not None
                 mdl.reductions[e] = rho
@@ -808,10 +850,10 @@ class TestSquareChain:
             # w_3 dropped from Sq^1 w_2: phi of the rest is still rho_3 = 0,
             # so only the test for the w_e term sees it
             ("bspin", 1, 2, (3,), r"^w_3 \+ reduction is not Sq\^1"),
-            # the base cases Sq^1 w_3 and Sq^2 w_2, caught by the series
-            ("bspin", 1, 3, (4,), r"^bspin: quotient dimension 0 != model 1 in degree 4$"),
-            ("bspinc", 1, 3, (4,), r"^bspinc: quotient dimension 1 != model 2 in degree 4$"),
-            ("bspin", 2, 2, (4,), r"^bspin: quotient dimension 0 != model 1 in degree 4$"),
+            # the base cases Sq^1 w_3 and Sq^2 w_2, caught by the stability check
+            ("bspin", 1, 3, (4,), r"^Sq\^1\(w_3 \+ reduction\) escapes the kernel in bspin$"),
+            ("bspinc", 1, 3, (4,), r"^Sq\^1\(w_3 \+ reduction\) escapes the kernel in bspinc$"),
+            ("bspin", 2, 2, (4,), r"^Sq\^2\(w_2 \+ reduction\) escapes the kernel in bspin$"),
             # Sq^2 w_2 is no base case of bspinc, but its w_17 step reads it
             ("bspinc", 2, 2, (4,), r"^w_17 \+ reduction is not Sq\^8"),
         ],
@@ -914,10 +956,10 @@ class TestLazyColumns:
                     got = lazy.components(mono, d, upto)
                     assert upto < len(got) and got == want[: len(got)], (upto, _unpack(mono))
 
-    def test_the_three_cap_40_builds_pull_only_the_129_bso_wu_entries(self, monkeypatch):
+    def test_the_three_cap_40_builds_pull_only_the_122_bso_wu_entries(self, monkeypatch):
         # the bso, bspin and bspinc builds of the primitives suite at cap
         # 40, in a model cache of their own; full columns held 783 entries.
-        # The bso square serves the other two models' steps and series, and
+        # The bso square serves the other two models' steps and stability, and
         # their own squares answer no request during a build
         fresh_model_cache(monkeypatch)
         induced_wu = QuotientModel._induced_wu
@@ -936,7 +978,7 @@ class TestLazyColumns:
         monkeypatch.setattr(QuotientModel, "_induced_wu", counting)
         monkeypatch.setattr(TotalSquare, "components", answering)
         ring = {space: charclass.model(space, 40).ring for space in ("bso", "bspin", "bspinc")}
-        assert pulled == {"bso": 129}
+        assert pulled == {"bso": 122}
         assert answered and all(square is ring["bso"] for square in answered)
 
     def test_each_generator_coproduct_is_computed_once(self, monkeypatch):
@@ -1030,7 +1072,7 @@ class TestIdealMembership:
         assert spinc._in_ideal(w(9) ^ w(2, 7), 9)
 
     def test_membership_is_the_kernel_of_phi_through_9(self):
-        # the series check makes the ideal exactly the kernel of phi
+        # the stability certificate makes the ideal exactly the kernel of phi
         for space in ("bspin", "bspinc"):
             mdl = model(space, 20)
             for n in range(2, 10):
@@ -1188,6 +1230,15 @@ class TestPowerSumVanishing:
         for k in range(4):
             rows = power_sum_vanishing_check(k)
             assert [c.status for c in rows] == ["pass"] * 4, (k, rows)
+
+    def test_the_membership_rows_eliminate_slices_only_through_their_degree(self):
+        # the build eliminates none; the row for s_(2^k+1) builds the slices
+        # of degrees 0 .. 2^k + 1 and no more
+        mdl = QuotientModel("bspin", 34)
+        assert mdl._ideal_basis == []
+        for k in range(5):
+            assert all(c.ok for c in power_sum_vanishing_check(k, mdl)), k
+            assert len(mdl._ideal_basis) == len(mdl._cyclic_basis) == 2**k + 2, k
 
     def test_a_model_below_the_degree_raises(self):
         assert all(c.ok for c in power_sum_vanishing_check(3, model("bspin", 20)))

@@ -234,9 +234,8 @@ def c_9_8_read_as_even(monkeypatch):
 
 
 def w9_dropped_from_the_degree_9_ideal_slice(monkeypatch):
-    """The degree-9 ideal slice of the built (and series-checked) bspin
-    model, without the elements that carry w_9."""
-    charclass.model("bspin", 34)
+    """The degree-9 ideal slice that the bspin membership rows eliminate,
+    without the elements that carry w_9."""
     ideal_slice = charclass.QuotientModel._ideal_slice
     w9 = charclass.mono_from([9])
 
