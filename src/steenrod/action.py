@@ -55,7 +55,8 @@ class TotalSquare:
     through upto cuts every block and partial product at upto + 1, exactly,
     and pulls each column only that far; a longer request later rebuilds
     (or pulls) at least double that.  Hence the rule for callers: ask once,
-    for the longest square you will read.  Sq^k asks through k, and
+    for the longest square you will read.  Every caller asks through sums,
+    one request per term.  Sq^k asks through k, and
     SqAlgebraPresentation.squares(f, upto) reads Sq^0 f, ..., Sq^upto f
     from one request per monomial.
     """
@@ -128,6 +129,19 @@ class TotalSquare:
             self._monos[mono] = (cut, comps)
         return comps
 
+    def sums(self, terms: Iterable[tuple[int, int]], lo: int, upto: int) -> list[set[int]]:
+        """Packed Sq^lo, ..., Sq^upto of the sum of the (packed monomial,
+        degree) terms, from one components request through upto per term;
+        a square past the top raises ValueError."""
+        acc: list[set[int]] = [set() for _ in range(lo, upto + 1)]
+        for mono, deg in terms:
+            if deg + upto > self.top:
+                raise ValueError(f"Sq^{upto} of a degree-{deg} class passes the cap {self.top}")
+            if lo <= deg:
+                for a, c in zip(acc, self.components(mono, deg, upto)[lo:]):
+                    a ^= c
+        return acc
+
 
 class SqAlgebraPresentation(Frozen):
     """A weighted polynomial ring with a declared Steenrod action."""
@@ -199,22 +213,12 @@ class SqAlgebraPresentation(Frozen):
                 raise ValueError(f"degree {deg} passes the packed limit {LIMIT // 2 - 1}")
         return out
 
-    def _sums(self, f: F2Poly, lo: int, upto: int) -> list[set[int]]:
-        """Packed Sq^lo f, ..., Sq^upto f, from one components call through
-        upto per monomial of degree lo or more."""
-        monos = self._monomials(f)  # checked before the list is made
-        acc: list[set[int]] = [set() for _ in range(lo, upto + 1)]
-        for mono, deg in monos:
-            if lo <= deg:
-                for a, c in zip(acc, self._square.components(mono, deg, upto)[lo:]):
-                    a ^= c
-        return acc
-
     # -- public action --------------------------------------------------------
 
     def squares(self, f: F2Poly, upto: int) -> list[F2Poly]:
         """Sq^0 f, Sq^1 f, ..., Sq^upto f, from one cut list per monomial."""
-        return [F2Poly(self.ring, frozenset(a)) for a in self._sums(f, 0, upto)]
+        sums = self._square.sums(self._monomials(f), 0, upto)
+        return [F2Poly(self.ring, frozenset(a)) for a in sums]
 
     def sq(self, k: int, f: F2Poly) -> F2Poly:
         """Sq^k applied to a polynomial of this ring."""
@@ -222,7 +226,9 @@ class SqAlgebraPresentation(Frozen):
             raise PresentationError("Sq index must be >= 0")
         if f.ring != self.ring:
             raise PresentationError("polynomial lives in the wrong ring")
-        return f if k == 0 else F2Poly(self.ring, frozenset(self._sums(f, k, k)[0]))
+        if k == 0:
+            return f
+        return F2Poly(self.ring, frozenset(self._square.sums(self._monomials(f), k, k)[0]))
 
     def total_sq(self, f: F2Poly) -> F2Poly:
         """The finite sum (1 + Sq^1 + Sq^2 + ...) applied to f."""

@@ -677,7 +677,7 @@ def primitive_transfer_check(n_max: int = 32) -> list[LegResult]:
     """For each admissible degree, push the spin-c primitive through both
     transfer legs and record whether at least one leg sees it."""
     from .charclass import model
-    mdl = model("bspinc", max(n_max, 34))
+    mdl = model("bspinc", n_max)
     cp2, hp2 = cp2_bundle(), hp2_bundle()
     results = []
     for n in range(4, n_max + 1):

@@ -216,7 +216,7 @@ def cmd_primitives(args) -> str:
     if args.kernel_limit < 0:
         raise CliError(f"--kernel-limit must be >= 0, got {args.kernel_limit}")
     from . import charclass
-    mdl = charclass.model(args.space, max(args.max, 34))
+    mdl = charclass.model(args.space, args.max)
     rows = []
     for n in range(2, args.max + 1):
         r = mdl.primitives(n, kernel_limit=args.kernel_limit)

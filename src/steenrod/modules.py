@@ -10,7 +10,8 @@ per generator between adjacent slices; the relations are validated wherever
 the composites stay inside the window.
 
 The catalog pieces are built mechanically inside the ambient Steenrod
-algebra, each its part from a bottom degree up modulo its relators:
+algebra, each its part from a bottom degree up modulo its relators, once,
+on the window of degrees that keep a quotient representative:
 
     Z2                        one class: modulo both generators
     A(1), E(1)                the free rank-one modules
@@ -332,18 +333,19 @@ def _module_from_subquotient(
     for e in ideal:
         ideal_by_degree.setdefault(e.degree(), []).append(e)
 
-    if not by_degree:
-        return zero_module(algebra)
-    dmin, dmax = min(by_degree), max(by_degree)
-
     # per degree: choose quotient representatives (carrier vectors independent
-    # of the ideal span)
+    # of the ideal span), then build on the window of degrees that keep one
     reps: dict[int, list[SteenrodElement]] = {}
-    for d in range(dmin, dmax + 1):
+    for d, elems in by_degree.items():
         index, basis = F2Index(), F2Basis()
         for e in ideal_by_degree.get(d, []):
             basis.add(index.bits(e.words))
-        reps[d] = [e for e in by_degree.get(d, []) if basis.add(index.bits(e.words))]
+        kept = [e for e in elems if basis.add(index.bits(e.words))]
+        if kept:
+            reps[d] = kept
+    if not reps:
+        return zero_module(algebra)
+    dmin, dmax = min(reps), max(reps)
 
     spans: dict[int, tuple[F2Index, F2Span]] = {}
 
@@ -360,29 +362,10 @@ def _module_from_subquotient(
             raise ModuleError("carrier is not closed under the action")
         return sol & ((1 << len(basis_elems)) - 1)
 
-    basis = [reps[d] for d in range(dmin, dmax + 1)]
-    mod = _trim(_module(algebra, dmin, basis, mul, express, name=name))
+    basis = [reps.get(d, []) for d in range(dmin, dmax + 1)]
+    mod = _module(algebra, dmin, basis, mul, express, name=name)
     mod.validate()
     return mod
-
-
-def _trim(m: FiniteModule) -> FiniteModule:
-    """Drop zero-dimensional slices at both ends of the window."""
-    lo, hi = m.dmin, m.dmax
-    while lo <= hi and m.dim(lo) == 0:
-        lo += 1
-    while hi >= lo and m.dim(hi) == 0:
-        hi -= 1
-    if lo > hi:
-        return zero_module(m.algebra)
-    if (lo, hi) == (m.dmin, m.dmax):
-        return m
-    dims = tuple(m.dim(d) for d in range(lo, hi + 1))
-    mats_by_op = {
-        op: [m.op_matrix(op, d) for d in range(lo, hi + 1)]
-        for op in m.spec.ops
-    }
-    return FiniteModule.build(m.algebra, lo, dims, mats_by_op, m.truncated, m.name)
 
 
 def zero_module(algebra: str) -> FiniteModule:

@@ -332,19 +332,26 @@ def suite_e1_modules(max_degree: int = 40) -> list[Check]:
     return checks
 
 
-def suite_primitives(max_degree: int = 64, kernel_limit: int = 12) -> list[Check]:
+# the degree through which each table row is cross-checked against the
+# literal reduced-coproduct kernel
+PRIMITIVE_KERNEL_LIMIT = 12
+
+
+def suite_primitives(max_degree: int = 64) -> list[Check]:
     from . import charclass
     checks = []
     for space in ("bso", "bspin", "bspinc"):
-        mdl = charclass.model(space, max(max_degree, 34))
-        rows = (mdl.primitives(n, kernel_limit=kernel_limit) for n in range(2, max_degree + 1))
+        mdl = charclass.model(space, max_degree)
+        rows = (mdl.primitives(n, kernel_limit=PRIMITIVE_KERNEL_LIMIT)
+                for n in range(2, max_degree + 1))
         checks.append(
             first_failure(
                 f"{space}: table verified through degree {max_degree}",
                 (f"degree {r.degree}: dim {r.dimension}, {r.formula}" for r in rows if not r.verified),
             )
         )
-    spin = charclass.model("bspin", max(max_degree, 34))
+    # the s_17 row and the vanishing chain (k < 4) read degrees through 17
+    spin = charclass.model("bspin", max(max_degree, 17))
     checks.append(
         _eq(
             "s17 under naive substitution",

@@ -427,3 +427,50 @@ def test_the_guards_see_a_fork_and_a_pasted_reduction():
         "        return len(basis._pivots)\n"
     )
     assert sorted(matrix_own_eliminations(pasted)) == ["rank:4", "rank:5"]
+
+
+def components_requests_outside_total_square(sources: dict[str, str]) -> list[str]:
+    """module:line of each `.components(` call outside the TotalSquare
+    class: every other caller asks TotalSquare.sums, which checks the top
+    and makes one request per term, so no third square-request loop grows."""
+    out = []
+    for name, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        engine = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "TotalSquare"
+            for node in ast.walk(cls)
+        }
+        out += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "components"
+            and id(node) not in engine
+        ]
+    return out
+
+
+def test_only_total_square_requests_components():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert components_requests_outside_total_square(sources) == []
+
+
+def test_the_guard_sees_a_pasted_square_request_loop():
+    engine = (
+        "class TotalSquare:\n"
+        "    def sums(self, terms, lo, upto):\n"
+        "        return [self.components(m, d, upto)[lo:] for m, d in terms]\n"
+    )
+    pasted = (
+        "class Model:\n"
+        "    def sq(self, i, p):\n"
+        "        acc = set()\n"
+        "        for k in p:\n"
+        "            acc ^= self.ring.components(k, degree(k), i)[i]\n"
+        "        return acc\n"
+    )
+    sources = {"action.py": engine, "model.py": pasted}
+    assert components_requests_outside_total_square(sources) == ["model.py:5"]

@@ -884,6 +884,20 @@ class TestSquareChain:
         error = squaring_stability_error(QuotientModel("bspin", 63))
         assert error == f"Sq^{i}(w_33 + reduction) escapes the kernel in bspin"
 
+    def test_a_wrong_wu_entry_above_the_stability_top_still_builds(self, monkeypatch):
+        # Sq^4 w_17 lands in degree 21, past the top = 20 through which the
+        # build squares the relations: the model builds, and only the
+        # oracle's all-i sweep through the cap rejects it.  A gap witnessed,
+        # not closed; a model cache of its own keeps the bad table from
+        # every other test
+        wu = charclass._wu_generator
+        bad = lambda a, j: wu(a, j) ^ (w(21) if (a, j) == (4, 17) else frozenset())
+        monkeypatch.setattr(charclass, "_wu_generator", bad)
+        fresh_model_cache(monkeypatch)
+        mdl = QuotientModel("bspin", 40)
+        assert squaring_stability_error(mdl) == "Sq^4(w_17 + reduction) escapes the kernel in bspin"
+        assert squaring_stability_error(mdl, 20) is None
+
     def test_a_build_induces_one_wu_table_and_keeps_its_square(self, monkeypatch):
         calls = Counter()
         induced_wu = QuotientModel._induced_wu

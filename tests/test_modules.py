@@ -139,6 +139,12 @@ class TestTemplates:
         with pytest.raises(ModuleError):
             _module_from_subquotient("A1", carrier)
 
+    @pytest.mark.parametrize("case", ["empty carrier", "carrier inside its ideal"])
+    def test_a_subquotient_with_no_class_is_the_zero_module(self, case):
+        amb = list(basis_of(SubHopfAlgebra("A", 1)))
+        carrier, ideal = ([], []) if case == "empty carrier" else (amb, amb)
+        assert _module_from_subquotient("A1", carrier, ideal) == zero_module("A1")
+
     def test_a_truncated_window_refuses_a_matrix_into_a_missing_slice(self):
         # q0 would send the one degree-0 class into degree 1, past the window
         ops = (("q0", (F2Matrix(1, 1, [1]),)), ("q1", (F2Matrix.zero(0, 1),)))
