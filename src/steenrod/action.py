@@ -203,11 +203,16 @@ class SqAlgebraPresentation(Frozen):
 
     def _monomials(self, f: F2Poly) -> list[tuple[int, int]]:
         """Each monomial of f with its degree, all checked before any is
-        squared: the total square of a degree-d monomial has exponents at
-        most 2d, below f2.LIMIT while d is below LIMIT // 2."""
+        squared (see _terms)."""
         if f.ring != self.ring:
             raise PresentationError("polynomial lives in the wrong ring")
-        out = [(m, self.ring.monomial_degree(m)) for m in f.monomials]
+        return self._terms(f.monomials)
+
+    def _terms(self, monos: Iterable[int]) -> list[tuple[int, int]]:
+        """Each packed monomial of this ring with its degree, all checked
+        before any is squared: the total square of a degree-d monomial has
+        exponents at most 2d, below f2.LIMIT while d is below LIMIT // 2."""
+        out = [(m, self.ring.monomial_degree(m)) for m in monos]
         for _, deg in out:
             if deg >= LIMIT // 2:
                 raise ValueError(f"degree {deg} passes the packed limit {LIMIT // 2 - 1}")
@@ -286,24 +291,50 @@ def check_presentation(
     Checks that the top operation is the square and every Adem relation
     Sq^m Sq^n = sum C(n-i-1, m-2i) Sq^(m+n-i) Sq^i, m < 2n <= 2*adem_max, on
     each monomial (Sq^1 Sq^1 = 0 and Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1 among them).
-    Vanishing above the degree holds by construction: sq skips those terms.
+    Vanishing above the degree holds by construction: sums skips those terms.
+
+    The squares are packed sets from TotalSquare.sums, one request per
+    monomial, longest first: before the checks run, each monomial f through
+    degree_max is asked from the top degree down, as far as its checks
+    read, and then each monomial of its Sq^i f above degree_max, as far as
+    the Adem relations on f read.  A reader of a lower degree reads no
+    further, so no cut list is built twice, and the checks' own requests
+    find every list built.
     """
+    def n_cap(d: int) -> int:
+        return min(d, adem_max) if adem_max is not None else d
+
+    def squares(monos: Iterable[int], upto: int) -> list[set[int]]:
+        """Packed Sq^0, ..., Sq^upto of the sum of the monomials."""
+        return p._square.sums(p._terms(monos), 0, upto)
+
+    asked: set[int] = set()
+    for d in range(degree_max, -1, -1):
+        top = n_cap(d)
+        for mono in p.ring.monomials_of_degree(d):
+            asked.add(mono)
+            first = squares([mono], max(d, 3 * top - 1))
+            for i in range(1, top + 1):
+                above = first[i] - asked  # degree d + i past degree_max
+                asked |= above
+                squares(above, 3 * top - 1)
+
     def failures():
         for d in range(degree_max + 1):
+            top = n_cap(d)
             for mono in p.ring.monomials_of_degree(d):
                 f = F2Poly(p.ring, frozenset({mono}))
-                n_cap = min(d, adem_max) if adem_max is not None else d
                 # sq[i][k] = Sq^k Sq^i f, through the longest either side reads
-                sq = [p.squares(f, max(d, 3 * n_cap - 1))]
-                sq += [p.squares(sq[0][i], 3 * n_cap - 1) for i in range(1, n_cap + 1)]
-                if sq[0][d] != f * f:
+                sq = [squares([mono], max(d, 3 * top - 1))]
+                sq += [squares(sq[0][i], 3 * top - 1) for i in range(1, top + 1)]
+                if sq[0][d] != {mono << 1}:
                     yield f"Sq^{d}({f}) != square"
-                for n in range(1, n_cap + 1):
+                for n in range(1, top + 1):
                     for m in range(1, 2 * n):
-                        rhs = p.ring.zero()
+                        rhs: set[int] = set()
                         for i in range(m // 2 + 1):
                             if binom_mod2(n - i - 1, m - 2 * i):
-                                rhs = rhs + sq[i][m + n - i]
+                                rhs ^= sq[i][m + n - i]
                         if sq[n][m] != rhs:
                             yield f"Adem relation Sq^{m} Sq^{n} fails on {f}"
 

@@ -13,6 +13,8 @@ Exit codes: 0 success, 1 computation or check failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -383,6 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # at exit, freeze the heap so finalization runs no full cyclic collection
+    # over it; unregistered first, so repeated calls keep one hook
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,9 +10,10 @@ byte-stable text line ends in `0 provisional` (truncation fringes are
 flagged by the module commands, not by a suite).
 Suites are pure and deterministic, so reports are byte-stable for a fixed
 cap.  A suite listed in MIN_CAPS decides its rows only from that cap on, and
-run_suites refuses a smaller one before any suite runs.  Each suite imports
-the modules it runs, so a command that runs one suite loads no other
-suite's modules.  The default caps are chosen so the
+run_suites refuses a smaller one before any suite runs; it refuses a cap
+above a suite's MAX_CAPS entry, which its bundles cannot hold, the same
+way.  Each suite imports the modules it runs, so a command that runs one
+suite loads no other suite's modules.  The default caps are chosen so the
 whole battery completes in seconds to a few minutes on commodity hardware:
 Hopf-axiom suites stop at degree 12, module and series suites at 40, the
 primitives table at 64 and the primitive-transfer sweep at 32.
@@ -450,11 +451,18 @@ MIN_CAPS = {
     "primitive-transfer": 6,  # the degree-6 finding
 }
 
+# the largest cap whose degrees a suite's bundles hold (both are built to
+# degree 72, FiberBundleData's default); run_suites refuses a larger one
+MAX_CAPS = {
+    "cp2-transfer": 17,  # the closed forms read x2^(2N + 1), of degree 4N + 2
+    "primitive-transfer": 72,  # a degree-N primitive is integrated in degree N
+}
+
 
 def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteReport]:
     """Run suites in name order; caps come from the argument, else the
-    documented default.  Every cap is checked against MIN_CAPS before any
-    suite runs."""
+    documented default.  Every cap is checked against MIN_CAPS and MAX_CAPS
+    before any suite runs."""
     runs = []
     for name in sorted(names):
         if name not in SUITES:
@@ -465,5 +473,8 @@ def run_suites(names: list[str], max_degree: int | None = None) -> list[SuiteRep
         least = MIN_CAPS.get(name, 0)
         if cap < least:
             raise ValueError(f"suite {name!r} needs a cap of at least {least}, got {cap}")
+        most = MAX_CAPS.get(name, cap)
+        if cap > most:
+            raise ValueError(f"suite {name!r} takes a cap of at most {most}, got {cap}")
         runs.append((name, cap))
     return [SuiteReport(name, tuple(SUITES[name][0](cap))) for name, cap in runs]

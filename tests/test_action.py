@@ -17,6 +17,7 @@ from steenrod.action import (
 from steenrod.algebra import binom_mod2
 from steenrod.cli import PRESETS
 from steenrod.f2 import FIELD, LIMIT, F2Poly, WeightedPolyRing
+from test_checks_fail import ENTRIES
 
 
 def rank_one_model(nvars):
@@ -131,6 +132,33 @@ def check_presentation_oracle(p, degree_max, adem_max=None):
     return first_failure(f"action consistent through degree {degree_max}", failures())
 
 
+def check_presentation_f2poly(p, degree_max, adem_max=None):
+    """check_presentation before it compared packed sets: every square
+    wrapped in F2Poly, each monomial's list asked in ascending degree, and
+    each Sq^i f squared again through squares()."""
+
+    def failures():
+        for d in range(degree_max + 1):
+            for mono in p.ring.monomials_of_degree(d):
+                f = F2Poly(p.ring, frozenset({mono}))
+                n_cap = min(d, adem_max) if adem_max is not None else d
+                # sq[i][k] = Sq^k Sq^i f, through the longest either side reads
+                sq = [p.squares(f, max(d, 3 * n_cap - 1))]
+                sq += [p.squares(sq[0][i], 3 * n_cap - 1) for i in range(1, n_cap + 1)]
+                if sq[0][d] != f * f:
+                    yield f"Sq^{d}({f}) != square"
+                for n in range(1, n_cap + 1):
+                    for m in range(1, 2 * n):
+                        rhs = p.ring.zero()
+                        for i in range(m // 2 + 1):
+                            if binom_mod2(n - i - 1, m - 2 * i):
+                                rhs = rhs + sq[i][m + n - i]
+                        if sq[n][m] != rhs:
+                            yield f"Adem relation Sq^{m} Sq^{n} fails on {f}"
+
+    return first_failure(f"action consistent through degree {degree_max}", failures())
+
+
 def corrupted_t2_t3_ring():
     """Sq^1(t2) = 0 instead of t3: breaks Sq^2 Sq^2 = Sq^1 Sq^2 Sq^1."""
     ring = WeightedPolyRing.make(("t2", 2), ("t3", 3))
@@ -236,6 +264,54 @@ class TestCheckAgainstOracle:
                     assert got == check_presentation_oracle(bad, 12, adem_max=4), (i, k, mono)
                     failing += not got.ok
         assert failing > 0
+
+
+BPSP_MODEL_CORRUPTIONS = [e for e in ENTRIES if e.values[0] == "bpsp-model"]
+
+
+class TestPackedCheckAgainstF2Poly:
+    """check_presentation on packed sets against the F2Poly loop it
+    replaced: the same Check, ok and first witness alike."""
+
+    @pytest.mark.parametrize(
+        "build, degree_max, adem_max",
+        [
+            (bundles.bpsp3_presentation, 24, 4),
+            (bundles.hp2_total_presentation, 12, None),
+            (bundles.bsu3_presentation, 12, None),
+            (bundles.cp2_total_presentation, 12, None),
+        ],
+        ids=["bpsp3", "hp2-total", "bsu3", "cp2-total"],
+    )
+    def test_presets(self, build, degree_max, adem_max):
+        p = build()
+        want = check_presentation_f2poly(p, degree_max, adem_max)
+        assert want.ok
+        assert check_presentation(p, degree_max, adem_max) == want
+
+    @pytest.mark.parametrize(
+        "corrupt", [e.values[1] for e in BPSP_MODEL_CORRUPTIONS],
+        ids=[e.id for e in BPSP_MODEL_CORRUPTIONS],
+    )
+    def test_every_presentation_a_bpsp_model_corruption_builds(self, corrupt, monkeypatch):
+        corrupt(monkeypatch)
+        failing = 0
+        for p, degree_max, adem_max in [
+            (bundles.bpsp3_presentation(), 24, 4),
+            (bundles.restriction_model().pres, 6, None),
+        ]:
+            want = check_presentation_f2poly(p, degree_max, adem_max)
+            assert check_presentation(p, degree_max, adem_max) == want
+            failing += not want.ok
+        assert failing == 1
+
+    def test_bpsp3_through_24_builds_each_cut_list_once(self, monkeypatch):
+        p = bundles.bpsp3_presentation()
+        fresh = SqAlgebraPresentation(p.ring, p.action)
+        builds = count_builds(monkeypatch)
+        assert check_presentation(fresh, 24, adem_max=4).ok
+        assert len(builds) == len(set(builds))
+        assert set(builds) >= {m for d in range(25) for m in p.ring.monomials_of_degree(d)}
 
 
 class TestTruncatedComponents:

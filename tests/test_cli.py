@@ -1,18 +1,24 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import steenrod
 from steenrod import verify
 from steenrod.cli import REPORT_SCHEMA, build_parser, main
 
 # stdout digests of the verify reports, recorded with the benchmark
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+SRC = str(Path(steenrod.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -330,6 +336,24 @@ class TestVerifyCommand:
         assert code == 2 and out == "" and ran == []
         assert err == "error: suite 'primitive-transfer' needs a cap of at least 6, got 5\n"
 
+    @pytest.mark.parametrize("suite, most", sorted(verify.MAX_CAPS.items()))
+    def test_a_cap_above_the_maximum_exits_2_and_names_it(self, suite, most):
+        code, out, err = run(["verify", "--suite", suite, "--max", str(most + 1)])
+        assert code == 2 and out == ""
+        assert err == f"error: suite {suite!r} takes a cap of at most {most}, got {most + 1}\n"
+
+    def test_the_whole_battery_past_the_cp2_maximum_exits_2(self):
+        code, out, err = run(["verify", "--suite", "all", "--max", "18"])
+        assert code == 2 and out == ""
+        assert err == "error: suite 'cp2-transfer' takes a cap of at most 17, got 18\n"
+
+    def test_cp2_transfer_at_its_maximum_prints_a_report(self):
+        code, out, err = run(["verify", "--suite", "cp2-transfer", "--max", "17", "--format", "json"])
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, REPORT_SCHEMA)
+        assert doc["ok"] and doc["suites"][0]["counts"]["fail"] == 0
+
     def test_a_key_error_inside_a_suite_is_a_computation_failure(self, monkeypatch):
         def broken(cap):
             raise KeyError("missing table entry")
@@ -403,3 +427,48 @@ class TestReportStability:
         want = "306c3dd5bb37cd39232dec392a98976348734f05fb287b63a1027c3eefa05e35"
         assert hashlib.sha256(out.encode()).hexdigest() == want
         assert sum(len(s["checks"]) for s in json.loads(out)["suites"]) == 8
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run python ARGS in a fresh interpreter that imports this package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestExitHook:
+    """main registers gc.freeze to run at exit, once however often it runs,
+    so a command's interpreter skips the final sweep of its heap."""
+
+    def test_two_calls_leave_one_hook_and_the_exit_freezes_the_heap(self):
+        # gc.freeze is counted through the module attribute main registers;
+        # the check registered first runs last, after the freeze
+        script = (
+            "import atexit, contextlib, gc, io\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: print('freeze') or freeze()\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "from steenrod import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['adem', 'Sq[1,2]'])\n"
+            "    cli.main(['adem', 'Sq[2,2]'])\n"
+            "print('ran')\n"
+        )
+        done = fresh("-c", script)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == "ran\nfreeze\nfrozen True\n"
+
+    def test_a_command_run_as_a_module_prints_the_reference_report(self):
+        command = "verify --suite hopf --format json"
+        want = json.loads(REFERENCE.read_text())["commands"][command]
+        done = fresh("-m", "steenrod.cli", *command.split())
+        assert done.returncode == 0 and done.stderr == ""
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == want["sha256"]
+    def test_main_leaves_the_collector_of_its_caller_as_it_was(self):
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert run(["adem", "Sq[1,2]"])[0] == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
